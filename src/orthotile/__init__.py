@@ -16,7 +16,6 @@ from .holo import (DiscreteHolomorphic, assemble, contour_integral, green_residu
                    sidewalks)
 from .odmap import (MarkedRectangleMap, OrthodiagonalMap, WeightedGraph,
                     load_map, save_map, validate)
-from .tiling import (InterpolatedMap, Tiling, build_tiling, evaluate_map,
-                     render_svg, verify_tiling)
+from .tiling import InterpolatedMap, Tiling, build_tiling, render_svg, verify_tiling
 
 __version__ = "0.1.0"

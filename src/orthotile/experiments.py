@@ -343,13 +343,7 @@ def _run_level(spec: DomainSpec, eps: float, probes: np.ndarray,
             json.dump(cert.to_json_dict(), fh, indent=1)
             fh.write("\n")
         tiling.save_tiling(base + ".tiling.json", t)
-    interp = tiling.InterpolatedMap(mm, h, ht)
-    vals = np.full(len(probes), np.nan + 0j, dtype=complex)
-    for i, p in enumerate(probes):
-        try:
-            vals[i] = interp.evaluate(p)
-        except ValueError:
-            pass
+    vals = tiling.InterpolatedMap(mm, h, ht).evaluate_many(probes)
     rec.runtime_s = time.perf_counter() - t0
     return rec, vals
 

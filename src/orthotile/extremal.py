@@ -400,16 +400,16 @@ def find_short_contour(m: OrthodiagonalMap, seg, delta: float, color: str = "pri
     pitch = max(eps / 2.0, 1e-12)
     nt = int(math.ceil((length + 2 * delta) / pitch)) + 1
     ns = int(math.ceil(2 * delta / pitch)) + 1
-    for it in range(nt + 1):
-        t = -delta + it * (length + 2 * delta) / nt
-        for isn in range(ns + 1):
-            s = -delta + isn * 2 * delta / ns
-            p = a + t * direction + s * normal
-            if geom.point_segment_distance(p, a, b) > delta:
-                continue
-            if locator.locate(p) is None:
-                raise ContourError(
-                    f"delta-neighborhood leaves the map support near {tuple(p)}")
+    t = -delta + np.arange(nt + 1) * (length + 2 * delta) / nt
+    s = -delta + np.arange(ns + 1) * 2 * delta / ns
+    # sample points in (it, isn) order
+    p = (a + np.repeat(t, ns + 1)[:, None] * direction
+         + np.tile(s, nt + 1)[:, None] * normal)
+    p = p[~(geom.point_segment_distance(p, a, b) > delta)]
+    missing = np.flatnonzero(locator.locate_many(p) < 0)
+    if len(missing):
+        raise ContourError(
+            f"delta-neighborhood leaves the map support near {tuple(p[missing[0]])}")
 
     which = PRIMAL if color == "primal" else DUAL
     g = m.extract(which)

@@ -275,46 +275,54 @@ def load_map(path: str) -> tuple[OrthodiagonalMap, Optional[list[int]]]:
         return OrthodiagonalMap.from_json_dict(json.load(fh))
 
 
-def _triangle_contains(a, b, c, p, tol: float) -> bool:
-    det = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    if det == 0.0:
-        return False
-    l1 = ((b[0] - p[0]) * (c[1] - p[1]) - (b[1] - p[1]) * (c[0] - p[0])) / det
-    l2 = ((c[0] - p[0]) * (a[1] - p[1]) - (c[1] - p[1]) * (a[0] - p[0])) / det
-    l3 = 1.0 - l1 - l2
-    # a negative coordinate l_i means distance |l_i| |det| / |opposite side|
-    # outside that side; convert tol to per-coordinate slack
-    adet = abs(det)
-    s1 = tol * np.hypot(c[0] - b[0], c[1] - b[1]) / adet
-    s2 = tol * np.hypot(a[0] - c[0], a[1] - c[1]) / adet
-    s3 = tol * np.hypot(b[0] - a[0], b[1] - a[1]) / adet
-    return l1 >= -s1 and l2 >= -s2 and l3 >= -s3
+def _quads_convex(q: np.ndarray) -> np.ndarray:
+    """Strict convexity of quadrilaterals q (..., 4, 2): all four turns
+    have the same nonzero sign."""
+    a, b, c = q, np.roll(q, -1, axis=-2), np.roll(q, -2, axis=-2)
+    cross = ((b[..., 0] - a[..., 0]) * (c[..., 1] - b[..., 1])
+             - (b[..., 1] - a[..., 1]) * (c[..., 0] - b[..., 0]))
+    return np.all(cross > 0, axis=-1) | np.all(cross < 0, axis=-1)
 
 
-def _simple_polygon_contains(corners: np.ndarray, p, tol: float) -> bool:
-    ring = np.vstack([corners, corners[:1]])
-    d = geom.points_to_segments_distance(np.asarray([p], dtype=float),
-                                         ring[:-1], ring[1:])[0]
-    if d <= tol:
-        return True
-    x, y = float(p[0]), float(p[1])
-    n = len(corners)
-    crossings = 0
-    for i in range(n):
-        x1, y1 = corners[i]
-        x2, y2 = corners[(i + 1) % n]
-        if (y1 > y) != (y2 > y):
-            xi = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-            if x < xi:
-                crossings += 1
-    return crossings % 2 == 1
+def _triangles_contain(a, b, c, p, tol: float) -> np.ndarray:
+    """Elementwise over rows: is p in the closed triangle abc, with each
+    side moved out by tol?  Degenerate triangles contain nothing."""
+    (ax, ay), (bx, by), (cx, cy), (px, py) = a.T, b.T, c.T, p.T
+    det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        l1 = ((bx - px) * (cy - py) - (by - py) * (cx - px)) / det
+        l2 = ((cx - px) * (ay - py) - (cy - py) * (ax - px)) / det
+        l3 = 1.0 - l1 - l2
+        # a negative coordinate l_i means distance |l_i| |det| / |opposite
+        # side| outside that side; convert tol to per-coordinate slack
+        adet = np.abs(det)
+        s1 = tol * np.hypot(cx - bx, cy - by) / adet
+        s2 = tol * np.hypot(ax - cx, ay - cy) / adet
+        s3 = tol * np.hypot(bx - ax, by - ay) / adet
+    return (det != 0.0) & (l1 >= -s1) & (l2 >= -s2) & (l3 >= -s3)
+
+
+#: points per batch in FaceLocator.containing, bounding its pair temporaries
+_BATCH_POINTS = 8192
+
+
+def first_per_point(n: int, pi: np.ndarray, values: np.ndarray, fill) -> np.ndarray:
+    """out[i] = values at the first pair of point i (pairs sorted by point),
+    fill for points without a pair."""
+    out = np.full(n, fill, dtype=values.dtype)
+    pts, first = np.unique(pi, return_index=True)
+    out[pts] = values[first]
+    return out
 
 
 class FaceLocator:
     """Uniform-hash point location over the faces of a map.
 
-    locate(p) returns the lowest face id whose closed quadrilateral
-    contains p (within tol), or None.
+    Every face is hashed to the grid cells its bounding box meets; the
+    cells are stored as sorted keys with their face ids in ascending order.
+    containing(pts) is the batched kernel: all (point, face) pairs where
+    the closed face contains the point within tol, ordered by point and
+    then face id.  locate(p) returns the lowest such face id or None.
     """
 
     def __init__(self, m: OrthodiagonalMap, tol: Optional[float] = None):
@@ -322,46 +330,83 @@ class FaceLocator:
         q = m.positions[m.faces]
         self.fmin = q.min(axis=1)
         self.fmax = q.max(axis=1)
+        self.convex = _quads_convex(q)
         self.cell = max(m.mesh_eps * 2.0, 1e-12)
         self.tol = tol if tol is not None else 1e-12 * max(1.0, m.mesh_eps)
-        buckets: dict[tuple[int, int], list[int]] = {}
-        lo = np.floor(self.fmin / self.cell).astype(int)
-        hi = np.floor(self.fmax / self.cell).astype(int)
-        for fi in range(m.n_faces):
-            for gx in range(lo[fi, 0], hi[fi, 0] + 1):
-                for gy in range(lo[fi, 1], hi[fi, 1] + 1):
-                    buckets.setdefault((gx, gy), []).append(fi)
-        self.buckets = buckets
+        lo = np.floor(self.fmin / self.cell).astype(np.int64)
+        hi = np.floor(self.fmax / self.cell).astype(np.int64)
+        self.origin = lo.min(axis=0)
+        self.shape = hi.max(axis=0) - self.origin + 1
+        # one (cell, face) entry per cell of each face's bounding box
+        ny = hi[:, 1] - lo[:, 1] + 1
+        count = (hi[:, 0] - lo[:, 0] + 1) * ny
+        face = np.repeat(np.arange(m.n_faces, dtype=np.int64), count)
+        k = np.arange(len(face)) - np.repeat(np.cumsum(count) - count, count)
+        g = lo[face] - self.origin
+        key = (g[:, 0] + k // ny[face]) * self.shape[1] + g[:, 1] + k % ny[face]
+        order = np.lexsort((face, key))
+        self.cell_keys, start = np.unique(key[order], return_index=True)
+        self.cell_start = np.append(start, len(key))
+        self.cell_faces = face[order]
 
-    def face_contains(self, fi: int, p) -> bool:
-        corners = self.m.positions[self.m.faces[fi]]
-        if _quad_is_convex(corners):
-            return (_triangle_contains(corners[0], corners[1], corners[2], p, self.tol)
-                    or _triangle_contains(corners[0], corners[2], corners[3], p, self.tol))
-        return _simple_polygon_contains(corners, p, self.tol)
+    def _candidates(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(point index, face id) pairs for the faces hashed to each
+        point's cell, ordered by point and then face id."""
+        g = np.floor(pts / self.cell) - self.origin
+        ok = np.all((g >= 0) & (g < self.shape), axis=1)
+        key = np.where(ok, g[:, 0] * self.shape[1] + g[:, 1], -1).astype(np.int64)
+        slot = np.minimum(np.searchsorted(self.cell_keys, key), len(self.cell_keys) - 1)
+        hit = np.flatnonzero(ok & (self.cell_keys[slot] == key))
+        start = self.cell_start[slot[hit]]
+        count = self.cell_start[slot[hit] + 1] - start
+        first = np.repeat(start - (np.cumsum(count) - count), count)
+        return np.repeat(hit, count), self.cell_faces[first + np.arange(len(first))]
+
+    def _contains(self, pts: np.ndarray, pi: np.ndarray, fi: np.ndarray) -> np.ndarray:
+        """Whether face fi[k] contains point pts[pi[k]] within tol: two
+        triangles for convex faces, crossing number for the others."""
+        c = self.m.positions[self.m.faces[fi]]
+        p = pts[pi]
+        out = np.empty(len(fi), dtype=bool)
+        cv = self.convex[fi]
+        cc, pc = c[cv], p[cv]
+        out[cv] = (_triangles_contain(cc[:, 0], cc[:, 1], cc[:, 2], pc, self.tol)
+                   | _triangles_contain(cc[:, 0], cc[:, 2], cc[:, 3], pc, self.tol))
+        cn, pn = c[~cv], p[~cv][:, None, :]
+        nxt = np.roll(cn, -1, axis=1)
+        out[~cv] = ((geom.segment_distances(pn, cn, nxt).min(axis=1) <= self.tol)
+                    | geom.ray_parity(pn, cn, nxt))
+        return out
+
+    def containing(self, pts) -> tuple[np.ndarray, np.ndarray]:
+        """All (point index, face id) pairs where the closed face contains
+        the point within tol, ordered by point and then face id."""
+        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+        out_p, out_f = [], []
+        for s in range(0, len(pts), _BATCH_POINTS):
+            pi, fi = self._candidates(pts[s:s + _BATCH_POINTS])
+            keep = self._contains(pts[s:s + _BATCH_POINTS], pi, fi)
+            out_p.append(pi[keep] + s)
+            out_f.append(fi[keep])
+        if not out_p:
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        return np.concatenate(out_p), np.concatenate(out_f)
+
+    def locate_many(self, pts) -> np.ndarray:
+        """Per point, the lowest id of a face whose closed quadrilateral and
+        bounding box (within tol) contain it, or -1."""
+        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+        pi, fi = self.containing(pts)
+        p = pts[pi]
+        box = np.all((self.fmin[fi] - self.tol <= p) & (p <= self.fmax[fi] + self.tol), axis=1)
+        return first_per_point(len(pts), pi[box], fi[box], -1)
 
     def locate(self, p) -> Optional[int]:
-        import math as _math
-        gx = int(_math.floor(p[0] / self.cell))
-        gy = int(_math.floor(p[1] / self.cell))
-        for fi in sorted(self.buckets.get((gx, gy), [])):
-            if (self.fmin[fi, 0] - self.tol <= p[0] <= self.fmax[fi, 0] + self.tol
-                    and self.fmin[fi, 1] - self.tol <= p[1] <= self.fmax[fi, 1] + self.tol
-                    and self.face_contains(fi, p)):
-                return fi
-        return None
+        fi = int(self.locate_many(p)[0])
+        return None if fi < 0 else fi
 
 
 # -- validation ---------------------------------------------------------------
-
-
-def _quad_is_convex(q: np.ndarray) -> bool:
-    cross = []
-    for k in range(4):
-        a, b, c = q[k], q[(k + 1) % 4], q[(k + 2) % 4]
-        cross.append((b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0]))
-    cross = np.array(cross)
-    return bool(np.all(cross > 0) or np.all(cross < 0))
 
 
 def validate(m: OrthodiagonalMap) -> ValidationReport:
@@ -375,6 +420,7 @@ def validate(m: OrthodiagonalMap) -> ValidationReport:
     """
     rep = ValidationReport()
     p = m.positions
+    convex = _quads_convex(p[m.faces])
 
     for fi, f in enumerate(m.faces):
         cols = [int(m.colors[v]) for v in f]
@@ -396,7 +442,7 @@ def validate(m: OrthodiagonalMap) -> ValidationReport:
         if geom.signed_area(q) <= 0:
             rep.add("orientation", (fi,), float(geom.signed_area(q)),
                     f"face {fi} is not counterclockwise")
-        if not _quad_is_convex(q):
+        if not convex[fi]:
             rep.nonconvex_faces.append(fi)
 
     used = sorted({int(v) for f in m.faces for v in f})

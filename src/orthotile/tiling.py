@@ -14,14 +14,12 @@ from __future__ import annotations
 
 import bisect
 import json
-import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from . import harmonic
-from .odmap import FaceLocator, MarkedRectangleMap
+from .odmap import FaceLocator, MarkedRectangleMap, first_per_point
 
 
 @dataclass(frozen=True)
@@ -254,48 +252,42 @@ class InterpolatedMap:
         """Interpolated complex value at a point of the mesh support;
         raises ValueError outside."""
         p = np.asarray(p, dtype=float)
-        gx = int(math.floor(p[0] / self.locator.cell))
-        gy = int(math.floor(p[1] / self.locator.cell))
-        for fi in sorted(self.locator.buckets.get((gx, gy), [])):
-            if not self.locator.face_contains(fi, p):
-                continue
-            val = self._eval_in_face(fi, p)
-            if val is not None:
-                return val
-        raise ValueError(f"point {tuple(p)} is outside the mesh support")
+        val = self.evaluate_many(p)[0]
+        if np.isnan(val.real):
+            raise ValueError(f"point {tuple(p)} is outside the mesh support")
+        return val
 
     def evaluate_many(self, pts) -> np.ndarray:
-        return np.array([self.evaluate(p) for p in np.asarray(pts, dtype=float)])
+        """Interpolated values at many points, NaN outside the support.
 
-    def _eval_in_face(self, fi: int, p) -> Optional[complex]:
+        Each point takes its value from the lowest-id face that contains it
+        and whose fan triangles cover it (adjacent fan triangles agree along
+        shared edges, so a generous barycentric slack cannot change the
+        value discontinuously)."""
+        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+        pi, fi = self.locator.containing(pts)
         mp = self.m.map
+        pos, vv = mp.positions, self.vertex_values
         f = mp.faces[fi]
-        v1, w1, v2, w2 = (int(x) for x in f)
-        pos = mp.positions
+        v1, w1, v2, w2 = f.T
         aux = (pos[v1] + pos[v2]) / 2.0
-        aux_val = ((self.vertex_values[v1].real + self.vertex_values[v2].real) / 2.0
-                   + 0.5j * (self.vertex_values[w1].imag + self.vertex_values[w2].imag))
-        corners = [v1, w1, v2, w2]
-        # adjacent fan triangles agree along shared edges, so a generous
-        # barycentric slack cannot change the value discontinuously
+        aux_val = (vv[v1].real + vv[v2].real) / 2.0 + 0.5j * (vv[w1].imag + vv[w2].imag)
+        # fan triangle k of a face: corners k, k + 1 and the midpoint aux
+        pa, pb = pos[f], pos[np.roll(f, -1, axis=1)]
+        (ax, ay), (px, py) = aux.T[:, :, None], pts[pi].T[:, :, None]
+        xa, ya, xb, yb = pa[..., 0], pa[..., 1], pb[..., 0], pb[..., 1]
+        det = (xb - xa) * (ay - ya) - (yb - ya) * (ax - xa)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            l1 = ((xb - px) * (ay - py) - (yb - py) * (ax - px)) / det
+            l2 = ((ax - px) * (ya - py) - (ay - py) * (xa - px)) / det
+        l3 = 1.0 - l1 - l2
         eps = 1e-9
-        for k in range(4):
-            a, b = corners[k], corners[(k + 1) % 4]
-            pa, pb = pos[a], pos[b]
-            det = (pb[0] - pa[0]) * (aux[1] - pa[1]) - (pb[1] - pa[1]) * (aux[0] - pa[0])
-            if det == 0.0:
-                continue
-            l1 = ((pb[0] - p[0]) * (aux[1] - p[1]) - (pb[1] - p[1]) * (aux[0] - p[0])) / det
-            l2 = ((aux[0] - p[0]) * (pa[1] - p[1]) - (aux[1] - p[1]) * (pa[0] - p[0])) / det
-            l3 = 1.0 - l1 - l2
-            if l1 >= -eps and l2 >= -eps and l3 >= -eps:
-                return (l1 * self.vertex_values[a] + l2 * self.vertex_values[b]
-                        + l3 * aux_val)
-        return None
-
-
-def evaluate_map(f: InterpolatedMap, p) -> complex:
-    return f.evaluate(p)
+        hit = (det != 0.0) & (l1 >= -eps) & (l2 >= -eps) & (l3 >= -eps)
+        r, k = np.arange(len(fi)), hit.argmax(axis=1)
+        vals = (l1[r, k] * vv[f[r, k]] + l2[r, k] * vv[f[r, (k + 1) % 4]]
+                + l3[r, k] * aux_val)
+        found = hit.any(axis=1)
+        return first_per_point(len(pts), pi[found], vals[found], np.nan + 0j)
 
 
 # -- SVG ------------------------------------------------------------------------

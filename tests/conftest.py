@@ -152,3 +152,110 @@ def l_spec():
 def rect_map16(rect_spec):
     mm, cert = gridgen.grid_approximation(rect_spec, 1 / 16)
     return mm, cert
+
+
+# -- scalar point-location oracle ------------------------------------------------
+#
+# The per-point FaceLocator that FaceLocator.containing replaced, kept as the
+# reference its batched kernel must match exactly.
+
+
+def _oracle_triangle_contains(a, b, c, p, tol: float) -> bool:
+    det = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    if det == 0.0:
+        return False
+    l1 = ((b[0] - p[0]) * (c[1] - p[1]) - (b[1] - p[1]) * (c[0] - p[0])) / det
+    l2 = ((c[0] - p[0]) * (a[1] - p[1]) - (c[1] - p[1]) * (a[0] - p[0])) / det
+    l3 = 1.0 - l1 - l2
+    adet = abs(det)
+    s1 = tol * np.hypot(c[0] - b[0], c[1] - b[1]) / adet
+    s2 = tol * np.hypot(a[0] - c[0], a[1] - c[1]) / adet
+    s3 = tol * np.hypot(b[0] - a[0], b[1] - a[1]) / adet
+    return l1 >= -s1 and l2 >= -s2 and l3 >= -s3
+
+
+def _oracle_simple_polygon_contains(corners, p, tol: float) -> bool:
+    from orthotile import geom
+    ring = np.vstack([corners, corners[:1]])
+    d = geom.points_to_segments_distance(np.asarray([p], dtype=float),
+                                         ring[:-1], ring[1:])[0]
+    if d <= tol:
+        return True
+    x, y = float(p[0]), float(p[1])
+    n = len(corners)
+    crossings = 0
+    for i in range(n):
+        x1, y1 = corners[i]
+        x2, y2 = corners[(i + 1) % n]
+        if (y1 > y) != (y2 > y):
+            xi = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+            if x < xi:
+                crossings += 1
+    return crossings % 2 == 1
+
+
+def oracle_quad_is_convex(q) -> bool:
+    cross = []
+    for k in range(4):
+        a, b, c = q[k], q[(k + 1) % 4], q[(k + 2) % 4]
+        cross.append((b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0]))
+    cross = np.array(cross)
+    return bool(np.all(cross > 0) or np.all(cross < 0))
+
+
+class OracleLocator:
+    """Dict-of-lists spatial hash with per-point, per-face containment."""
+
+    def __init__(self, m, tol=None):
+        import math
+        self.math = math
+        self.m = m
+        q = m.positions[m.faces]
+        self.fmin = q.min(axis=1)
+        self.fmax = q.max(axis=1)
+        self.cell = max(m.mesh_eps * 2.0, 1e-12)
+        self.tol = tol if tol is not None else 1e-12 * max(1.0, m.mesh_eps)
+        buckets = {}
+        lo = np.floor(self.fmin / self.cell).astype(int)
+        hi = np.floor(self.fmax / self.cell).astype(int)
+        for fi in range(m.n_faces):
+            for gx in range(lo[fi, 0], hi[fi, 0] + 1):
+                for gy in range(lo[fi, 1], hi[fi, 1] + 1):
+                    buckets.setdefault((gx, gy), []).append(fi)
+        self.buckets = buckets
+
+    def face_contains(self, fi, p) -> bool:
+        corners = self.m.positions[self.m.faces[fi]]
+        if oracle_quad_is_convex(corners):
+            return (_oracle_triangle_contains(corners[0], corners[1], corners[2], p, self.tol)
+                    or _oracle_triangle_contains(corners[0], corners[2], corners[3], p, self.tol))
+        return _oracle_simple_polygon_contains(corners, p, self.tol)
+
+    def bucket(self, p):
+        gx = int(self.math.floor(p[0] / self.cell))
+        gy = int(self.math.floor(p[1] / self.cell))
+        return sorted(self.buckets.get((gx, gy), []))
+
+    def locate(self, p):
+        for fi in self.bucket(p):
+            if (self.fmin[fi, 0] - self.tol <= p[0] <= self.fmax[fi, 0] + self.tol
+                    and self.fmin[fi, 1] - self.tol <= p[1] <= self.fmax[fi, 1] + self.tol
+                    and self.face_contains(fi, p)):
+                return fi
+        return None
+
+
+def location_probes(m, rng, n_random=3000):
+    """Mesh vertices, points on shared and boundary sides, face centroids,
+    random points over the padded bounding box (many outside the support)
+    and far-away points."""
+    pos = m.positions
+    pairs = np.unique(m._side_pairs(), axis=0)
+    lam = rng.uniform(0.0, 1.0, (len(pairs), 1))
+    on_sides = (1 - lam) * pos[pairs[:, 0]] + lam * pos[pairs[:, 1]]
+    mids = (pos[pairs[:, 0]] + pos[pairs[:, 1]]) / 2.0
+    lo, hi = pos.min(axis=0), pos.max(axis=0)
+    pad = 0.1 * (hi - lo)
+    rand = rng.uniform(lo - pad, hi + pad, (n_random, 2))
+    far = np.array([[hi[0] + 10.0, hi[1] + 10.0], [lo[0] - 10.0, lo[1]]])
+    return np.vstack([pos, on_sides, mids, m.face_centroids(), rand, far])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import grid_graph, star_map, strip_map
+from conftest import OracleLocator, grid_graph, star_map, strip_map
 from orthotile import extremal, geom, gridgen, harmonic, odmap
 
 
@@ -322,3 +322,53 @@ def test_find_short_contour_precondition_errors(rect_spec):
     with pytest.raises(extremal.ContourError):
         # neighborhood pokes out of the domain
         extremal.find_short_contour(mm.map, ((0.05, 0.5), (1.0, 0.5)), 4 * eps)
+
+
+def _oracle_support_check(m, seg, delta):
+    """The per-point delta-neighbourhood check find_short_contour ran before
+    batching: the first failing sample in (it, isn) order, or None."""
+    a, b = np.asarray(seg[0], dtype=float), np.asarray(seg[1], dtype=float)
+    loc = OracleLocator(m)
+    length = float(np.hypot(*(b - a)))
+    direction = (b - a) / length
+    normal = np.array([-direction[1], direction[0]])
+    pitch = max(m.mesh_eps / 2.0, 1e-12)
+    nt = int(math.ceil((length + 2 * delta) / pitch)) + 1
+    ns = int(math.ceil(2 * delta / pitch)) + 1
+    for it in range(nt + 1):
+        t = -delta + it * (length + 2 * delta) / nt
+        for isn in range(ns + 1):
+            s = -delta + isn * 2 * delta / ns
+            p = a + t * direction + s * normal
+            ab = b - a
+            u = min(1.0, max(0.0, float((p - a) @ ab) / float(ab @ ab)))
+            if float(np.hypot(*(p - (a + u * ab)))) > delta:
+                continue
+            if loc.locate(p) is None:
+                return f"delta-neighborhood leaves the map support near {tuple(p)}"
+    return None
+
+
+def test_short_contour_support_check_matches_scalar_oracle(rect_spec, l_spec):
+    outcomes = set()
+    # the last band's lower edge, exactly delta from its segment, dips into
+    # the notches of the jagged support while every row above it is
+    # covered: only the `> delta` filter decides whether it fails
+    low = 0.25 + 2.0 ** -6
+    for spec, seg, delta in [(rect_spec, ((0.05, 0.5), (1.0, 0.5)), None),
+                             (rect_spec, ((0.3, 0.5), (1.7, 0.5)), None),
+                             (rect_spec, ((1.2, 0.9), (0.4, 0.1)), None),
+                             (l_spec, ((0.5, 0.5), (1.5, 1.5)), None),
+                             (l_spec, ((0.3, 1.7), (0.4, 0.3)), None),
+                             (rect_spec, ((0.3, low), (1.7, low)), 0.25)]:
+        mm, _ = gridgen.grid_approximation(spec, 1 / 16)
+        delta = 4 * mm.map.mesh_eps if delta is None else delta
+        want = _oracle_support_check(mm.map, seg, delta)
+        outcomes.add(want is None)
+        if want is None:
+            extremal.find_short_contour(mm.map, seg, delta)
+        else:
+            with pytest.raises(extremal.ContourError) as exc:
+                extremal.find_short_contour(mm.map, seg, delta)
+            assert str(exc.value) == want
+    assert outcomes == {True, False}

@@ -131,3 +131,216 @@ def test_centroid_and_boundary_distance():
     c = sq.centroid()
     assert abs(c.x - 1) < 1e-12 and abs(c.y - 1) < 1e-12
     assert abs(sq.boundary_distance((1, 1)) - 1.0) < 1e-12
+
+
+# -- scalar reference oracles --------------------------------------------------
+#
+# The loops below are the scalar implementations the vectorized kernels
+# replaced.  The kernels perform the same floating-point operations in the
+# same order, so their results must be bitwise equal, not merely close.
+
+
+def _oracle_segments_properly_intersect(p1, p2, q1, q2) -> bool:
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    d1 = orient(q1, q2, p1)
+    d2 = orient(q1, q2, p2)
+    d3 = orient(p1, p2, q1)
+    d4 = orient(p1, p2, q2)
+    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0
+
+
+def _oracle_any_segment_crossing(a1, a2, segs) -> bool:
+    for b1, b2 in segs:
+        if _oracle_segments_properly_intersect(a1, a2, b1, b2):
+            return True
+    return False
+
+
+def _oracle_polyline_min_distance(a, b) -> float:
+    pa, pb = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    best = math.inf
+    ea, eb = np.stack([pa[:-1], pa[1:]], 1), np.stack([pb[:-1], pb[1:]], 1)
+    for a1, a2 in ea:
+        if _oracle_any_segment_crossing(a1, a2, eb):
+            return 0.0
+        d1 = geom.points_to_segments_distance(np.array([a1, a2]), eb[:, 0], eb[:, 1]).min()
+        best = min(best, float(d1))
+    d2 = geom.points_to_segments_distance(pb, ea[:, 0], ea[:, 1]).min()
+    return min(best, float(d2))
+
+
+def _oracle_polygon_error(pts):
+    """The message Polygon's scalar edge loop raised, or None."""
+    n = pts.shape[0]
+    for i in range(n):
+        a, b = pts[i], pts[(i + 1) % n]
+        if np.hypot(*(b - a)) == 0.0:
+            return "polygon has a zero-length edge"
+        for j in range(i + 1, n):
+            c, d = pts[j], pts[(j + 1) % n]
+            if _oracle_segments_properly_intersect(a, b, c, d):
+                return "polygon is self-intersecting"
+    return None
+
+
+def _oracle_point_on_polyline(poly, cum, seg, seg_len, t):
+    idx = int(np.clip(np.searchsorted(cum, t, side="right") - 1, 0, len(seg_len) - 1))
+    denom = seg_len[idx] if seg_len[idx] != 0.0 else 1.0
+    return poly[idx] + ((t - cum[idx]) / denom) * seg[idx]
+
+
+def _oracle_directed_hausdorff(a, b, n_samples=1024, rounds=8):
+    """Returns (estimate, whether the 64-candidate cap was applied)."""
+    pts, params, spacing = geom._sample_polyline(a, n_samples)
+    d = geom.points_to_polyline_distance(pts, b)
+    if a.shape[0] == 1 or spacing == 0.0:
+        return float(d.max()), False
+    seg = a[1:] - a[:-1]
+    seg_len = np.sqrt((seg ** 2).sum(-1))
+    cum = np.concatenate([[0.0], np.cumsum(seg_len)])
+    best = float(d.max())
+    half = spacing / 2.0
+    cand = params[d >= best - spacing]
+    capped = False
+    for _ in range(rounds):
+        if half <= 0.0:
+            break
+        new_params = []
+        for t in cand:
+            new_params.append(np.linspace(max(t - half, 0.0), min(t + half, cum[-1]), 17))
+        tt = np.unique(np.concatenate(new_params))
+        pts = np.array([_oracle_point_on_polyline(a, cum, seg, seg_len, t) for t in tt])
+        d = geom.points_to_polyline_distance(pts, b)
+        best = max(best, float(d.max()))
+        half /= 8.0
+        cand = tt[d >= best - 2 * half]
+        if len(cand) > 64:
+            capped = True
+            cand = cand[np.argsort(d[d >= best - 2 * half])[::-1][:64]]
+    return best, capped
+
+
+def _oracle_point_segment_distance(p, a, b) -> float:
+    ab = b - a
+    denom = float(ab @ ab)
+    if denom == 0.0:
+        return float(np.hypot(*(p - a)))
+    t = float((p - a) @ ab) / denom
+    t = min(1.0, max(0.0, t))
+    return float(np.hypot(*(p - (a + t * ab))))
+
+
+def _random_polyline(rng, n, repeat=False):
+    pts = rng.uniform(-1, 1, (n, 2)) * rng.uniform(0.1, 10)
+    if repeat and n > 2:
+        k = int(rng.integers(1, n))
+        pts[k] = pts[k - 1]                       # a zero-length segment
+    return pts
+
+
+def test_directed_hausdorff_matches_scalar_oracle():
+    rng = np.random.default_rng(20)
+    capped_seen = 0
+    cases = [(_random_polyline(rng, int(rng.integers(2, 12)), repeat=k % 3 == 0),
+              _random_polyline(rng, int(rng.integers(1, 12))), 1024)
+             for k in range(24)]
+    # parallel and concentric inputs tie many samples, hitting the cap
+    x = np.linspace(0, 3, 7)
+    cases.append((np.stack([x, np.zeros(7)], 1), np.array([[0.0, 1.0], [3.0, 1.0]]), 1024))
+    ang = np.linspace(0, 2 * math.pi, 40)
+    cases.append((np.stack([np.cos(ang), np.sin(ang)], 1), np.array([[0.0, 0.0]]), 256))
+    for a, b, n in cases:
+        for src, dst in ((a, b), (b, a)):
+            want, capped = _oracle_directed_hausdorff(src, dst, n, 8)
+            assert geom._directed_hausdorff(src, dst, n, 8) == want
+            capped_seen += capped
+        assert geom.hausdorff_distance(a, b, n) == max(_oracle_directed_hausdorff(a, b, n)[0],
+                                                         _oracle_directed_hausdorff(b, a, n)[0])
+    assert capped_seen >= 2
+
+
+def test_polyline_min_distance_matches_scalar_oracle():
+    rng = np.random.default_rng(21)
+    crossings = 0
+    for k in range(200):
+        a = _random_polyline(rng, int(rng.integers(2, 9)), repeat=k % 5 == 0)
+        b = _random_polyline(rng, int(rng.integers(2, 9)))
+        want = _oracle_polyline_min_distance(a, b)
+        assert geom.polyline_min_distance(a, b) == want
+        crossings += want == 0.0
+    assert 0 < crossings < 200
+
+
+def test_polyline_min_distance_blocked_long_inputs(monkeypatch):
+    rng = np.random.default_rng(22)
+    a = np.cumsum(rng.normal(size=(300, 2)), axis=0)
+    b = np.cumsum(rng.normal(size=(250, 2)), axis=0) + 40.0
+    want = _oracle_polyline_min_distance(a, b)
+    monkeypatch.setattr(geom, "_BLOCK_PAIRS", 1000)   # many row blocks
+    assert geom.polyline_min_distance(a, b) == want
+    assert geom.polyline_min_distance(a, a[::-1] + [0.0, 1e-3]) == \
+        _oracle_polyline_min_distance(a, a[::-1] + [0.0, 1e-3])
+
+
+def test_polyline_min_distance_exact_cases():
+    # touching endpoints: distance 0 without a proper crossing
+    assert geom.polyline_min_distance([[0, 0], [1, 0]], [[1, 0], [2, 1]]) == 0.0
+    # collinear overlap: a vertex of one lies on the other
+    assert geom.polyline_min_distance([[0, 0], [2, 0]], [[1, 0], [3, 0]]) == 0.0
+    # proper crossing between vertices that are all sqrt(2) away
+    assert geom.polyline_min_distance([[0, 0], [2, 2]], [[0, 2], [2, 0]]) == 0.0
+    assert _oracle_polyline_min_distance([[0, 0], [2, 2]], [[0, 2], [2, 0]]) == 0.0
+    # disjoint: attained at a vertex
+    assert geom.polyline_min_distance([[0, 0], [1, 0], [2, 0]], [[1, 0.5], [3, 3]]) == 0.5
+
+
+def test_polygon_validation_matches_scalar_oracle():
+    rng = np.random.default_rng(23)
+    kinds = {None: 0, "polygon has a zero-length edge": 0, "polygon is self-intersecting": 0}
+    for k in range(300):
+        n = int(rng.integers(3, 9))
+        pts = rng.integers(0, 4, (n, 2)).astype(float)    # coarse: ties and repeats
+        if geom.signed_area(pts) == 0.0:
+            continue
+        ccw = pts if geom.signed_area(pts) > 0 else pts[::-1].copy()
+        want = _oracle_polygon_error(ccw)
+        kinds[want] += 1
+        if want is None:
+            assert np.array_equal(geom.Polygon(pts).vertices, ccw)
+        else:
+            with pytest.raises(geom.GeometryError, match=want):
+                geom.Polygon(pts)
+    assert all(kinds.values())
+
+
+def test_point_segment_distance_batched_matches_scalar():
+    rng = np.random.default_rng(24)
+    pts = rng.uniform(-2, 2, (500, 2))
+    for a, b in [(np.array([0.1, 0.2]), np.array([1.3, -0.7])),
+                 (np.array([0.5, 0.5]), np.array([0.5, 0.5]))]:
+        want = np.array([_oracle_point_segment_distance(p, a, b) for p in pts])
+        assert np.array_equal(geom.point_segment_distance(pts, a, b), want)
+        assert geom.point_segment_distance(pts[0], a, b) == want[0]
+
+
+def test_polygon_contains_many_labels():
+    poly = geom.Polygon([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]])
+    pts = np.array([[0.5, 0.5], [1.5, 1.5], [1.0, 1.5], [2.0, 0.5], [3.0, 0.0]])
+    got = geom.polygon_contains_many(poly, pts, 1e-12)
+    assert got == [geom.INSIDE, geom.OUTSIDE, geom.BOUNDARY, geom.BOUNDARY, geom.OUTSIDE]
+    assert all(type(c) is str for c in got)
+
+
+def test_linspace17_matches_numpy_per_row():
+    rng = np.random.default_rng(25)
+    start = rng.uniform(0, 5, 300)
+    stop = start + rng.uniform(0, 1e-3, 300) * (rng.uniform(size=300) < 0.9)
+    stop[:3] = start[:3]                          # zero steps in the batch
+    # wide rows, where start + (stop - start) can round away from stop
+    start[3:100] = rng.uniform(0.3, 0.6, 97)
+    stop[3:100] = rng.uniform(0.9, 1.9, 97)
+    rows = geom._linspace17(start, stop)
+    for k in range(len(start)):
+        assert rows[k].tobytes() == np.linspace(start[k], stop[k], 17).tobytes()

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from conftest import star_map, strip_map
-from orthotile import odmap
+from conftest import (OracleLocator, location_probes, oracle_quad_is_convex, star_map,
+                      strip_map)
+from orthotile import gridgen, odmap
 
 
 def single_face():
@@ -170,3 +171,68 @@ def test_face_locator():
     for fi, c in enumerate(cents):
         assert loc.locate(c) == fi
     assert loc.locate((5.0, 5.0)) is None
+
+
+def nonconvex_star():
+    """star_map with its center pulled down so that face 0 is a dart
+    (reflex corner at the center) among three convex faces."""
+    mm = star_map()
+    pos = mm.map.positions.copy()
+    pos[4] = (0.5, 0.2)
+    return odmap.OrthodiagonalMap(pos, mm.map.colors, mm.map.faces, mm.map.boundary)
+
+
+def test_convexity_matches_scalar_oracle(rect_map16):
+    for m in (nonconvex_star(), rect_map16[0].map, strip_map().map):
+        q = m.positions[m.faces]
+        want = [oracle_quad_is_convex(c) for c in q]
+        assert odmap._quads_convex(q).tolist() == want
+    assert odmap._quads_convex(nonconvex_star().positions[nonconvex_star().faces]).tolist() \
+        == [False, True, True, True]
+
+
+def test_locate_matches_scalar_oracle(rect_map16, l_spec):
+    rng = np.random.default_rng(30)
+    dart = odmap.OrthodiagonalMap([(0, 0), (2, -1), (3, 0), (2, -0.2)], [0, 1, 0, 1],
+                                  [[0, 1, 2, 3]], [0, 1, 2, 3])
+    maps = [rect_map16[0].map, gridgen.grid_approximation(l_spec, 1 / 8)[0].map,
+            nonconvex_star(), dart, strip_map().map]
+    for m in maps:
+        loc, oracle = odmap.FaceLocator(m), OracleLocator(m)
+        pts = location_probes(m, rng, 600)
+        want = np.array([-1 if (fi := oracle.locate(p)) is None else fi for p in pts])
+        assert np.array_equal(loc.locate_many(pts), want)
+        assert (want >= 0).any() and (want < 0).any()
+        for k in rng.integers(0, len(pts), 50):
+            assert loc.locate(pts[k]) == oracle.locate(pts[k])
+        # containing() lists every containing face of each hashed bucket
+        sub = pts[rng.choice(len(pts), min(len(pts), 400), replace=False)]
+        pi, fi = loc.containing(sub)
+        got = {(int(a), int(b)) for a, b in zip(pi, fi)}
+        full = {(k, f) for k, p in enumerate(sub) for f in oracle.bucket(p)
+                if oracle.face_contains(f, p)}
+        assert got == full
+        assert np.all(np.diff(pi) >= 0)
+
+
+def test_locate_batches_agree(rect_map16, monkeypatch):
+    m = rect_map16[0].map
+    pts = location_probes(m, np.random.default_rng(31), 500)
+    want = odmap.FaceLocator(m).locate_many(pts)
+    monkeypatch.setattr(odmap, "_BATCH_POINTS", 7)
+    assert np.array_equal(odmap.FaceLocator(m).locate_many(pts), want)
+
+
+def test_locate_needs_bounding_box_but_containment_does_not():
+    # just past the diamond's right corner the two side lines are both
+    # within tol, so the closed face contains the point, yet it lies
+    # beyond the face's bounding box plus tol: locate() rejects it,
+    # containing() (the evaluation path) keeps it, as the scalar code did
+    m = odmap.OrthodiagonalMap([(1, 0), (2, 1), (1, 2), (0, 1)], [0, 1, 0, 1],
+                               [[0, 1, 2, 3]], [0, 1, 2, 3])
+    loc = odmap.FaceLocator(m)
+    p = np.array([2.0 + 1.2 * loc.tol, 1.0])
+    assert OracleLocator(m).locate(p) is None and loc.locate(p) is None
+    assert OracleLocator(m).face_contains(0, p)
+    pi, fi = loc.containing(p)
+    assert pi.tolist() == [0] and fi.tolist() == [0]

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import star_map, strip_map
-from orthotile import tiling
+from conftest import OracleLocator, location_probes, star_map, strip_map
+from orthotile import experiments, gridgen, tiling
 
 
 def test_star_tiling_hand_oracle():
@@ -179,3 +179,69 @@ def test_degenerate_tiles_flagged_not_dropped():
     degs = [tl for tl in t.tiles if tl.degenerate]
     assert all(tl.area == 0.0 for tl in degs)
     assert abs(t.total_area() - t.L) < 1e-12
+
+
+# -- scalar evaluation oracle -----------------------------------------------------
+
+
+def _oracle_eval_in_face(f, fi, p):
+    mp = f.m.map
+    v1, w1, v2, w2 = (int(x) for x in mp.faces[fi])
+    pos = mp.positions
+    aux = (pos[v1] + pos[v2]) / 2.0
+    aux_val = ((f.vertex_values[v1].real + f.vertex_values[v2].real) / 2.0
+               + 0.5j * (f.vertex_values[w1].imag + f.vertex_values[w2].imag))
+    corners = [v1, w1, v2, w2]
+    eps = 1e-9
+    for k in range(4):
+        a, b = corners[k], corners[(k + 1) % 4]
+        pa, pb = pos[a], pos[b]
+        det = (pb[0] - pa[0]) * (aux[1] - pa[1]) - (pb[1] - pa[1]) * (aux[0] - pa[0])
+        if det == 0.0:
+            continue
+        l1 = ((pb[0] - p[0]) * (aux[1] - p[1]) - (pb[1] - p[1]) * (aux[0] - p[0])) / det
+        l2 = ((aux[0] - p[0]) * (pa[1] - p[1]) - (aux[1] - p[1]) * (pa[0] - p[0])) / det
+        l3 = 1.0 - l1 - l2
+        if l1 >= -eps and l2 >= -eps and l3 >= -eps:
+            return (l1 * f.vertex_values[a] + l2 * f.vertex_values[b] + l3 * aux_val)
+    return None
+
+
+def _oracle_evaluate(f, loc, p):
+    """The per-point evaluate: NaN outside the support."""
+    p = np.asarray(p, dtype=float)
+    for fi in loc.bucket(p):
+        if not loc.face_contains(fi, p):
+            continue
+        val = _oracle_eval_in_face(f, fi, p)
+        if val is not None:
+            return val
+    return np.nan + 0j
+
+
+@pytest.mark.parametrize("domain,eps", [("rect", 1 / 4), ("rect", 1 / 8), ("L", 1 / 8),
+                                        ("L", 1 / 32)])
+def test_evaluate_many_matches_scalar_oracle(domain, eps, rect_spec, l_spec):
+    spec = rect_spec if domain == "rect" else l_spec
+    mm, _ = gridgen.grid_approximation(spec, eps)
+    t, h, ht = tiling.build_tiling(mm)
+    f = tiling.InterpolatedMap(mm, h, ht)
+    loc = OracleLocator(mm.map)
+    rng = np.random.default_rng(40)
+    pts = np.vstack([experiments.probe_points(spec),
+                     location_probes(mm.map, rng, 3000 if eps > 1 / 32 else 600)])
+    if eps == 1 / 32:
+        pts = pts[rng.choice(len(pts), 2500, replace=False)]
+    want = np.array([_oracle_evaluate(f, loc, p) for p in pts])
+    got = f.evaluate_many(pts)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    outside = np.isnan(want.real)
+    assert outside.any() and not outside.all()
+    for k in rng.integers(0, len(pts), 40):
+        if outside[k]:
+            with pytest.raises(ValueError):
+                f.evaluate(pts[k])
+        else:
+            assert np.array_equal(np.array([f.evaluate(pts[k])]).view(np.uint64),
+                                  want[k:k + 1].view(np.uint64))
