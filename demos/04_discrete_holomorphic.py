@@ -38,9 +38,9 @@ print(f"additivity: contour minus face sum = {abs(integral - parts):.2e}")
 victim = next(w for w in range(mm.map.n_vertices) if mm.map.colors[w] == 1
               and 0.9 < mm.map.positions[w][0] < 1.1
               and 0.4 < mm.map.positions[w][1] < 0.6)
-imag = dict(F.imag_part)
-imag[victim] += 1e-3
-bad = holo.DiscreteHolomorphic(mm.map, dict(F.real_part), imag)
+vals = F.values.copy()
+vals[victim] += 1e-3j
+bad = holo.DiscreteHolomorphic(mm.map, vals)
 hot = np.flatnonzero(bad.face_residuals > 1e-4)
 print(f"corrupting one dual value lights up faces {hot.tolist()} "
       f"(the {sum(victim in set(map(int, f)) for f in mm.map.faces)} incident ones)")

@@ -27,15 +27,13 @@ FMT = "{:.12g}"
 
 @dataclass
 class RunConfig:
-    """Central tolerance/seed policy for the pipeline.  The paper never
-    fixes solver accuracy, so these defaults are artifact policy; the CLI
-    flags default to this record."""
+    """Central tolerance policy for the pipeline.  The paper never fixes
+    solver accuracy, so these defaults are artifact policy; the CLI flags
+    default to this record."""
 
     solver_tol: float = 1e-12
     verify_tol: float = 1e-9
-    seed: int = 0
     levels: int = 4
-    probe_margin: float | None = None
 
     def __post_init__(self):
         for name in ("solver_tol", "verify_tol"):

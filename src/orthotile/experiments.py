@@ -11,7 +11,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -109,12 +108,9 @@ def modulus_profile(m: MarkedRectangleMap, h: harmonic.HarmonicField,
     bounds for the crossing diameters, so K_hat over-estimates soundly."""
     gp = m.map.extract_primal()
     gd = m.map.extract_dual()
-    iu, iv = harmonic.edge_indices(gp)
-    ha = h.as_array()
-    chi = float(np.abs(ha[iv] - ha[iu]).max()) if gp.m else 0.0
-    iu, iv = harmonic.edge_indices(gd)
-    ta = h_tilde.as_array()
-    chi_dual = float(np.abs(ta[iv] - ta[iu]).max()) if gd.m else 0.0
+    hv, tv = h.values, h_tilde.values
+    chi = float(np.abs(hv[gp.edge_v] - hv[gp.edge_u]).max()) if gp.m else 0.0
+    chi_dual = float(np.abs(tv[gd.edge_v] - tv[gd.edge_u]).max()) if gd.m else 0.0
     chains = m.arc_chains()
     d_hat = geom.polyline_min_distance(chains[0], chains[2])
     d_hat_p = geom.polyline_min_distance(chains[1], chains[3])
@@ -291,13 +287,6 @@ def save_report(path: str, rep: ConvergenceReport) -> None:
         fh.write("\n")
 
 
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("ORTHOTILE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _run_level(spec: DomainSpec, eps: float, probes: np.ndarray,
                solver_tol: float, verify_tol: float,
                save_dir: Optional[str] = None, level: int = 0):
@@ -370,15 +359,8 @@ def convergence_run(spec: DomainSpec, eps0: float, levels: int,
 
     ref = reference_map(spec)
     eps_list = [eps0 * 2.0 ** (-k) for k in range(levels)]
-    workers = min(_worker_count(), levels)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(
-                lambda ke: _run_level(spec, ke[1], probes, solver_tol, verify_tol,
-                                      save_dir, ke[0]), enumerate(eps_list)))
-    else:
-        results = [_run_level(spec, e, probes, solver_tol, verify_tol, save_dir, k)
-                   for k, e in enumerate(eps_list)]
+    results = [_run_level(spec, e, probes, solver_tol, verify_tol, save_dir, k)
+               for k, e in enumerate(eps_list)]
 
     recs = [r for r, _ in results]
     vals = [v for _, v in results]

@@ -19,12 +19,8 @@ import numpy as np
 
 from . import geom, harmonic
 from .gridgen import ApproximationCertificate, DomainSpec
-from .odmap import (DUAL, PRIMAL, FaceLocator, MarkedRectangleMap,
+from .odmap import (DUAL, PRIMAL, ContourError, FaceLocator, MarkedRectangleMap,
                     OrthodiagonalMap, WeightedGraph)
-
-
-class ContourError(RuntimeError):
-    """Short-contour preconditions failed or no admissible path exists."""
 
 
 @dataclass(frozen=True)
@@ -150,9 +146,8 @@ def metric_lower_bound(g: WeightedGraph, S, T, rho: EdgeMetric) -> float:
 def witness_metric(res: ELResult) -> EdgeMetric:
     """|dh| of the witness field: the extremal metric."""
     g = res.witness_field.graph
-    iu, iv = harmonic.edge_indices(g)
-    varr = res.witness_field.as_array()
-    return EdgeMetric(g, np.abs(varr[iv] - varr[iu]))
+    v = res.witness_field.values
+    return EdgeMetric(g, np.abs(v[g.edge_v] - v[g.edge_u]))
 
 
 # -- min cut <-> dual path -------------------------------------------------------

@@ -220,6 +220,17 @@ def ray_parity(p, a, b) -> np.ndarray:
     return (np.sum(cond & (x < xint), axis=-1) % 2) == 1
 
 
+def points_in_ring(pts: np.ndarray, ring: np.ndarray) -> np.ndarray:
+    """Even-odd containment of each of pts (n, 2) in the closed ring
+    through the vertices ring (m, 2), by ray_parity.  Blocked over the
+    points, so temporaries stay bounded for any n and m."""
+    nxt = np.roll(ring, -1, axis=0)
+    out = np.empty(len(pts), dtype=bool)
+    for blk in _row_blocks(len(pts), len(ring)):
+        out[blk] = ray_parity(pts[blk, None, :], ring[None], nxt[None])
+    return out
+
+
 def polygon_contains(poly: Polygon, p, tol: float) -> str:
     """Classify a point against a polygon: INSIDE, BOUNDARY or OUTSIDE.
 
@@ -236,7 +247,7 @@ def polygon_contains_many(poly: Polygon, pts, tol: float) -> list[str]:
     v = poly.vertices
     ring = np.vstack([v, v[:1]])
     on_boundary = points_to_segments_distance(pts, ring[:-1], ring[1:]) <= tol
-    inside = ray_parity(pts[:, None, :], v[None], np.roll(v, -1, axis=0)[None])
+    inside = points_in_ring(pts, v)
     return np.where(on_boundary, BOUNDARY, np.where(inside, INSIDE, OUTSIDE)).tolist()
 
 

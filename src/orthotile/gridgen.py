@@ -23,7 +23,8 @@ from scipy.sparse import csgraph
 
 from . import geom
 from .geom import Polygon
-from .odmap import DUAL, PRIMAL, MapError, MarkedRectangleMap, OrthodiagonalMap
+from .odmap import (DUAL, PRIMAL, MapError, MarkedRectangleMap, OrthodiagonalMap,
+                    trace_boundary)
 
 
 class GenerationError(RuntimeError):
@@ -307,7 +308,10 @@ def grid_approximation(spec: DomainSpec, eps: float) -> tuple[MarkedRectangleMap
                      np.stack([east, north, west, south], 1),
                      np.stack([north, west, south, east], 1))
 
-    boundary = _trace_boundary(faces)
+    try:
+        boundary = trace_boundary(faces)
+    except MapError as exc:
+        raise GenerationError(f"{exc}: refine eps") from exc
     m = OrthodiagonalMap(positions, colors, faces, boundary)
 
     n_e = len(m.side_edges())
@@ -337,36 +341,6 @@ def grid_approximation(spec: DomainSpec, eps: float) -> tuple[MarkedRectangleMap
     cert = ApproximationCertificate(eps=float(eps), delta=2.0 * max(per_arc),
                                     per_arc_hausdorff=tuple(per_arc))
     return mm, cert
-
-
-def _trace_boundary(faces: np.ndarray) -> list[int]:
-    """Counterclockwise boundary cycle from ccw faces; error on pinches or
-    multiple cycles."""
-    pair_a = np.concatenate([faces[:, 0], faces[:, 1], faces[:, 2], faces[:, 3]])
-    pair_b = np.concatenate([faces[:, 1], faces[:, 2], faces[:, 3], faces[:, 0]])
-    key = np.minimum(pair_a, pair_b).astype(np.int64) * (2 ** 32) + np.maximum(pair_a, pair_b)
-    uniq, counts = np.unique(key, return_counts=True)
-    boundary_keys = set(uniq[counts == 1].tolist())
-    succ: dict[int, int] = {}
-    for a, b in zip(pair_a.tolist(), pair_b.tolist()):
-        k = min(a, b) * (2 ** 32) + max(a, b)
-        if k in boundary_keys:
-            if a in succ:
-                raise GenerationError("boundary has a pinch point: refine eps")
-            succ[a] = b
-    if not succ:
-        raise GenerationError("no boundary found")
-    start = min(succ)
-    cyc = [start]
-    cur = succ[start]
-    while cur != start:
-        cyc.append(cur)
-        cur = succ[cur]
-        if len(cyc) > len(succ):
-            raise GenerationError("boundary walk did not close")
-    if len(cyc) != len(succ):
-        raise GenerationError("boundary has multiple cycles: refine eps")
-    return cyc
 
 
 def _per_arc_hausdorff(spec: DomainSpec, mm: MarkedRectangleMap) -> list[float]:

@@ -53,54 +53,42 @@ def edge_indices(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
     return cache["eidx"]
 
 
-def values_array(g: WeightedGraph, values: Mapping[int, float]) -> np.ndarray:
-    return np.array([values[int(i)] for i in g.ids], dtype=float)
-
-
-def dirichlet_energy_arr(g: WeightedGraph, varr: np.ndarray) -> float:
-    iu, iv = edge_indices(g)
-    d = varr[iv] - varr[iu]
+def dirichlet_energy(g: WeightedGraph, values: np.ndarray) -> float:
+    """sum over edges of c(e) (f(e+) - f(e-))^2, for values indexed by
+    vertex id."""
+    d = values[g.edge_v] - values[g.edge_u]
     return float(np.sum(g.edge_c * d * d))
-
-
-def dirichlet_energy(g: WeightedGraph, values: Mapping[int, float]) -> float:
-    """sum over edges of c(e) (f(e+) - f(e-))^2."""
-    return dirichlet_energy_arr(g, values_array(g, values))
-
-
-def laplacian_arr(g: WeightedGraph, varr: np.ndarray) -> np.ndarray:
-    iu, iv = edge_indices(g)
-    lap = np.zeros(g.n)
-    flux = g.edge_c * (varr[iv] - varr[iu])
-    np.add.at(lap, iu, flux)
-    np.add.at(lap, iv, -flux)
-    return lap
 
 
 @dataclass
 class HarmonicField:
     """Vertex potential on one color class with its boundary record.
 
-    values maps every vertex id of the graph to a float; boundary maps the
-    pinned ids to their pinned values.  residual is max |Laplacian| over
-    free vertices, checked against tol at construction, and energy is
-    sum_e c(e) (df(e))^2.  The maximum principle is enforced up to
-    tol * gap slack.
+    values is a float array indexed by vertex id, NaN at ids outside the
+    graph; boundary maps the pinned ids to their pinned values.  residual
+    is max |Laplacian| over free vertices, checked against tol at
+    construction, and energy is sum_e c(e) (df(e))^2.  The maximum
+    principle is enforced up to tol * gap slack.
     """
 
     graph: WeightedGraph
-    values: dict[int, float]
+    values: np.ndarray
     boundary: dict[int, float]
     tol: float
     residual: float = field(init=False)
     energy: float = field(init=False)
 
     def __post_init__(self):
-        varr = values_array(self.graph, self.values)
-        free = np.array([int(i) not in self.boundary for i in self.graph.ids])
-        lap = laplacian_arr(self.graph, varr)
+        g = self.graph
+        iu, iv = edge_indices(g)
+        flux = g.edge_c * (self.values[g.edge_v] - self.values[g.edge_u])
+        lap = np.zeros(g.n)
+        np.add.at(lap, iu, flux)
+        np.add.at(lap, iv, -flux)
+        free = ~np.isin(g.ids, np.fromiter(self.boundary, dtype=np.int64,
+                                           count=len(self.boundary)))
         self.residual = float(np.abs(lap[free]).max()) if free.any() else 0.0
-        self.energy = dirichlet_energy_arr(self.graph, varr)
+        self.energy = dirichlet_energy(g, self.values)
         scale = max(max(abs(v) for v in self.boundary.values()), 1.0)
         if self.residual > self.tol * scale:
             raise SolverError(
@@ -109,29 +97,33 @@ class HarmonicField:
         bvals = list(self.boundary.values())
         lo, hi = min(bvals), max(bvals)
         slack = max(self.tol, 1e-12) * max(hi - lo, 1.0)
+        varr = self.values[g.ids]
         if varr.min() < lo - slack or varr.max() > hi + slack:
             raise SolverError("maximum principle violated by solved field")
-        self._arr = varr
 
     def gap(self) -> float:
         b = list(self.boundary.values())
         return max(b) - min(b)
 
-    def as_array(self) -> np.ndarray:
-        return self._arr
-
 
 def _reduced_system(g: WeightedGraph, pinned: Mapping[int, float]):
-    """Laplacian restricted to free vertices (ascending id) and its rhs."""
+    """Check the pinned set and restrict the Laplacian to the free vertices
+    (ascending id).  Returns the values array (pinned values by vertex id,
+    NaN elsewhere), the free ids, the matrix, its rhs and its diagonal."""
+    if not pinned:
+        raise SolverError("pinned set is empty")
     ids = g.ids
-    pin_mask = np.isin(ids, np.fromiter((int(k) for k in pinned), dtype=np.int64,
-                                        count=len(pinned)))
-    if int(pin_mask.sum()) != len(pinned):
+    keys = np.fromiter(pinned, dtype=np.int64, count=len(pinned))
+    pidx = np.minimum(np.searchsorted(ids, keys), g.n - 1)
+    if np.any(ids[pidx] != keys):
         raise SolverError("a pinned vertex is not in the graph")
+    _check_connectivity(g, pidx)
+    pin_mask = np.zeros(g.n, dtype=bool)
+    pin_mask[pidx] = True
     pin_val = np.zeros(g.n)
-    idx_of = {int(v): i for i, v in enumerate(ids)}
-    for k, v in pinned.items():
-        pin_val[idx_of[int(k)]] = float(v)
+    pin_val[pidx] = np.fromiter(pinned.values(), dtype=float, count=len(pinned))
+    values = np.full(int(ids[-1]) + 1, np.nan)
+    values[keys] = pin_val[pidx]
 
     free_ids = ids[~pin_mask]
     fidx = np.full(g.n, -1, dtype=np.int64)
@@ -155,16 +147,15 @@ def _reduced_system(g: WeightedGraph, pinned: Mapping[int, float]):
     v_free = pin_mask[iu] & (~pin_mask[iv])
     np.add.at(b, fidx[iu[u_free]], c[u_free] * pin_val[iv[u_free]])
     np.add.at(b, fidx[iv[v_free]], c[v_free] * pin_val[iu[v_free]])
-    return free_ids, A, b, diag[~pin_mask]
+    return values, free_ids, A, b, diag[~pin_mask]
 
 
-def _check_connectivity(g: WeightedGraph, pinned: Mapping[int, float]) -> None:
+def _check_connectivity(g: WeightedGraph, pidx: np.ndarray) -> None:
+    """Every vertex must share a component with a pinned index."""
     iu, iv = edge_indices(g)
     adj = sp.csr_matrix((np.ones(g.m), (iu, iv)), shape=(g.n, g.n))
     _, labels = csgraph.connected_components(adj, directed=False)
-    idx_of = {int(v): i for i, v in enumerate(g.ids)}
-    pinned_labels = {labels[idx_of[int(k)]] for k in pinned}
-    bad = np.flatnonzero(~np.isin(labels, list(pinned_labels)))
+    bad = np.flatnonzero(~np.isin(labels, labels[pidx]))
     if bad.size:
         raise SolverError(f"{bad.size} free vertices unreachable from the pinned set "
                           f"(first: {int(g.ids[bad[0]])})")
@@ -180,12 +171,8 @@ def solve_dirichlet(g: WeightedGraph, pinned: Mapping[int, float],
     relative residual <= tol.  Raises SolverError for an empty pinned set,
     a free component with no pinned neighbor, or non-convergence.
     """
-    if not pinned:
-        raise SolverError("pinned set is empty")
     pinned = {int(k): float(v) for k, v in pinned.items()}
-    _check_connectivity(g, pinned)
-    free_ids, A, b, diag = _reduced_system(g, pinned)
-    values = dict(pinned)
+    values, free_ids, A, b, diag = _reduced_system(g, pinned)
     if len(free_ids):
         if maxiter is None:
             maxiter = max(int(20 * math.isqrt(len(free_ids)) + 1), 10_000)
@@ -195,7 +182,7 @@ def solve_dirichlet(g: WeightedGraph, pinned: Mapping[int, float],
         if info != 0:
             res = float(np.linalg.norm(b - A @ x) / max(np.linalg.norm(b), 1e-300))
             raise SolverError(f"CG did not converge in {maxiter} iterations", residual=res)
-        values.update({int(vv): float(x[i]) for i, vv in enumerate(free_ids)})
+        values[free_ids] = x
     # the l2 residual bound controls the vertexwise Laplacian only up to a
     # norm factor; the field check keeps a safety margin
     field_tol = max(tol * 1e4, 1e-13)
@@ -204,15 +191,10 @@ def solve_dirichlet(g: WeightedGraph, pinned: Mapping[int, float],
 
 def solve_dirichlet_dense(g: WeightedGraph, pinned: Mapping[int, float]) -> HarmonicField:
     """Independent oracle: direct dense solve of the reduced system."""
-    if not pinned:
-        raise SolverError("pinned set is empty")
     pinned = {int(k): float(v) for k, v in pinned.items()}
-    _check_connectivity(g, pinned)
-    free_ids, A, b, _ = _reduced_system(g, pinned)
-    values = dict(pinned)
+    values, free_ids, A, b, _ = _reduced_system(g, pinned)
     if len(free_ids):
-        x = np.linalg.solve(A.toarray(), b)
-        values.update({int(vv): float(x[i]) for i, vv in enumerate(free_ids)})
+        values[free_ids] = np.linalg.solve(A.toarray(), b)
     return HarmonicField(g, values, pinned, 1e-8)
 
 
@@ -268,9 +250,7 @@ def gradient_flow(f: HarmonicField) -> Flow:
     vertices at the minimum value, sinks at the maximum, so the strength
     is positive and E(flow) = E(f)."""
     g = f.graph
-    iu, iv = edge_indices(g)
-    varr = f.as_array()
-    theta = g.edge_c * (varr[iv] - varr[iu])
+    theta = g.edge_c * (f.values[g.edge_v] - f.values[g.edge_u])
     bvals = f.boundary
     lo, hi = min(bvals.values()), max(bvals.values())
     sources = frozenset(v for v, val in bvals.items() if val == lo)
@@ -310,12 +290,9 @@ def harmonic_conjugate(m: MarkedRectangleMap, h: HarmonicField,
     g_dual = m.map.extract_dual()
     scale = max(h.gap(), 1.0)
 
-    hv = np.zeros(m.map.n_vertices)
-    for k, v in h.values.items():
-        hv[int(k)] = v
     f = m.map.faces
     gp_c = m.map.extract_primal().edge_c
-    inc = gp_c * (hv[f[:, 2]] - hv[f[:, 0]])
+    inc = gp_c * (h.values[f[:, 2]] - h.values[f[:, 0]])
     w1_idx = np.searchsorted(g_dual.ids, f[:, 1]).tolist()
     w2_idx = np.searchsorted(g_dual.ids, f[:, 3]).tolist()
 
@@ -361,8 +338,9 @@ def harmonic_conjugate(m: MarkedRectangleMap, h: HarmonicField,
     da_idx = np.searchsorted(g_dual.ids, sorted(m.arc_da))
     vals -= vals[da_idx].min()
 
-    values = {int(v): float(vals[i]) for i, v in enumerate(g_dual.ids)}
-    boundary = {int(v): values[int(v)] for v in list(m.arc_bc) + list(m.arc_da)}
+    values = np.full(int(g_dual.ids[-1]) + 1, np.nan)
+    values[g_dual.ids] = vals
+    boundary = {int(v): float(values[v]) for v in list(m.arc_bc) + list(m.arc_da)}
     field_tol = max(cycle_tol_rel * 10.0, 1e-12)
     conj = HarmonicField(g_dual, values, boundary, field_tol)
     return conj, max_res

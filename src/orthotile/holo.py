@@ -19,31 +19,22 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import harmonic
-from .odmap import DUAL, PRIMAL, MarkedRectangleMap, OrthodiagonalMap
-
-
-class ContourError(ValueError):
-    """Walk is not a simple closed admissible contour."""
+from . import geom, harmonic
+from .odmap import (DUAL, PRIMAL, ContourError, MapError, MarkedRectangleMap,
+                    OrthodiagonalMap, trace_boundary)
 
 
 @dataclass
 class DiscreteHolomorphic:
-    """F with Re on primal vertices and Im on dual vertices, plus the
-    per-face CR residuals of the pair."""
+    """F as one complex array over map vertex ids, Re at primal vertices
+    and Im at dual ones, plus the per-face CR residuals of the pair."""
 
     m: OrthodiagonalMap
-    real_part: dict[int, float]
-    imag_part: dict[int, float]
+    values: np.ndarray
 
     def __post_init__(self):
         self.z = self.m.positions[:, 0] + 1j * self.m.positions[:, 1]
-        vals = np.zeros(self.m.n_vertices, dtype=complex)
-        for k, v in self.real_part.items():
-            vals[int(k)] = v
-        for k, v in self.imag_part.items():
-            vals[int(k)] = 1j * v
-        self.values = vals
+        vals = self.values
         f = self.m.faces
         dz_p = self.z[f[:, 2]] - self.z[f[:, 0]]
         dz_d = self.z[f[:, 3]] - self.z[f[:, 1]]
@@ -62,22 +53,21 @@ class DiscreteHolomorphic:
 def assemble(m: MarkedRectangleMap, h: harmonic.HarmonicField,
              h_tilde: harmonic.HarmonicField) -> DiscreteHolomorphic:
     """Bundle a conjugate tiling pair as F = h + i htilde."""
-    return DiscreteHolomorphic(m.map,
-                               {int(k): float(v) for k, v in h.values.items()},
-                               {int(k): float(v) for k, v in h_tilde.values.items()})
+    vals = np.zeros(m.map.n_vertices, dtype=complex)
+    p, d = h.graph.ids, h_tilde.graph.ids
+    vals[p] = h.values[p]
+    vals[d] = 1j * h_tilde.values[d]
+    return DiscreteHolomorphic(m.map, vals)
 
 
 def from_function(m: OrthodiagonalMap, fn: Callable[[complex], complex]
                   ) -> DiscreteHolomorphic:
     """Sample a complex function: Re(fn) on primal vertices, Im(fn) on dual."""
-    real, imag = {}, {}
+    vals = np.zeros(m.n_vertices, dtype=complex)
     for v in range(m.n_vertices):
-        z = complex(m.positions[v, 0], m.positions[v, 1])
-        if m.colors[v] == PRIMAL:
-            real[v] = fn(z).real
-        else:
-            imag[v] = fn(z).imag
-    return DiscreteHolomorphic(m, real, imag)
+        w = fn(complex(m.positions[v, 0], m.positions[v, 1]))
+        vals[v] = w.real if m.colors[v] == PRIMAL else 1j * w.imag
+    return DiscreteHolomorphic(m, vals)
 
 
 # -- contours ---------------------------------------------------------------------
@@ -104,22 +94,13 @@ def enclosed_faces(m: OrthodiagonalMap, walk: Sequence[int]) -> np.ndarray:
     """Face ids whose centroid lies inside the walk polygon (even-odd)."""
     w = _normalize_walk(m, walk)
     poly = m.positions[np.array(w, dtype=np.int64)]
-    cent = m.face_centroids()
-    x, y = cent[:, 0], cent[:, 1]
-    x1, y1 = poly[:, 0], poly[:, 1]
-    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
-    cond = (y1[None, :] > y[:, None]) != (y2[None, :] > y[:, None])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xint = x1[None, :] + (y[:, None] - y1[None, :]) * (x2 - x1)[None, :] / (y2 - y1)[None, :]
-    crossings = np.sum(cond & (x[:, None] < xint), axis=1)
-    return np.flatnonzero(crossings % 2 == 1)
+    return np.flatnonzero(geom.points_in_ring(m.face_centroids(), poly))
 
 
 def _check_admissible(m: OrthodiagonalMap, walk: list[int]) -> np.ndarray:
     """Enclosed interior faces must tile the walk polygon exactly."""
-    from .geom import signed_area
     poly = m.positions[np.array(walk, dtype=np.int64)]
-    area = signed_area(poly)
+    area = geom.signed_area(poly)
     inside = enclosed_faces(m, walk)
     face_area = float(m.face_areas()[inside].sum())
     if abs(abs(area) - face_area) > 1e-9 * max(abs(area), 1e-12):
@@ -183,12 +164,11 @@ def green_residual(F: DiscreteHolomorphic, outer: Sequence[int],
     where P pairs the real part at primal walk vertices with the flanking
     dual position increments.  Zero (to rounding) for any real primal data.
     """
-    from .geom import signed_area
     wo = _normalize_walk(F.m, outer)
     wi = _normalize_walk(F.m, inner)
-    if signed_area(F.m.positions[np.array(wo)]) <= 0:
+    if geom.signed_area(F.m.positions[np.array(wo)]) <= 0:
         raise ContourError("outer walk must be counterclockwise")
-    if signed_area(F.m.positions[np.array(wi)]) <= 0:
+    if geom.signed_area(F.m.positions[np.array(wi)]) <= 0:
         raise ContourError("inner walk must be counterclockwise")
     fo = set(_check_admissible(F.m, wo).tolist())
     fi_ = set(_check_admissible(F.m, wi).tolist())
@@ -205,34 +185,8 @@ def green_residual(F: DiscreteHolomorphic, outer: Sequence[int],
 def boundary_walk_of_faces(m: OrthodiagonalMap, face_ids: Sequence[int]) -> list[int]:
     """Counterclockwise boundary walk of a simply-connected union of faces
     (the standard way to build an admissible contour)."""
-    face_ids = sorted(set(int(x) for x in face_ids))
-    count: dict[tuple[int, int], int] = {}
-    directed: dict[int, int] = {}
-    pinched = False
-    for fi in face_ids:
-        f = m.faces[fi]
-        for k in range(4):
-            a, b = int(f[k]), int(f[(k + 1) % 4])
-            key = (min(a, b), max(a, b))
-            count[key] = count.get(key, 0) + 1
-    for fi in face_ids:
-        f = m.faces[fi]
-        for k in range(4):
-            a, b = int(f[k]), int(f[(k + 1) % 4])
-            if count[(min(a, b), max(a, b))] == 1:
-                if a in directed:
-                    pinched = True
-                directed[a] = b
-    if pinched or not directed:
-        raise ContourError("face set has a pinched or empty boundary")
-    start = min(directed)
-    walk = [start]
-    cur = directed[start]
-    while cur != start:
-        walk.append(cur)
-        cur = directed[cur]
-        if len(walk) > len(directed):
-            raise ContourError("face-set boundary did not close")
-    if len(walk) != len(directed):
-        raise ContourError("face set is not simply connected")
-    return walk
+    faces = m.faces[np.unique(np.asarray(face_ids, dtype=np.int64))]
+    try:
+        return trace_boundary(faces)
+    except MapError as exc:
+        raise ContourError(f"face set: {exc}") from exc

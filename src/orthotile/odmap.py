@@ -27,6 +27,12 @@ class MapError(ValueError):
     """Structurally invalid orthodiagonal map or marking."""
 
 
+class ContourError(ValueError):
+    """Not a usable contour: a walk that is not a simple closed admissible
+    contour, a face set without one boundary cycle, or a short-contour
+    search whose preconditions fail or that finds no path."""
+
+
 @dataclass(frozen=True)
 class Violation:
     kind: str
@@ -129,16 +135,12 @@ class OrthodiagonalMap:
         faces = np.asarray(faces, dtype=np.int64)
         if faces.ndim != 2 or faces.shape[1] != 4:
             raise MapError("faces must be 4-tuples of vertex ids")
-        self.faces = np.array([self._normalize_face(f) for f in faces], dtype=np.int64)
+        # a face given from a dual vertex starts one step later
+        self.faces = np.where((self.colors[faces[:, 0]] == PRIMAL)[:, None],
+                              faces, np.roll(faces, -1, axis=1))
         self.boundary = [int(b) for b in boundary]
         self.mesh_eps = float(mesh_eps) if mesh_eps is not None else self._recompute_mesh_eps()
         self._caches: dict = {}
-
-    def _normalize_face(self, f) -> tuple[int, int, int, int]:
-        f = [int(x) for x in f]
-        if self.colors[f[0]] == PRIMAL:
-            return tuple(f)
-        return (f[1], f[2], f[3], f[0])
 
     # -- derived quantities ------------------------------------------------
 
@@ -273,6 +275,35 @@ def save_map(path: str, m: OrthodiagonalMap, marked: Optional[Sequence[int]] = N
 def load_map(path: str) -> tuple[OrthodiagonalMap, Optional[list[int]]]:
     with open(path, encoding="utf-8") as fh:
         return OrthodiagonalMap.from_json_dict(json.load(fh))
+
+
+def trace_boundary(faces) -> list[int]:
+    """Counterclockwise boundary cycle of a union of counterclockwise faces
+    (f, 4): the sides used by exactly one face, walked head to tail from
+    the smallest vertex id.  MapError when that boundary is empty, pinched
+    or more than one cycle."""
+    faces = np.asarray(faces, dtype=np.int64).reshape(-1, 4)
+    a = faces.T.ravel()
+    b = np.roll(faces, -1, axis=1).T.ravel()
+    _, inverse, counts = np.unique(np.minimum(a, b) * (2 ** 32) + np.maximum(a, b),
+                                   return_inverse=True, return_counts=True)
+    once = counts[inverse] == 1
+    succ = dict(zip(a[once].tolist(), b[once].tolist()))
+    if len(succ) != int(once.sum()):
+        raise MapError("boundary has a pinch point")
+    if not succ:
+        raise MapError("boundary is empty")
+    start = min(succ)
+    cyc = [start]
+    cur = succ[start]
+    while cur != start:
+        if cur not in succ or len(cyc) == len(succ):
+            raise MapError("boundary walk did not close")
+        cyc.append(cur)
+        cur = succ[cur]
+    if len(cyc) != len(succ):
+        raise MapError("boundary has multiple cycles")
+    return cyc
 
 
 def _quads_convex(q: np.ndarray) -> np.ndarray:

@@ -106,33 +106,31 @@ def build_tiling(m: MarkedRectangleMap, tol: float = 1e-12,
     h01 = harmonic.solve_dirichlet(gp, pinned01, tol)
     L = 1.0 / h01.energy
 
-    values = {k: L * v for k, v in h01.values.items()}
     pinned = {int(v): 0.0 for v in m.arc_ab}
     pinned.update({int(v): L for v in m.arc_cd})
-    h = harmonic.HarmonicField(gp, values, pinned, h01.tol * max(L, 1.0))
+    h = harmonic.HarmonicField(gp, L * h01.values, pinned, h01.tol * max(L, 1.0))
 
     conj, max_res = harmonic.harmonic_conjugate(m, h)
     # normalize the conjugate's boundary values onto [0, 1] exactly: shift
     # the low arc to 0 and scale the high arc's max to 1 (the scale differs
     # from 1 by the accumulated cycle residual, well under all tolerances)
-    shift = min(conj.values[int(v)] for v in m.arc_bc)
-    span = max(conj.values[int(v)] for v in m.arc_da) - shift
+    shift = float(conj.values[m.arc_bc].min())
+    span = float(conj.values[m.arc_da].max()) - shift
     span = span if span > 0 else 1.0
-    t_values = {k: (v - shift) / span for k, v in conj.values.items()}
     t_boundary = {k: (v - shift) / span for k, v in conj.boundary.items()}
-    h_tilde = harmonic.HarmonicField(conj.graph, t_values, t_boundary, conj.tol)
+    h_tilde = harmonic.HarmonicField(conj.graph, (conj.values - shift) / span,
+                                     t_boundary, conj.tol)
 
-    s = max(L, 1.0)
-    floor = max(degenerate_tol * s, max_res / aspect_tol)
-    tiles = []
-    for fi, f in enumerate(m.map.faces):
-        v1, w1, v2, w2 = (int(x) for x in f)
-        xa, xb = h.values[v1], h.values[v2]
-        ya, yb = h_tilde.values[w1], h_tilde.values[w2]
-        x0, x1 = (xa, xb) if xa <= xb else (xb, xa)
-        y0, y1 = (ya, yb) if ya <= yb else (yb, ya)
-        deg = (x1 - x0) <= floor or (y1 - y0) <= floor
-        tiles.append(Tile(fi, (min(v1, v2), max(v1, v2)), x0, x1, y0, y1, deg))
+    v1, w1, v2, w2 = m.map.faces.T
+    xa, xb = h.values[v1], h.values[v2]
+    ya, yb = h_tilde.values[w1], h_tilde.values[w2]
+    x0, x1 = np.minimum(xa, xb), np.maximum(xa, xb)
+    y0, y1 = np.minimum(ya, yb), np.maximum(ya, yb)
+    floor = max(degenerate_tol * max(L, 1.0), max_res / aspect_tol)
+    deg = (x1 - x0 <= floor) | (y1 - y0 <= floor)
+    tiles = [Tile(fi, (a, b), *rect) for fi, (a, b, *rect) in enumerate(zip(
+        np.minimum(v1, v2).tolist(), np.maximum(v1, v2).tolist(),
+        x0.tolist(), x1.tolist(), y0.tolist(), y1.tolist(), deg.tolist()))]
     return Tiling(L, tiles), h, h_tilde
 
 
@@ -227,12 +225,7 @@ class InterpolatedMap:
                  h_tilde: harmonic.HarmonicField):
         self.m = m
         nv = m.map.n_vertices
-        hv = np.zeros(nv)
-        tv = np.zeros(nv)
-        for k, v in h.values.items():
-            hv[int(k)] = v
-        for k, v in h_tilde.values.items():
-            tv[int(k)] = v
+        hv, tv = h.values, h_tilde.values
         # cross-color neighbor averages along quad sides
         acc = np.zeros(nv)
         cnt = np.zeros(nv)
@@ -243,9 +236,10 @@ class InterpolatedMap:
             acc[da] += hv[pa]
             cnt[da] += 1.0
         avg = acc / np.where(cnt == 0, 1.0, cnt)
-        primal = m.map.colors == 0
-        vals = np.where(primal, hv, avg) + 1j * np.where(primal, avg, tv)
-        self.vertex_values = vals
+        re, im = avg.copy(), avg.copy()
+        re[h.graph.ids] = hv[h.graph.ids]
+        im[h_tilde.graph.ids] = tv[h_tilde.graph.ids]
+        self.vertex_values = re + 1j * im
         self.locator = FaceLocator(m.map)
 
     def evaluate(self, p) -> complex:

@@ -65,24 +65,7 @@ def strip_map():
     for (i, j), k in verts.items():
         pos[k] = (i * h, j * h)
         col[k] = 0 if i % 2 == 0 else 1
-    pair_a, pair_b = [], []
-    for f in faces:
-        for k in range(4):
-            pair_a.append(f[k])
-            pair_b.append(f[(k + 1) % 4])
-    count = {}
-    for a, b in zip(pair_a, pair_b):
-        count[(min(a, b), max(a, b))] = count.get((min(a, b), max(a, b)), 0) + 1
-    succ = {}
-    for a, b in zip(pair_a, pair_b):
-        if count[(min(a, b), max(a, b))] == 1:
-            succ[a] = b
-    start = min(succ)
-    cyc = [start]
-    cur = succ[start]
-    while cur != start:
-        cyc.append(cur)
-        cur = succ[cur]
+    cyc = odmap.trace_boundary(faces)
     m = odmap.OrthodiagonalMap(pos, col, faces, cyc)
     marked = [vid(0, 2), vid(2, 0), vid(8, 2), vid(6, 4)]
     return odmap.MarkedRectangleMap(m, marked)

@@ -1,0 +1,59 @@
+"""The benchmark's span recorder (perfbench/layers.py) patches orthotile
+functions and methods by name, and its hooks read attributes of their
+results.  Installing it over a small pipeline run proves that every traced
+attribute still exists; uninstalling must restore the originals."""
+
+import importlib
+import importlib.util
+import os
+
+from conftest import star_map
+from orthotile import holo, tiling
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _load_layers():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_layers", os.path.join(ROOT, "perfbench", "layers.py"))
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _resolve(path):
+    parts = path.split(".")
+    obj = importlib.import_module("orthotile." + parts[0])
+    for p in parts[1:]:
+        obj = getattr(obj, p)
+    return obj
+
+
+def test_bench_tracer_targets_exist_and_hooks_read():
+    layers = _load_layers()
+    before = {tg.path: _resolve(tg.path) for tg in layers.TARGETS}
+    tracer = layers.Tracer(layers.TARGETS).install()
+    try:
+        patched = {attr for _, attr, _ in tracer._patches}
+        for tg in layers.TARGETS:
+            assert tg.path.split(".")[-1] in patched, tg.path
+            assert _resolve(tg.path).__wrapped__ is before[tg.path]
+        mm = star_map()
+        t, h, ht = tiling.build_tiling(mm)
+        holo.assemble(mm, h, ht)
+        mm.map.side_edges()
+        tiling.InterpolatedMap(mm, h, ht).evaluate(mm.map.positions[4])
+    finally:
+        tracer.uninstall()
+    for tg in layers.TARGETS:
+        assert _resolve(tg.path) is before[tg.path], tg.path
+    table = tracer.table()
+    for name in ("tiling.build_tiling", "harmonic.solve_dirichlet",
+                 "harmonic.harmonic_conjugate", "holo.assemble",
+                 "odmap.OrthodiagonalMap.side_edges", "tiling.InterpolatedMap.__init__"):
+        assert table[name]["calls"] >= 1, name
+    # the solve hook reads HarmonicField.graph, .boundary and .residual
+    assert tracer.counts["harmonic.solve_dirichlet.free_vertices"] == h.graph.n - len(h.boundary)
+    assert tracer.counts["harmonic.solve_dirichlet.residual_max"] >= 0.0
+    assert tracer.counts["tiling.build_tiling.degenerate_tiles"] == t.degenerate_count
+    assert tracer.counts["tiling.InterpolatedMap.evaluate.calls"] == 1

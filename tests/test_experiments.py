@@ -176,12 +176,3 @@ def test_persisted_levels_reverify(tmp_path, rect_spec):
         assert abs(t.L - lv.L_n) <= 1e-12
         cert = json.loads((tmp_path / f"level{k:02d}.cert.json").read_text())
         assert abs(cert["delta"] - lv.delta) <= 1e-12
-
-
-def test_thread_env_does_not_change_results(rect_spec, monkeypatch):
-    rep1 = experiments.convergence_run(rect_spec, 0.25, 2)
-    monkeypatch.setenv("ORTHOTILE_THREADS", "2")
-    rep2 = experiments.convergence_run(rect_spec, 0.25, 2)
-    assert [lv.L_n for lv in rep1.levels] == [lv.L_n for lv in rep2.levels]
-    assert [lv.sup_dev_vs_reference for lv in rep1.levels] == \
-        [lv.sup_dev_vs_reference for lv in rep2.levels]

@@ -39,6 +39,15 @@ def test_too_coarse_mesh_errors(square_spec):
         gridgen.grid_approximation(square_spec, 10.0)
 
 
+def test_boundary_trace_failure_is_a_generation_error(square_spec, monkeypatch):
+    # the shared tracer reports a map fault; generation names the fix
+    def pinched(faces):
+        raise odmap.MapError("boundary has a pinch point")
+    monkeypatch.setattr(gridgen, "trace_boundary", pinched)
+    with pytest.raises(gridgen.GenerationError, match="pinch point: refine eps"):
+        gridgen.grid_approximation(square_spec, 1 / 4)
+
+
 def test_l_shape_certificate(l_spec):
     mm, cert = gridgen.grid_approximation(l_spec, 1 / 8)
     assert odmap.validate(mm.map).ok

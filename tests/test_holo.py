@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from orthotile import holo, tiling
+from orthotile import extremal, geom, holo, odmap, tiling
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +28,7 @@ def test_identity_function_is_discrete_holomorphic(rect_map16):
 
 def test_assembled_pair_residual_bound(tiled_rect):
     mm, F = tiled_rect
-    L = max(F.real_part.values())
+    L = F.values.real[mm.map.colors == 0].max()
     assert F.max_cr_residual <= 1e-8 * max(L, 1.0) / mm.map.mesh_eps
 
 
@@ -40,9 +40,9 @@ def test_conjugacy_iff_cr(tiled_rect):
     mm, F = tiled_rect
     gp = mm.map.extract_primal()
     pinned = {int(v): 0.0 for v in mm.arc_ab}
-    L = max(F.real_part.values())
+    L = F.values.real[gp.ids].max()
     pinned.update({int(v): L for v in mm.arc_cd})
-    h = harmonic.HarmonicField(gp, dict(F.real_part), pinned, 1e-6 * max(L, 1))
+    h = harmonic.HarmonicField(gp, F.values.real, pinned, 1e-6 * max(L, 1))
     _, max_res = harmonic.harmonic_conjugate(mm, h)
     # per-face: |dF_p dz_d - dF_d dz_p| = cycle residual * |dz_p|; dividing
     # by |dz_p dz_d| bounds the CR residual by res / min diagonal length
@@ -89,10 +89,7 @@ def test_contour_linearity(tiled_rect):
     G = holo.from_function(mm.map, lambda z: z)
     walk, _ = block_walk(mm.map, 0.3, 1.2, 0.2, 0.8)
     alpha = 2.5
-    comb = holo.DiscreteHolomorphic(
-        mm.map,
-        {k: alpha * v + G.real_part[k] for k, v in F.real_part.items()},
-        {k: alpha * v + G.imag_part[k] for k, v in F.imag_part.items()})
+    comb = holo.DiscreteHolomorphic(mm.map, alpha * F.values + G.values)
     lhs = holo.contour_integral(comb, walk)
     rhs = alpha * holo.contour_integral(F, walk) + holo.contour_integral(G, walk)
     assert abs(lhs - rhs) < 1e-12
@@ -102,9 +99,9 @@ def test_corrupted_value_localizes(tiled_rect):
     mm, F = tiled_rect
     dual = [w for w in range(mm.map.n_vertices) if mm.map.colors[w] == 1]
     victim = dual[len(dual) // 2]
-    imag = dict(F.imag_part)
-    imag[victim] += 1e-3
-    bad = holo.DiscreteHolomorphic(mm.map, dict(F.real_part), imag)
+    vals = F.values.copy()
+    vals[victim] += 1e-3j
+    bad = holo.DiscreteHolomorphic(mm.map, vals)
     touched = [fi for fi, f in enumerate(mm.map.faces) if victim in set(int(x) for x in f)]
     hot = np.flatnonzero(bad.face_residuals > 100 * F.max_cr_residual)
     assert sorted(hot.tolist()) == sorted(touched)
@@ -140,11 +137,11 @@ def test_boundary_touching_walk_rejected(tiled_rect):
 def test_green_identity_random_data(rect_map16):
     mm, _ = rect_map16
     rng = np.random.default_rng(0)
-    real = {v: float(rng.normal()) for v in range(mm.map.n_vertices)
-            if mm.map.colors[v] == 0}
-    imag = {v: float(rng.normal()) for v in range(mm.map.n_vertices)
-            if mm.map.colors[v] == 1}
-    F = holo.DiscreteHolomorphic(mm.map, real, imag)
+    primal = mm.map.colors == 0
+    vals = np.zeros(mm.map.n_vertices, dtype=complex)
+    vals[primal] = rng.normal(size=primal.sum())
+    vals[~primal] = 1j * rng.normal(size=(~primal).sum())
+    F = holo.DiscreteHolomorphic(mm.map, vals)
     outer, _ = block_walk(mm.map, 0.2, 1.7, 0.1, 0.9)
     inner, _ = block_walk(mm.map, 0.6, 1.2, 0.3, 0.7)
     assert abs(holo.green_residual(F, outer, inner)) < 1e-12
@@ -185,3 +182,34 @@ def test_sidewalks_split(tiled_rect):
     assert len(prim) + len(dual) == len(walk)
     assert all(mm.map.colors[v] == 0 for v in prim)
     assert all(mm.map.colors[v] == 1 for v in dual)
+
+
+def test_enclosed_faces_blocked_over_faces(rect_map16, monkeypatch):
+    # faces x walk exceeds one block, so the centroid test runs in several
+    # blocks; the enclosed set is the face set the walk was traced from
+    mm, _ = rect_map16
+    walk, sel = block_walk(mm.map, 0.1, 1.9, 0.1, 0.9)
+    assert mm.map.n_faces * len(walk) > geom._BLOCK_PAIRS
+    assert holo.enclosed_faces(mm.map, walk).tolist() == sel.tolist()
+    monkeypatch.setattr(geom, "_BLOCK_PAIRS", 1000)
+    assert holo.enclosed_faces(mm.map, walk).tolist() == sel.tolist()
+
+
+def test_face_set_boundary_errors(rect_map16):
+    mm, _ = rect_map16
+    m = mm.map
+    cent = m.face_centroids()
+    mid = int(np.argmin(((cent - (1.0, 0.5)) ** 2).sum(-1)))
+    # two faces sharing exactly one vertex: a pinched boundary
+    pinch = next(int(fi) for fi in np.flatnonzero((m.faces == m.faces[mid, 2]).any(axis=1))
+                 if len(set(m.faces[fi].tolist()) & set(m.faces[mid].tolist())) == 1)
+    # two faces far apart: two boundary cycles
+    far = int(np.argmax(((cent - cent[mid]) ** 2).sum(-1)))
+    for faces in ([mid, pinch], [mid, far], []):
+        with pytest.raises(holo.ContourError):
+            holo.boundary_walk_of_faces(m, faces)
+
+
+def test_one_contour_error():
+    assert holo.ContourError is extremal.ContourError is odmap.ContourError
+    assert issubclass(holo.ContourError, ValueError)

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import (OracleLocator, location_probes, oracle_quad_is_convex, star_map,
                       strip_map)
-from orthotile import gridgen, odmap
+from orthotile import geom, gridgen, odmap
 
 
 def single_face():
@@ -136,6 +136,37 @@ def test_face_normalization_starts_primal():
     col = [1, 0, 1, 0]  # face given starting at a dual vertex
     m = odmap.OrthodiagonalMap(pos, col, [[0, 1, 2, 3]], [0, 1, 2, 3])
     assert m.colors[m.faces[0][0]] == odmap.PRIMAL
+    # the star's faces given from each of their four corners in turn: a
+    # face that starts at a dual vertex starts one step later, the others
+    # are kept as given
+    m = star_map().map
+    given = np.array([np.roll(f, -k) for k, f in enumerate(m.faces)])
+    rot = odmap.OrthodiagonalMap(m.positions, m.colors, given, m.boundary)
+    for g, f in zip(given, rot.faces):
+        want = list(g) if m.colors[g[0]] == odmap.PRIMAL else list(g[1:]) + [g[0]]
+        assert f.tolist() == want
+        assert m.colors[f[0]] == odmap.PRIMAL
+    assert rot.faces.dtype == np.int64
+
+
+def test_trace_boundary(rect_map16, l_spec):
+    mm_l, _ = gridgen.grid_approximation(l_spec, 1 / 8)
+    for m in (rect_map16[0].map, mm_l.map, star_map().map, strip_map().map):
+        cyc = odmap.trace_boundary(m.faces)
+        assert cyc[0] == min(cyc) and len(set(cyc)) == len(cyc)
+        sides = {(min(a, b), max(a, b)) for a, b in zip(cyc, cyc[1:] + cyc[:1])}
+        assert sides == m.boundary_edge_set()
+        assert geom.signed_area(m.positions[cyc]) > 0
+        # the face order does not matter
+        assert odmap.trace_boundary(m.faces[::-1]) == cyc
+    sq = [[0, 1, 2, 3]]
+    with pytest.raises(odmap.MapError, match="pinch"):
+        odmap.trace_boundary([[0, 1, 2, 3], [2, 4, 5, 6]])
+    with pytest.raises(odmap.MapError, match="multiple cycles"):
+        odmap.trace_boundary([[0, 1, 2, 3], [4, 5, 6, 7]])
+    with pytest.raises(odmap.MapError, match="empty"):
+        odmap.trace_boundary(np.zeros((0, 4), dtype=np.int64))
+    assert odmap.trace_boundary(sq) == [0, 1, 2, 3]
 
 
 def test_marked_map_arcs_and_errors():

@@ -91,12 +91,22 @@ def test_interpolated_map_exactness(rect_map16):
     t, h, ht = tiling.build_tiling(mm)
     f = tiling.InterpolatedMap(mm, h, ht)
     pos = mm.map.positions
-    for v in list(h.values)[:40]:
-        assert abs(f.evaluate(pos[int(v)]).real - h.values[int(v)]) < 1e-12
-    for w in list(ht.values)[:40]:
-        assert abs(f.evaluate(pos[int(w)]).imag - ht.values[int(w)]) < 1e-12
+    for v in h.graph.ids[:40]:
+        assert abs(f.evaluate(pos[v]).real - h.values[v]) < 1e-12
+    for w in ht.graph.ids[:40]:
+        assert abs(f.evaluate(pos[w]).imag - ht.values[w]) < 1e-12
     with pytest.raises(ValueError):
         f.evaluate((50.0, 50.0))
+
+
+def test_fields_are_arrays_indexed_by_vertex_id(rect_map16):
+    mm, _ = rect_map16
+    _, h, ht = tiling.build_tiling(mm)
+    gp, gd = mm.map.extract_primal(), mm.map.extract_dual()
+    for f, own, other in ((h, gp, gd), (ht, gd, gp)):
+        assert f.values.dtype == float and len(f.values) == own.ids[-1] + 1
+        assert not np.isnan(f.values[own.ids]).any()
+        assert np.isnan(f.values[other.ids[other.ids < len(f.values)]]).all()
 
 
 def test_interpolated_map_centroid_average():
