@@ -8,7 +8,6 @@ and a random-walk estimator gives a third route to the same values.
 
 from __future__ import annotations
 
-import collections
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
@@ -208,21 +207,24 @@ class Flow:
     source_set: frozenset[int]
     sink_set: frozenset[int]
 
-    def divergence_arr(self) -> np.ndarray:
-        iu, iv = edge_indices(self.graph)
-        div = np.zeros(self.graph.n)
-        np.add.at(div, iu, self.theta)
-        np.add.at(div, iv, -self.theta)
+    def divergence(self) -> np.ndarray:
+        """Net outflow at each vertex, as an array indexed by vertex id
+        (NaN at ids outside the graph)."""
+        g = self.graph
+        div = np.full(int(g.ids[-1]) + 1, np.nan)
+        div[g.ids] = 0.0
+        np.add.at(div, g.edge_u, self.theta)
+        np.add.at(div, g.edge_v, -self.theta)
         return div
 
-    def divergence(self) -> dict[int, float]:
-        div = self.divergence_arr()
-        return {int(v): float(div[i]) for i, v in enumerate(self.graph.ids)}
+    @staticmethod
+    def _total(div: np.ndarray, vertices: frozenset[int]) -> float:
+        # summed in the set's iteration order, one float at a time
+        return sum(div[list(vertices)].tolist())
 
     @property
     def strength(self) -> float:
-        div = self.divergence()
-        return sum(div[v] for v in self.source_set)
+        return self._total(self.divergence(), self.source_set)
 
     def energy(self) -> float:
         return float(np.sum(self.theta * self.theta / self.graph.edge_c))
@@ -231,17 +233,19 @@ class Flow:
         return Flow(self.graph, self.theta * s, self.source_set, self.sink_set)
 
     def check(self, rel: float = 1e-10) -> None:
+        """Raise ValueError at the lowest-id free vertex with nonzero
+        divergence, or when source and sink strengths do not balance."""
+        ids = self.graph.ids
         div = self.divergence()
-        s = self.strength
-        scale = max(abs(s), max(abs(d) for d in div.values()), 1e-300)
-        for i in self.graph.ids:
-            v = int(i)
-            if v in self.source_set or v in self.sink_set:
-                continue
-            if abs(div[v]) > rel * scale:
-                raise ValueError(f"nonzero divergence {div[v]:.3e} at free vertex {v}")
-        sink_total = sum(div[v] for v in self.sink_set)
-        if abs(s + sink_total) > rel * scale:
+        s = self._total(div, self.source_set)
+        scale = max(abs(s), float(np.abs(div[ids]).max()), 1e-300)
+        ends = np.fromiter(self.source_set | self.sink_set, dtype=np.int64)
+        free = ids[~np.isin(ids, ends)]
+        bad = free[np.abs(div[free]) > rel * scale]
+        if bad.size:
+            v = int(bad[0])
+            raise ValueError(f"nonzero divergence {div[v]:.3e} at free vertex {v}")
+        if abs(s + self._total(div, self.sink_set)) > rel * scale:
             raise ValueError("source and sink strengths do not balance")
 
 
@@ -283,9 +287,11 @@ def harmonic_conjugate(m: MarkedRectangleMap, h: HarmonicField,
     htilde(w2) - htilde(w1) = c(v1, v2) (h(v2) - h(v1)); integration runs
     over a breadth-first spanning tree of the dual graph rooted at the
     smallest-id vertex of the arc [D, A], and the result is shifted so the
-    minimum over that arc is 0.  The maximum leftover CR residual on
-    non-tree dual edges is checked against cycle_tol_rel * max(gap, 1) and
-    returned alongside the field.
+    minimum over that arc is 0.  The search visits neighbours in ascending
+    index order, and a tree edge crosses the lowest-id face between its two
+    ends.  The maximum leftover CR residual on non-tree dual edges is
+    checked against cycle_tol_rel * max(gap, 1) and returned alongside the
+    field.
     """
     g_dual = m.map.extract_dual()
     scale = max(h.gap(), 1.0)
@@ -293,42 +299,34 @@ def harmonic_conjugate(m: MarkedRectangleMap, h: HarmonicField,
     f = m.map.faces
     gp_c = m.map.extract_primal().edge_c
     inc = gp_c * (h.values[f[:, 2]] - h.values[f[:, 0]])
-    w1_idx = np.searchsorted(g_dual.ids, f[:, 1]).tolist()
-    w2_idx = np.searchsorted(g_dual.ids, f[:, 3]).tolist()
+    w1 = np.searchsorted(g_dual.ids, f[:, 1])
+    w2 = np.searchsorted(g_dual.ids, f[:, 3])
 
-    n = g_dual.n
-    nf = len(f)
-    adj: list[list[tuple[int, int, float]]] = [[] for _ in range(n)]
-    for fi in range(nf):
-        a, b = w1_idx[fi], w2_idx[fi]
-        adj[a].append((b, fi, 1.0))
-        adj[b].append((a, fi, -1.0))
-    for lst in adj:
-        lst.sort()
+    # one arc per ordered (w, w') pair, carrying its lowest face id and the
+    # sign of that face's increment along the arc
+    n, nf = g_dual.n, len(f)
+    arcs, first = np.unique(np.stack([w1 * n + w2, w2 * n + w1], axis=1),
+                            return_index=True)
+    arc_face = first // 2
+    arc_sign = np.where(first % 2 == 0, 1.0, -1.0)
+    indptr = np.searchsorted(arcs // n, np.arange(n + 1))
+    adj = sp.csr_matrix((np.ones(len(arcs)), arcs % n, indptr), shape=(n, n))
 
     root = int(np.searchsorted(g_dual.ids, min(m.arc_da)))
-    inc_l = inc.tolist()
-    vals_l = [0.0] * n
-    seen = [False] * n
-    seen[root] = True
-    tree_face = np.zeros(nf, dtype=bool)
-    dq = collections.deque([root])
-    reached = 1
-    while dq:
-        u = dq.popleft()
-        vu = vals_l[u]
-        for nb, fi, s in adj[u]:
-            if not seen[nb]:
-                seen[nb] = True
-                tree_face[fi] = True
-                vals_l[nb] = vu + s * inc_l[fi]
-                dq.append(nb)
-                reached += 1
-    if reached != n:
+    order, pred = csgraph.breadth_first_order(adj, root, directed=True,
+                                              return_predecessors=True)
+    if len(order) != n:
         raise ConjugacyError("dual graph is not connected")
-
-    vals = np.array(vals_l)
-    res = np.abs(vals[np.array(w2_idx)] - vals[np.array(w1_idx)] - inc)
+    child = order[1:].astype(np.int64)
+    parent = pred[child].astype(np.int64)
+    arc = np.searchsorted(arcs, parent * n + child)
+    tree = arc_face[arc]
+    tree_face = np.zeros(nf, dtype=bool)
+    tree_face[tree] = True
+    vals = np.zeros(n)
+    for v, u, d in zip(child.tolist(), parent.tolist(), (arc_sign[arc] * inc[tree]).tolist()):
+        vals[v] = vals[u] + d
+    res = np.abs(vals[w2] - vals[w1] - inc)
     max_res = float(res[~tree_face].max()) if (~tree_face).any() else 0.0
     if max_res > cycle_tol_rel * scale:
         raise ConjugacyError(

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import geom, harmonic
 from .odmap import (DUAL, PRIMAL, ContourError, MapError, MarkedRectangleMap,
-                    OrthodiagonalMap, trace_boundary)
+                    OrthodiagonalMap, side_keys, trace_boundary)
 
 
 @dataclass
@@ -79,14 +79,20 @@ def _normalize_walk(m: OrthodiagonalMap, walk: Sequence[int]) -> list[int]:
         w = w[:-1]
     if len(w) < 4:
         raise ContourError("walk too short")
-    if len(set(w)) != len(w):
+    a = np.array(w, dtype=np.int64)
+    if len(np.unique(a)) != len(a):
         raise ContourError("walk is not simple")
+    b = np.roll(a, -1)
     sides = m.side_edges()
-    for a, b in zip(w, w[1:] + w[:1]):
-        if (min(a, b), max(a, b)) not in sides:
-            raise ContourError(f"walk step {a}->{b} is not an edge of the map")
-        if m.colors[a] == m.colors[b]:
-            raise ContourError("walk does not alternate colors")
+    known = side_keys(sides[:, 0], sides[:, 1])
+    step = side_keys(a, b)
+    is_side = known[np.minimum(np.searchsorted(known, step), len(known) - 1)] == step
+    bad = ~is_side | (m.colors[a] == m.colors[b])
+    if bad.any():
+        i = int(np.argmax(bad))
+        if not is_side[i]:
+            raise ContourError(f"walk step {a[i]}->{b[i]} is not an edge of the map")
+        raise ContourError("walk does not alternate colors")
     return w
 
 

@@ -23,6 +23,12 @@ DUAL = 1
 TOL_ORTH = 1e-9
 
 
+def side_keys(a, b) -> np.ndarray:
+    """One int64 key per unordered vertex-id pair (a, b), ordered as the
+    pairs (min, max) are ordered lexicographically."""
+    return np.minimum(a, b) * (2 ** 32) + np.maximum(a, b)
+
+
 class MapError(ValueError):
     """Structurally invalid orthodiagonal map or marking."""
 
@@ -84,18 +90,6 @@ class WeightedGraph:
     def edge_r(self) -> np.ndarray:
         return 1.0 / self.edge_c
 
-    def index_of(self) -> dict[int, int]:
-        return {int(v): i for i, v in enumerate(self.ids)}
-
-    def vertex_weights(self) -> np.ndarray:
-        """pi_x = sum of conductances of incident edges."""
-        idx = self.index_of()
-        pi = np.zeros(self.n)
-        for u, v, c in zip(self.edge_u, self.edge_v, self.edge_c):
-            pi[idx[int(u)]] += c
-            pi[idx[int(v)]] += c
-        return pi
-
     def adjacency(self) -> dict[int, list[tuple[int, float]]]:
         adj: dict[int, list[tuple[int, float]]] = {int(v): [] for v in self.ids}
         for u, v, c in zip(self.edge_u, self.edge_v, self.edge_c):
@@ -152,22 +146,21 @@ class OrthodiagonalMap:
     def n_faces(self) -> int:
         return self.faces.shape[0]
 
-    def _side_pairs(self) -> np.ndarray:
-        """All face sides as (4f, 2) arrays of sorted vertex-id pairs."""
-        if "side_pairs" not in self._caches:
-            f = self.faces
-            a = np.concatenate([f[:, 0], f[:, 1], f[:, 2], f[:, 3]])
-            b = np.concatenate([f[:, 1], f[:, 2], f[:, 3], f[:, 0]])
-            self._caches["side_pairs"] = np.stack(
-                [np.minimum(a, b), np.maximum(a, b)], axis=1)
-        return self._caches["side_pairs"]
-
-    def side_edges(self) -> set[tuple[int, int]]:
-        """Quadrilateral sides as unordered id pairs."""
+    def _sides(self) -> tuple[np.ndarray, np.ndarray]:
+        """side_edges() and, per row, the number of faces using that side
+        (1 on the boundary, 2 inside)."""
         if "sides" not in self._caches:
-            pairs = np.unique(self._side_pairs(), axis=0)
-            self._caches["sides"] = {(int(a), int(b)) for a, b in pairs}
+            f = self.faces
+            keys, counts = np.unique(side_keys(f.T.ravel(), np.roll(f, -1, axis=1).T.ravel()),
+                                     return_counts=True)
+            pairs = np.stack([keys >> 32, keys & (2 ** 32 - 1)], axis=1)
+            self._caches["sides"] = (pairs, counts)
         return self._caches["sides"]
+
+    def side_edges(self) -> np.ndarray:
+        """Quadrilateral sides as a cached (e, 2) int64 array of unique
+        vertex-id pairs, smaller id first, rows in ascending (a, b) order."""
+        return self._sides()[0]
 
     def _recompute_mesh_eps(self) -> float:
         if self.n_faces == 0:
@@ -187,13 +180,6 @@ class OrthodiagonalMap:
         x, y = q[:, :, 0], q[:, :, 1]
         xr, yr = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
         return 0.5 * (x * yr - xr * y).sum(axis=1)
-
-    def boundary_edge_set(self) -> set[tuple[int, int]]:
-        if "bedges" not in self._caches:
-            pairs, counts = np.unique(self._side_pairs(), axis=0, return_counts=True)
-            self._caches["bedges"] = {(int(a), int(b)) for (a, b), c
-                                      in zip(pairs, counts) if c == 1}
-        return self._caches["bedges"]
 
     def boundary_polyline(self) -> np.ndarray:
         cyc = self.boundary + [self.boundary[0]]
@@ -254,13 +240,11 @@ class OrthodiagonalMap:
     @staticmethod
     def from_json_dict(d: dict) -> tuple["OrthodiagonalMap", Optional[list[int]]]:
         verts = d["vertices"]
-        n = len(verts)
-        pos = np.zeros((n, 2))
-        col = np.zeros(n, dtype=np.int64)
-        for rec in verts:
-            i = int(rec["id"])
-            pos[i] = (rec["x"], rec["y"])
-            col[i] = PRIMAL if rec["color"] == "primal" else DUAL
+        ids = np.array([rec["id"] for rec in verts], dtype=np.int64)
+        pos = np.zeros((len(verts), 2))
+        col = np.zeros(len(verts), dtype=np.int64)
+        pos[ids] = [(rec["x"], rec["y"]) for rec in verts]
+        col[ids] = [PRIMAL if rec["color"] == "primal" else DUAL for rec in verts]
         m = OrthodiagonalMap(pos, col, d["faces"], d["boundary"])
         marked = [int(x) for x in d["marked"]] if "marked" in d and d["marked"] else None
         return m, marked
@@ -285,8 +269,7 @@ def trace_boundary(faces) -> list[int]:
     faces = np.asarray(faces, dtype=np.int64).reshape(-1, 4)
     a = faces.T.ravel()
     b = np.roll(faces, -1, axis=1).T.ravel()
-    _, inverse, counts = np.unique(np.minimum(a, b) * (2 ** 32) + np.maximum(a, b),
-                                   return_inverse=True, return_counts=True)
+    _, inverse, counts = np.unique(side_keys(a, b), return_inverse=True, return_counts=True)
     once = counts[inverse] == 1
     succ = dict(zip(a[once].tolist(), b[once].tolist()))
     if len(succ) != int(once.sum()):
@@ -481,20 +464,20 @@ def validate(m: OrthodiagonalMap) -> ValidationReport:
         rep.add("unused-vertices", tuple(set(range(m.n_vertices)) - set(used)), 0.0,
                 "vertices not incident to any face")
 
-    n_e = len(m.side_edges())
-    euler = m.n_vertices - n_e + (m.n_faces + 1)
+    sides, counts = m._sides()
+    euler = m.n_vertices - len(sides) + (m.n_faces + 1)
     if euler != 2:
         rep.add("euler", (), float(euler),
                 f"V - E + F = {euler} != 2; map is not simply connected")
 
-    bset = m.boundary_edge_set()
-    cyc = m.boundary
-    if len(set(cyc)) != len(cyc):
+    cyc = np.array(m.boundary, dtype=np.int64)
+    if len(np.unique(cyc)) != len(cyc):
         rep.add("boundary-not-simple", (), 0.0, "boundary cycle repeats a vertex")
-    cyc_edges = {(min(cyc[i], cyc[(i + 1) % len(cyc)]), max(cyc[i], cyc[(i + 1) % len(cyc)]))
-                 for i in range(len(cyc))} if cyc else set()
-    if cyc_edges != bset:
-        rep.add("boundary-mismatch", (), float(len(cyc_edges ^ bset)),
+    once = counts == 1
+    mismatch = np.setxor1d(side_keys(cyc, np.roll(cyc, -1)),
+                           side_keys(sides[once, 0], sides[once, 1]))
+    if len(mismatch):
+        rep.add("boundary-mismatch", (), float(len(mismatch)),
                 "stored boundary cycle does not match the once-used face sides")
     else:
         ring = m.boundary_polyline()

@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,14 @@ def rect_map16(rect_spec):
     return mm, cert
 
 
+@pytest.fixture(scope="session")
+def topology_maps(rect_map16, l_spec):
+    """The marked maps the array topology is checked on against the
+    container oracles below."""
+    return {"star": star_map(), "strip": strip_map(), "rect16": rect_map16[0],
+            "L8": gridgen.grid_approximation(l_spec, 1 / 8)[0]}
+
+
 # -- scalar point-location oracle ------------------------------------------------
 #
 # The per-point FaceLocator that FaceLocator.containing replaced, kept as the
@@ -233,7 +243,7 @@ def location_probes(m, rng, n_random=3000):
     random points over the padded bounding box (many outside the support)
     and far-away points."""
     pos = m.positions
-    pairs = np.unique(m._side_pairs(), axis=0)
+    pairs = m.side_edges()
     lam = rng.uniform(0.0, 1.0, (len(pairs), 1))
     on_sides = (1 - lam) * pos[pairs[:, 0]] + lam * pos[pairs[:, 1]]
     mids = (pos[pairs[:, 0]] + pos[pairs[:, 1]]) / 2.0
@@ -242,3 +252,115 @@ def location_probes(m, rng, n_random=3000):
     rand = rng.uniform(lo - pad, hi + pad, (n_random, 2))
     far = np.array([[hi[0] + 10.0, hi[1] + 10.0], [lo[0] - 10.0, lo[1]]])
     return np.vstack([pos, on_sides, mids, m.face_centroids(), rand, far])
+
+
+# -- set, dict and list topology oracles -------------------------------------------
+#
+# The Python-container versions of the side sets, the boundary and walk checks,
+# the flow check, the conjugate's breadth-first integration and the
+# interpolation's averaging loop, kept as the references their array versions
+# must match exactly.
+
+
+def _oracle_side_pairs(m):
+    f = m.faces
+    a = np.concatenate([f[:, 0], f[:, 1], f[:, 2], f[:, 3]])
+    b = np.concatenate([f[:, 1], f[:, 2], f[:, 3], f[:, 0]])
+    return np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1)
+
+
+def oracle_side_set(m):
+    return {(int(a), int(b)) for a, b in np.unique(_oracle_side_pairs(m), axis=0)}
+
+
+def oracle_boundary_edge_set(m):
+    pairs, counts = np.unique(_oracle_side_pairs(m), axis=0, return_counts=True)
+    return {(int(a), int(b)) for (a, b), c in zip(pairs, counts) if c == 1}
+
+
+def oracle_boundary_mismatch(m):
+    """Size of the symmetric difference between the stored cycle's sides and
+    the once-used face sides (0 when they agree)."""
+    cyc = m.boundary
+    cyc_edges = {(min(cyc[i], cyc[(i + 1) % len(cyc)]), max(cyc[i], cyc[(i + 1) % len(cyc)]))
+                 for i in range(len(cyc))}
+    return len(cyc_edges ^ oracle_boundary_edge_set(m))
+
+
+def oracle_walk_error(m, walk):
+    """The message the first failing step of a closed walk raises, or None."""
+    w = [int(x) for x in walk]
+    sides = oracle_side_set(m)
+    for a, b in zip(w, w[1:] + w[:1]):
+        if (min(a, b), max(a, b)) not in sides:
+            return f"walk step {a}->{b} is not an edge of the map"
+        if m.colors[a] == m.colors[b]:
+            return "walk does not alternate colors"
+    return None
+
+
+def oracle_flow_check(flow, rel=1e-10):
+    """(strength, the message Flow.check raises or None), from a dict
+    divergence."""
+    g = flow.graph
+    idx = {int(v): i for i, v in enumerate(g.ids)}
+    arr = np.zeros(g.n)
+    for u, v, th in zip(g.edge_u, g.edge_v, flow.theta):
+        arr[idx[int(u)]] += th
+        arr[idx[int(v)]] -= th
+    div = {int(v): float(arr[i]) for i, v in enumerate(g.ids)}
+    s = sum(div[v] for v in flow.source_set)
+    scale = max(abs(s), max(abs(d) for d in div.values()), 1e-300)
+    for v in sorted(div):
+        if v in flow.source_set or v in flow.sink_set:
+            continue
+        if abs(div[v]) > rel * scale:
+            return s, f"nonzero divergence {div[v]:.3e} at free vertex {v}"
+    if abs(s + sum(div[v] for v in flow.sink_set)) > rel * scale:
+        return s, "source and sink strengths do not balance"
+    return s, None
+
+
+def oracle_conjugate_values(mm, h):
+    """Dual values integrated along a deque breadth-first tree over sorted
+    adjacency lists, before the shift; and the tree-face mask."""
+    g_dual = mm.map.extract_dual()
+    f = mm.map.faces
+    inc = mm.map.extract_primal().edge_c * (h.values[f[:, 2]] - h.values[f[:, 0]])
+    w1 = np.searchsorted(g_dual.ids, f[:, 1]).tolist()
+    w2 = np.searchsorted(g_dual.ids, f[:, 3]).tolist()
+    adj = [[] for _ in range(g_dual.n)]
+    for fi in range(len(f)):
+        adj[w1[fi]].append((w2[fi], fi, 1.0))
+        adj[w2[fi]].append((w1[fi], fi, -1.0))
+    for lst in adj:
+        lst.sort()
+    root = int(np.searchsorted(g_dual.ids, min(mm.arc_da)))
+    vals = [0.0] * g_dual.n
+    seen = [False] * g_dual.n
+    seen[root] = True
+    tree = np.zeros(len(f), dtype=bool)
+    dq = collections.deque([root])
+    while dq:
+        u = dq.popleft()
+        for nb, fi, s in adj[u]:
+            if not seen[nb]:
+                seen[nb] = True
+                tree[fi] = True
+                vals[nb] = vals[u] + s * float(inc[fi])
+                dq.append(nb)
+    return np.array(vals), tree
+
+
+def oracle_cross_color_average(m, hv, tv):
+    """Per-vertex mean over the other colour's side neighbours, summed in
+    the side set's iteration order."""
+    acc = np.zeros(m.n_vertices)
+    cnt = np.zeros(m.n_vertices)
+    for a, b in oracle_side_set(m):
+        pa, da = (a, b) if m.colors[a] == 0 else (b, a)
+        acc[pa] += tv[da]
+        cnt[pa] += 1.0
+        acc[da] += hv[pa]
+        cnt[da] += 1.0
+    return acc / np.where(cnt == 0, 1.0, cnt)

@@ -8,7 +8,7 @@ import importlib.util
 import os
 
 from conftest import star_map
-from orthotile import holo, tiling
+from orthotile import experiments, holo, tiling
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -57,3 +57,16 @@ def test_bench_tracer_targets_exist_and_hooks_read():
     assert tracer.counts["harmonic.solve_dirichlet.residual_max"] >= 0.0
     assert tracer.counts["tiling.build_tiling.degenerate_tiles"] == t.degenerate_count
     assert tracer.counts["tiling.InterpolatedMap.evaluate.calls"] == 1
+
+
+def test_one_solve_per_system_per_ladder_level(rect_spec):
+    # each level solves the primal system once (in build_tiling, shared by
+    # the duality defect) and the dual system once
+    layers = _load_layers()
+    tracer = layers.Tracer(layers.TARGETS).install()
+    try:
+        rep = experiments.convergence_run(rect_spec, 0.25, 2)
+    finally:
+        tracer.uninstall()
+    assert all(lv.error is None for lv in rep.levels)
+    assert tracer.table()["harmonic.solve_dirichlet"]["calls"] == 2 * len(rep.levels)

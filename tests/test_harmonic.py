@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import grid_graph, star_map
-from orthotile import harmonic, odmap
+from conftest import grid_graph, oracle_conjugate_values, oracle_flow_check, star_map
+from orthotile import extremal, harmonic, odmap, tiling
 
 
 def path3(c1=1.0, c2=1.0):
@@ -106,6 +106,38 @@ def test_flow_divergence_on_solved_grid():
     f = harmonic.gradient_flow(h)
     f.check(rel=1e-8)
     assert abs(f.energy() - h.energy) < 1e-12 * max(1.0, h.energy)
+
+
+def test_flow_check_matches_dict_oracle(topology_maps):
+    rng = np.random.default_rng(23)
+    for mm in topology_maps.values():
+        for pair in ("primal", "dual"):
+            f = extremal.extremal_length(mm, pair).witness_flow
+            flows = [f, harmonic.Flow(f.graph, f.theta, f.source_set, frozenset())]
+            for k in rng.integers(0, f.graph.m, 3):
+                theta = f.theta.copy()
+                theta[k] += 1e-4
+                flows.append(harmonic.Flow(f.graph, theta, f.source_set, f.sink_set))
+            for g in flows:
+                for rel in (1e-10, 1e-8):
+                    s, want = oracle_flow_check(g, rel)
+                    assert g.strength == s
+                    if want is None:
+                        g.check(rel)
+                    else:
+                        with pytest.raises(ValueError) as exc:
+                            g.check(rel)
+                        assert str(exc.value) == want
+    # the oracle scans free vertices by ascending id, so equal messages name
+    # the lowest-id offender; the last corrupted flow must have reached it
+    assert str(exc.value).startswith("nonzero divergence")
+    # the strength's bits follow the source set's iteration order (8, 1, 2),
+    # not the id order (1, 2, 8)
+    g = odmap.graph_from_edges({0: (0.0, 0.0), 1: (1.0, 0.0), 2: (0.0, 1.0), 8: (1.0, 1.0)},
+                               [(1, 0, 1.0), (2, 0, 1.0), (8, 0, 1.0)])
+    f = harmonic.Flow(g, np.array([1e16, -1e16, 1.0]), frozenset([1, 2, 8]), frozenset([0]))
+    assert list(f.source_set) == [8, 1, 2]
+    assert f.strength == oracle_flow_check(f)[0] == 0.0
 
 
 def test_dirichlet_thomson_gap_inequalities():
@@ -229,6 +261,21 @@ def test_conjugate_matches_direct_dual_solve(rect_map16):
     dev = max(abs(d - shift) for d in diffs)
     assert dev < 1e-8
     assert abs(conj.energy - h.energy) < 1e-10 * max(1.0, h.energy)
+
+
+def test_conjugate_matches_bfs_oracle(topology_maps):
+    for mm in topology_maps.values():
+        t, h, _ = tiling.build_tiling(mm)
+        conj, max_res = harmonic.harmonic_conjugate(mm, h)
+        vals, tree = oracle_conjugate_values(mm, h)
+        ids = conj.graph.ids
+        w1, w2 = np.searchsorted(ids, mm.map.faces[:, 1]), np.searchsorted(ids, mm.map.faces[:, 3])
+        inc = mm.map.extract_primal().edge_c * (h.values[mm.map.faces[:, 2]]
+                                                - h.values[mm.map.faces[:, 0]])
+        res = np.abs(vals[w2] - vals[w1] - inc)[~tree]
+        assert max_res == (float(res.max()) if res.size else 0.0)
+        vals -= vals[np.searchsorted(ids, sorted(mm.arc_da))].min()
+        assert np.array_equal(conj.values[ids].view(np.uint64), vals.view(np.uint64))
 
 
 def test_conjugacy_error_on_nonharmonic_field():

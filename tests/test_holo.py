@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import oracle_walk_error
 from orthotile import extremal, geom, holo, odmap, tiling
 
 
@@ -121,6 +122,36 @@ def test_walk_validation_errors(tiled_rect):
         holo.contour_integral(F, walk + walk)        # repeats vertices
     with pytest.raises(holo.ContourError):
         holo.contour_integral(F, [0, 1, 2])          # too short / not edges
+
+
+def _walk_error(m, walk):
+    try:
+        holo.enclosed_faces(m, walk)
+    except holo.ContourError as exc:
+        return str(exc)
+    return None
+
+
+def test_walk_step_errors_match_oracle(topology_maps):
+    for mm in topology_maps.values():
+        m = mm.map
+        walk = list(m.boundary)
+        assert len(walk) >= 8 and _walk_error(m, walk) is oracle_walk_error(m, walk) is None
+        # a step to the vertex after next, following a valid prefix
+        skip = walk[:4] + [walk[5], walk[4]] + walk[6:]
+        assert _walk_error(m, skip) == oracle_walk_error(m, skip) == \
+            f"walk step {walk[3]}->{walk[5]} is not an edge of the map"
+        # a recoloured vertex breaks alternation on both of its steps; the
+        # first failing step names the error: before the skip at k = 2,
+        # the skip itself at k = 7
+        for k, want in ((2, "walk does not alternate colors"),
+                        (7, f"walk step {walk[3]}->{walk[5]} is not an edge of the map")):
+            col = m.colors.copy()
+            col[skip[k]] = 1 - col[skip[k]]
+            mc = odmap.OrthodiagonalMap(m.positions, col, m.faces, m.boundary)
+            assert _walk_error(mc, skip) == oracle_walk_error(mc, skip) == want
+            assert _walk_error(mc, walk) == oracle_walk_error(mc, walk) == \
+                "walk does not alternate colors"
 
 
 def test_boundary_touching_walk_rejected(tiled_rect):

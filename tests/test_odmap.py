@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from conftest import (OracleLocator, location_probes, oracle_quad_is_convex, star_map,
+from conftest import (OracleLocator, location_probes, oracle_boundary_edge_set,
+                      oracle_boundary_mismatch, oracle_quad_is_convex, oracle_side_set, star_map,
                       strip_map)
 from orthotile import geom, gridgen, odmap
 
@@ -67,15 +68,6 @@ def test_resistance_conductance_stored_pair():
     mm = strip_map()
     for g in (mm.map.extract_primal(), mm.map.extract_dual()):
         assert np.allclose(g.edge_r * g.edge_c, 1.0, rtol=1e-15)
-    # vertex weights are the incident conductance sums
-    gp = mm.map.extract_primal()
-    pi = gp.vertex_weights()
-    idx = gp.index_of()
-    manual = {int(v): 0.0 for v in gp.ids}
-    for u, v, c in zip(gp.edge_u, gp.edge_v, gp.edge_c):
-        manual[int(u)] += c
-        manual[int(v)] += c
-    assert all(abs(pi[idx[k]] - manual[k]) < 1e-15 for k in manual)
 
 
 def test_area_identity_convex_faces():
@@ -118,6 +110,12 @@ def test_json_roundtrip_bit_identical(tmp_path):
     odmap.save_map(str(p2), m2, marked)
     assert p1.read_bytes() == p2.read_bytes()
     assert marked == list(mm.marked)
+    # vertex records are placed by id, in whatever order they come
+    d = json.loads(p1.read_text())
+    d["vertices"] = d["vertices"][::-1]
+    m3, _ = odmap.OrthodiagonalMap.from_json_dict(d)
+    assert np.array_equal(m3.positions, mm.map.positions)
+    assert np.array_equal(m3.colors, mm.map.colors)
     assert np.array_equal(m2.positions, mm.map.positions)
     assert np.array_equal(m2.faces, mm.map.faces)
 
@@ -155,7 +153,7 @@ def test_trace_boundary(rect_map16, l_spec):
         cyc = odmap.trace_boundary(m.faces)
         assert cyc[0] == min(cyc) and len(set(cyc)) == len(cyc)
         sides = {(min(a, b), max(a, b)) for a, b in zip(cyc, cyc[1:] + cyc[:1])}
-        assert sides == m.boundary_edge_set()
+        assert sides == oracle_boundary_edge_set(m)
         assert geom.signed_area(m.positions[cyc]) > 0
         # the face order does not matter
         assert odmap.trace_boundary(m.faces[::-1]) == cyc
@@ -167,6 +165,28 @@ def test_trace_boundary(rect_map16, l_spec):
     with pytest.raises(odmap.MapError, match="empty"):
         odmap.trace_boundary(np.zeros((0, 4), dtype=np.int64))
     assert odmap.trace_boundary(sq) == [0, 1, 2, 3]
+
+
+def test_side_array_matches_set_oracle(topology_maps):
+    for mm in topology_maps.values():
+        m = mm.map
+        sides = m.side_edges()
+        assert sides.dtype == np.int64 and sides.shape[1] == 2
+        assert list(map(tuple, sides.tolist())) == sorted(oracle_side_set(m))
+        assert m.side_edges() is sides
+
+
+def test_validate_boundary_measure_matches_oracle(topology_maps):
+    for mm in topology_maps.values():
+        m = mm.map
+        b = m.boundary
+        for wrong in (b[:-1], b[1:2] + b[:1] + b[2:], b[:3], [b[0]], b[::2]):
+            bad = odmap.OrthodiagonalMap(m.positions, m.colors, m.faces, wrong)
+            found = [v for v in odmap.validate(bad).violations if v.kind == "boundary-mismatch"]
+            assert len(found) == 1
+            assert found[0].measure == oracle_boundary_mismatch(bad) > 0
+        assert oracle_boundary_mismatch(m) == 0
+        assert odmap.validate(m).ok
 
 
 def test_marked_map_arcs_and_errors():

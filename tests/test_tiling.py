@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import OracleLocator, location_probes, star_map, strip_map
+from conftest import (OracleLocator, location_probes, oracle_cross_color_average, star_map,
+                      strip_map)
 from orthotile import experiments, gridgen, tiling
 
 
@@ -122,13 +123,23 @@ def test_interpolated_map_centroid_average():
         assert abs(f.evaluate(c) - want) < 1e-12
 
 
+def test_cross_color_average_matches_loop_oracle(topology_maps):
+    for mm in topology_maps.values():
+        t, h, ht = tiling.build_tiling(mm)
+        vv = tiling.InterpolatedMap(mm, h, ht).vertex_values
+        avg = oracle_cross_color_average(mm.map, h.values, ht.values)
+        dual, primal = ht.graph.ids, h.graph.ids
+        assert np.array_equal(vv.real[dual].view(np.uint64), avg[dual].view(np.uint64))
+        assert np.array_equal(vv.imag[primal].view(np.uint64), avg[primal].view(np.uint64))
+
+
 def test_interpolated_map_continuity_across_edges(rect_map16):
     mm, _ = rect_map16
     t, h, ht = tiling.build_tiling(mm)
     f = tiling.InterpolatedMap(mm, h, ht)
     rng = np.random.default_rng(3)
     pos = mm.map.positions
-    sides = list(mm.map.side_edges())
+    sides = mm.map.side_edges()
     for k in rng.integers(0, len(sides), 25):
         a, b = sides[int(k)]
         lam = rng.uniform(0.2, 0.8)
