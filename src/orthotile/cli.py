@@ -9,7 +9,6 @@ byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass
 
@@ -52,11 +51,12 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def _load_domain(path: str) -> gridgen.DomainSpec:
+def _read(kind: str, path: str, load):
+    """load(path); a missing, unparsable or malformed file exits 1 naming it."""
     try:
-        return gridgen.load_domain(path)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise SystemExit(_fail(EXIT_INPUT, f"cannot read domain spec {path}: {exc}"))
+        return load(path)
+    except (OSError, LookupError, TypeError, ValueError) as exc:  # JSONDecodeError: ValueError
+        raise SystemExit(_fail(EXIT_INPUT, f"cannot read {kind} {path}: {exc}"))
 
 
 def _fail(code: int, message: str) -> int:
@@ -69,29 +69,24 @@ def cert_path(map_path: str) -> str:
 
 
 def cmd_generate(args) -> int:
-    spec = _load_domain(args.domain)
+    spec = _read("domain spec", args.domain, gridgen.load_domain)
     try:
         mm, cert = gridgen.grid_approximation(spec, args.mesh)
     except gridgen.GenerationError as exc:
         return _fail(EXIT_GENERATION, f"generation failed: {exc}")
     odmap.save_map(args.out, mm.map, mm.marked)
-    with open(cert_path(args.out), "w", encoding="utf-8") as fh:
-        json.dump(cert.to_json_dict(), fh, indent=1)
-        fh.write("\n")
+    odmap.save_json(cert_path(args.out), cert.to_json_dict())
     print("faces", mm.map.n_faces, "delta", FMT.format(cert.delta))
     return EXIT_OK
 
 
 def _load_marked(path: str) -> odmap.MarkedRectangleMap:
-    try:
-        m, marked = odmap.load_map(path)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise SystemExit(_fail(EXIT_INPUT, f"cannot read map {path}: {exc}"))
+    m, marked = _read("map", path, odmap.load_map)
     if marked is None:
         raise SystemExit(_fail(EXIT_INPUT, f"map {path} has no marked vertices"))
     try:
         return odmap.MarkedRectangleMap(m, marked)
-    except odmap.MapError as exc:
+    except (IndexError, odmap.MapError) as exc:
         raise SystemExit(_fail(EXIT_INPUT, f"bad marking in {path}: {exc}"))
 
 
@@ -107,16 +102,12 @@ def cmd_tile(args) -> int:
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(tiling.render_svg(t))
-    print("L", FMT.format(t.L), "tiles", len(t.tiles),
-          "degenerate", t.degenerate_count)
+    print("L", FMT.format(t.L), "tiles", len(t), "degenerate", t.degenerate_count)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    try:
-        t = tiling.load_tiling(args.tiling)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        return _fail(EXIT_INPUT, f"cannot read tiling {args.tiling}: {exc}")
+    t = _read("tiling", args.tiling, tiling.load_tiling)
     rep = tiling.verify_tiling(t, tol=args.tol)
     print("area_defect", FMT.format(rep.area_defect))
     for face, excess in rep.containment:
@@ -142,7 +133,7 @@ def cmd_duality(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    spec = _load_domain(args.domain)
+    spec = _read("domain spec", args.domain, gridgen.load_domain)
     try:
         rep = experiments.convergence_run(spec, args.mesh0, args.levels,
                                           probe_margin=args.probe_margin)

@@ -7,7 +7,6 @@ into a machine-readable report.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
@@ -20,7 +19,7 @@ from scipy.spatial import cKDTree
 from . import geom, gridgen, harmonic, holo, tiling
 from .extremal import extremal_length
 from .gridgen import DomainSpec, GenerationError
-from .odmap import MarkedRectangleMap
+from .odmap import MarkedRectangleMap, save_json, save_map
 
 SCHEMA = "orthotile.convergence@1"
 
@@ -282,9 +281,7 @@ class ConvergenceReport:
 
 
 def save_report(path: str, rep: ConvergenceReport) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(rep.to_json_dict(), fh, indent=1)
-        fh.write("\n")
+    save_json(path, rep.to_json_dict())
 
 
 def _run_level(spec: DomainSpec, eps: float, probes: np.ndarray,
@@ -325,12 +322,9 @@ def _run_level(spec: DomainSpec, eps: float, probes: np.ndarray,
                              / math.log(dmin / prof.eps))
     rec.symmetric_square = rotation_color_swap_symmetric(mm)
     if save_dir is not None:
-        from . import odmap as _odmap
         base = os.path.join(save_dir, f"level{level:02d}")
-        _odmap.save_map(base + ".map.json", mm.map, mm.marked)
-        with open(base + ".cert.json", "w", encoding="utf-8") as fh:
-            json.dump(cert.to_json_dict(), fh, indent=1)
-            fh.write("\n")
+        save_map(base + ".map.json", mm.map, mm.marked)
+        save_json(base + ".cert.json", cert.to_json_dict())
         tiling.save_tiling(base + ".tiling.json", t)
     vals = tiling.InterpolatedMap(mm, h, ht).evaluate_many(probes)
     rec.runtime_s = time.perf_counter() - t0

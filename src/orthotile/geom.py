@@ -8,7 +8,6 @@ shape (n, 2).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 

@@ -13,7 +13,6 @@ fails with instructions to refine eps.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -24,7 +23,7 @@ from scipy.sparse import csgraph
 from . import geom
 from .geom import Polygon
 from .odmap import (DUAL, PRIMAL, MapError, MarkedRectangleMap, OrthodiagonalMap,
-                    trace_boundary)
+                    load_json, save_json, trace_boundary)
 
 
 class GenerationError(RuntimeError):
@@ -73,14 +72,11 @@ class DomainSpec:
 
 
 def save_domain(path: str, spec: DomainSpec) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spec.to_json_dict(), fh, indent=1)
-        fh.write("\n")
+    save_json(path, spec.to_json_dict())
 
 
 def load_domain(path: str) -> DomainSpec:
-    with open(path, encoding="utf-8") as fh:
-        return DomainSpec.from_json_dict(json.load(fh))
+    return DomainSpec.from_json_dict(load_json(path))
 
 
 @dataclass(frozen=True)
@@ -99,12 +95,6 @@ class ApproximationCertificate:
         return {"eps": self.eps, "delta": self.delta,
                 "per_arc_hausdorff": list(self.per_arc_hausdorff),
                 "interior": self.interior}
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "ApproximationCertificate":
-        return ApproximationCertificate(float(d["eps"]), float(d["delta"]),
-                                        tuple(float(x) for x in d["per_arc_hausdorff"]),
-                                        bool(d["interior"]))
 
 
 # -- boundary parameterization ------------------------------------------------

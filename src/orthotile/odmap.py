@@ -226,13 +226,10 @@ class OrthodiagonalMap:
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self, marked: Optional[Sequence[int]] = None) -> dict:
-        verts = [{"id": int(i), "x": float(self.positions[i, 0]),
-                  "y": float(self.positions[i, 1]),
-                  "color": "primal" if self.colors[i] == PRIMAL else "dual"}
-                 for i in range(self.n_vertices)]
-        out = {"vertices": verts,
-               "faces": [[int(x) for x in f] for f in self.faces],
-               "boundary": [int(b) for b in self.boundary]}
+        rows = zip(self.positions.tolist(), self.colors.tolist())
+        verts = [{"id": i, "x": x, "y": y, "color": "primal" if c == PRIMAL else "dual"}
+                 for i, ((x, y), c) in enumerate(rows)]
+        out = {"vertices": verts, "faces": self.faces.tolist(), "boundary": list(self.boundary)}
         if marked is not None:
             out["marked"] = [int(x) for x in marked]
         return out
@@ -244,21 +241,32 @@ class OrthodiagonalMap:
         pos = np.zeros((len(verts), 2))
         col = np.zeros(len(verts), dtype=np.int64)
         pos[ids] = [(rec["x"], rec["y"]) for rec in verts]
+        if not np.all(np.isfinite(pos)):
+            raise MapError("vertex coordinates must be finite numbers")
         col[ids] = [PRIMAL if rec["color"] == "primal" else DUAL for rec in verts]
         m = OrthodiagonalMap(pos, col, d["faces"], d["boundary"])
         marked = [int(x) for x in d["marked"]] if "marked" in d and d["marked"] else None
         return m, marked
 
 
-def save_map(path: str, m: OrthodiagonalMap, marked: Optional[Sequence[int]] = None) -> None:
+def save_json(path: str, obj) -> None:
+    """Write a map, tiling, domain, certificate or report: indent 1, final newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(m.to_json_dict(marked), fh, indent=1)
+        json.dump(obj, fh, indent=1)
         fh.write("\n")
 
 
-def load_map(path: str) -> tuple[OrthodiagonalMap, Optional[list[int]]]:
+def load_json(path: str):
     with open(path, encoding="utf-8") as fh:
-        return OrthodiagonalMap.from_json_dict(json.load(fh))
+        return json.load(fh)
+
+
+def save_map(path: str, m: OrthodiagonalMap, marked: Optional[Sequence[int]] = None) -> None:
+    save_json(path, m.to_json_dict(marked))
+
+
+def load_map(path: str) -> tuple[OrthodiagonalMap, Optional[list[int]]]:
+    return OrthodiagonalMap.from_json_dict(load_json(path))
 
 
 def trace_boundary(faces) -> list[int]:
@@ -433,35 +441,35 @@ def validate(m: OrthodiagonalMap) -> ValidationReport:
     Area = |e_primal||e_dual| / 2 only holds when the diagonals cross.
     """
     rep = ValidationReport()
-    p = m.positions
-    convex = _quads_convex(p[m.faces])
-
-    for fi, f in enumerate(m.faces):
-        cols = [int(m.colors[v]) for v in f]
-        if cols != [PRIMAL, DUAL, PRIMAL, DUAL]:
+    q = m.positions[m.faces]                             # (f, 4, 2)
+    cols = m.colors[m.faces]
+    alternates = np.all(cols == [PRIMAL, DUAL, PRIMAL, DUAL], axis=1)
+    d1, d2 = q[:, 2] - q[:, 0], q[:, 3] - q[:, 1]
+    n1, n2 = np.hypot(d1[:, 0], d1[:, 1]), np.hypot(d2[:, 0], d2[:, 1])
+    zero = (n1 == 0.0) | (n2 == 0.0)
+    # the batched matmul rounds as the scalar d1 @ d2 does
+    dot = np.abs((d1[:, None, :] @ d2[:, :, None])[:, 0, 0])
+    skew = dot > TOL_ORTH * n1 * n2
+    area = m.face_areas()
+    clockwise = area <= 0
+    for fi in np.flatnonzero(~alternates | zero | skew | clockwise).tolist():
+        if not alternates[fi]:
             rep.add("color-alternation", (fi,), 0.0,
-                    f"face {fi} colors {cols} do not alternate primal/dual")
-            continue
-        d1 = p[f[2]] - p[f[0]]
-        d2 = p[f[3]] - p[f[1]]
-        n1, n2 = np.hypot(*d1), np.hypot(*d2)
-        if n1 == 0.0 or n2 == 0.0:
+                    f"face {fi} colors {cols[fi].tolist()} do not alternate primal/dual")
+        elif zero[fi]:
             rep.add("degenerate-diagonal", (fi,), 0.0, f"face {fi} has a zero-length diagonal")
-            continue
-        dot = abs(float(d1 @ d2))
-        if dot > TOL_ORTH * n1 * n2:
-            rep.add("orthogonality", (fi,), dot / (n1 * n2),
-                    f"face {fi} diagonals meet at |cos|={dot / (n1 * n2):.3e}")
-        q = p[f]
-        if geom.signed_area(q) <= 0:
-            rep.add("orientation", (fi,), float(geom.signed_area(q)),
-                    f"face {fi} is not counterclockwise")
-        if not convex[fi]:
-            rep.nonconvex_faces.append(fi)
+        else:
+            if skew[fi]:
+                c = float(dot[fi] / (n1[fi] * n2[fi]))
+                rep.add("orthogonality", (fi,), c, f"face {fi} diagonals meet at |cos|={c:.3e}")
+            if clockwise[fi]:
+                rep.add("orientation", (fi,), float(area[fi]),
+                        f"face {fi} is not counterclockwise")
+    rep.nonconvex_faces = np.flatnonzero(alternates & ~zero & ~_quads_convex(q)).tolist()
 
-    used = sorted({int(v) for f in m.faces for v in f})
+    used = np.unique(m.faces)
     if len(used) != m.n_vertices:
-        rep.add("unused-vertices", tuple(set(range(m.n_vertices)) - set(used)), 0.0,
+        rep.add("unused-vertices", tuple(set(range(m.n_vertices)) - set(used.tolist())), 0.0,
                 "vertices not incident to any face")
 
     sides, counts = m._sides()

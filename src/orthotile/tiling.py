@@ -13,17 +13,20 @@ overlap detection needs no slack of its own.
 from __future__ import annotations
 
 import bisect
-import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import harmonic
-from .odmap import FaceLocator, MarkedRectangleMap, first_per_point
+from .odmap import FaceLocator, MarkedRectangleMap, first_per_point, load_json, save_json
+
+DEGENERATE_TOL = 1e-9      # sides up to this (widths: times max(L, 1)) are degenerate
+ASPECT_TOL = 1e-8          # build_tiling also flags sides up to cycle residual / ASPECT_TOL
+SVG_SCALE = 400.0          # SVG user units per tiling unit
 
 
-@dataclass(frozen=True)
-class Tile:
+class Tile(NamedTuple):
     face: int
     edge: tuple[int, int]      # primal diagonal, sorted ids
     x0: float
@@ -45,58 +48,76 @@ class Tile:
         return self.width * self.height
 
 
-@dataclass
+@dataclass(eq=False)
 class Tiling:
+    """A BSST tiling as parallel columns, one row per tile: face (t,) int64,
+    edge (t, 2) int64 sorted primal-diagonal ids, rect (t, 4) float x0, x1,
+    y0, y1, degenerate (t,) bool.  After load, degenerate uses the size rule only."""
+
     L: float
-    tiles: list[Tile]
+    face: np.ndarray
+    edge: np.ndarray
+    rect: np.ndarray
+    degenerate: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.face)
+
+    @property
+    def tiles(self) -> list[Tile]:
+        """The rows as Tile tuples, built on each access."""
+        return [Tile(f, tuple(e), *r, d) for f, e, r, d in zip(
+            self.face.tolist(), self.edge.tolist(), self.rect.tolist(),
+            self.degenerate.tolist())]
 
     @property
     def degenerate_count(self) -> int:
-        return sum(1 for t in self.tiles if t.degenerate)
+        return int(self.degenerate.sum())
 
     def total_area(self) -> float:
-        return float(sum(t.area for t in self.tiles))
+        # Python's float sum in tile order, which fixes area_defect's bits
+        x0, x1, y0, y1 = self.rect.T
+        return float(sum(((x1 - x0) * (y1 - y0)).tolist()))
 
     def to_json_dict(self) -> dict:
         return {"L": self.L,
-                "tiles": [{"face": t.face, "edge": list(t.edge),
-                           "x0": t.x0, "x1": t.x1, "y0": t.y0, "y1": t.y1}
-                          for t in self.tiles]}
+                "tiles": [{"face": f, "edge": e, "x0": x0, "x1": x1, "y0": y0, "y1": y1}
+                          for f, e, (x0, x1, y0, y1) in zip(
+                              self.face.tolist(), self.edge.tolist(), self.rect.tolist())]}
 
     @staticmethod
-    def from_json_dict(d: dict, degenerate_tol: float = 1e-9) -> "Tiling":
+    def from_json_dict(d: dict) -> "Tiling":
         L = float(d["L"])
-        s = max(L, 1.0)
-        tiles = []
-        for rec in d["tiles"]:
-            x0, x1, y0, y1 = (float(rec[k]) for k in ("x0", "x1", "y0", "y1"))
-            deg = (x1 - x0) <= degenerate_tol * s or (y1 - y0) <= degenerate_tol
-            tiles.append(Tile(int(rec["face"]), tuple(rec["edge"]), x0, x1, y0, y1, deg))
-        return Tiling(L, tiles)
+        recs = d["tiles"]
+        face = np.array([rec["face"] for rec in recs], dtype=np.int64)
+        edges = [rec["edge"] for rec in recs]
+        if any(len(e) != 2 for e in edges):
+            raise ValueError("a tile edge must be a pair of vertex ids")
+        edge = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        rect = np.array(list(map(float, [rec[k] for rec in recs
+                                         for k in ("x0", "x1", "y0", "y1")]))).reshape(-1, 4)
+        x0, x1, y0, y1 = rect.T
+        deg = (x1 - x0 <= DEGENERATE_TOL * max(L, 1.0)) | (y1 - y0 <= DEGENERATE_TOL)
+        return Tiling(L, face, edge, rect, deg)
 
 
 def save_tiling(path: str, t: Tiling) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(t.to_json_dict(), fh, indent=1)
-        fh.write("\n")
+    save_json(path, t.to_json_dict())
 
 
 def load_tiling(path: str) -> Tiling:
-    with open(path, encoding="utf-8") as fh:
-        return Tiling.from_json_dict(json.load(fh))
+    return Tiling.from_json_dict(load_json(path))
 
 
-def build_tiling(m: MarkedRectangleMap, tol: float = 1e-12,
-                 degenerate_tol: float = 1e-9, aspect_tol: float = 1e-8,
+def build_tiling(m: MarkedRectangleMap, tol: float = 1e-12
                  ) -> tuple[Tiling, harmonic.HarmonicField, harmonic.HarmonicField]:
     """Solve the conjugate pair and assemble one tile per interior face.
 
     tol is the solver's relative residual.  A tile is flagged degenerate
     when its width or height cannot be certified nonzero: below
-    degenerate_tol * max(L, 1), or below the conjugacy cycle residual
-    divided by aspect_tol (the width at which the height/width ratio stops
-    being meaningful at aspect_tol accuracy).  Degenerate tiles keep their
-    (vanishing) area in all accounting.
+    DEGENERATE_TOL * max(L, 1), or below the conjugacy cycle residual
+    divided by ASPECT_TOL.  Degenerate tiles keep their (vanishing) area
+    in all accounting.
     """
     gp = m.map.extract_primal()
     pinned01 = {int(v): 0.0 for v in m.arc_ab}
@@ -126,12 +147,11 @@ def build_tiling(m: MarkedRectangleMap, tol: float = 1e-12,
     ya, yb = h_tilde.values[w1], h_tilde.values[w2]
     x0, x1 = np.minimum(xa, xb), np.maximum(xa, xb)
     y0, y1 = np.minimum(ya, yb), np.maximum(ya, yb)
-    floor = max(degenerate_tol * max(L, 1.0), max_res / aspect_tol)
+    floor = max(DEGENERATE_TOL * max(L, 1.0), max_res / ASPECT_TOL)
     deg = (x1 - x0 <= floor) | (y1 - y0 <= floor)
-    tiles = [Tile(fi, (a, b), *rect) for fi, (a, b, *rect) in enumerate(zip(
-        np.minimum(v1, v2).tolist(), np.maximum(v1, v2).tolist(),
-        x0.tolist(), x1.tolist(), y0.tolist(), y1.tolist(), deg.tolist()))]
-    return Tiling(L, tiles), h, h_tilde
+    return Tiling(L, np.arange(len(v1), dtype=np.int64),
+                  np.stack([np.minimum(v1, v2), np.maximum(v1, v2)], axis=1),
+                  np.stack([x0, x1, y0, y1], axis=1), deg), h, h_tilde
 
 
 @dataclass
@@ -149,54 +169,49 @@ class TilingReport:
 def verify_tiling(t: Tiling, tol: float = 1e-9) -> TilingReport:
     """Check the three BSST facts: tiles inside [0, L] x [0, 1], pairwise
     interior overlap area zero, areas summing to L (all within tol scaled
-    by max(L, 1)).  Overlap detection is an x-sweep over y-intervals; the
-    report names violating tile pairs."""
+    by max(L, 1)).  A tile with a NaN bound fails containment.  Overlap
+    detection is an x-sweep over y-intervals; the report names violating
+    tile pairs."""
     rep = TilingReport()
-    s = max(t.L, 1.0)
-    slack = tol * s
-    for tile in t.tiles:
-        excess = max(0.0 - tile.x0, tile.x1 - t.L, 0.0 - tile.y0, tile.y1 - 1.0,
-                     tile.x0 - tile.x1, tile.y0 - tile.y1)
-        if excess > slack:
-            rep.containment.append((tile.face, float(excess)))
+    slack = tol * max(t.L, 1.0)
+    x0, x1, y0, y1 = t.rect.T
+    excess = np.max([0.0 - x0, x1 - t.L, 0.0 - y0, y1 - 1.0, x0 - x1, y0 - y1], axis=0)
+    out = ~(excess <= slack)
+    rep.containment = list(zip(t.face[out].tolist(), excess[out].tolist()))
 
-    live = [tile for tile in t.tiles if not tile.degenerate
-            and tile.width > 0.0 and tile.height > 0.0]
-    events = []
-    for k, tile in enumerate(live):
-        events.append((tile.x0, 1, k))
-        events.append((tile.x1, 0, k))
-    events.sort(key=lambda e: (e[0], e[1]))
+    live = ~t.degenerate & (x1 - x0 > 0.0) & (y1 - y0 > 0.0)
+    face = t.face[live].tolist()
+    r = t.rect[live]
+    lx0, lx1, ly0, ly1 = (c.tolist() for c in r.T)
+    # event 2k starts live tile k at x0, 2k + 1 ends it at x1; ends sort
+    # before starts at equal x, and the stable sort keeps ties in event order
+    xs = r[:, :2].ravel()
+    order = np.lexsort((np.arange(len(xs)) % 2 == 0, xs))
     active_y0: list[float] = []
     active_k: list[int] = []
-
-    def overlap_area(a: Tile, b: Tile) -> float:
-        w = min(a.x1, b.x1) - max(a.x0, b.x0)
-        hgt = min(a.y1, b.y1) - max(a.y0, b.y0)
-        return max(w, 0.0) * max(hgt, 0.0)
-
     seen_pairs = set()
-    for _, typ, k in events:
-        tile = live[k]
-        if typ == 0:
-            i = bisect.bisect_left(active_y0, tile.y0)
+    for e in order.tolist():
+        k, end = divmod(e, 2)
+        i = bisect.bisect_left(active_y0, ly0[k])
+        if end:
             while i < len(active_k) and active_k[i] != k:
                 i += 1
             if i < len(active_k):
                 del active_y0[i]
                 del active_k[i]
             continue
-        i = bisect.bisect_left(active_y0, tile.y0)
         for j in (i - 1, i):
             if 0 <= j < len(active_k):
-                other = live[active_k[j]]
-                area = overlap_area(tile, other)
+                o = active_k[j]
+                w = min(lx1[k], lx1[o]) - max(lx0[k], lx0[o])
+                hgt = min(ly1[k], ly1[o]) - max(ly0[k], ly0[o])
+                area = max(w, 0.0) * max(hgt, 0.0)
                 if area > slack:
-                    key = tuple(sorted((tile.face, other.face)))
+                    key = tuple(sorted((face[k], face[o])))
                     if key not in seen_pairs:
                         seen_pairs.add(key)
-                        rep.overlaps.append((key[0], key[1], float(area)))
-        active_y0.insert(i, tile.y0)
+                        rep.overlaps.append((key[0], key[1], area))
+        active_y0.insert(i, ly0[k])
         active_k.insert(i, k)
 
     rep.area_defect = float(abs(t.total_area() - t.L))
@@ -289,34 +304,36 @@ class InterpolatedMap:
 # -- SVG ------------------------------------------------------------------------
 
 
-def _edge_color(edge: tuple[int, int]) -> str:
-    u, v = edge
+_RECT = ('<rect x="{:.6f}" y="{:.6f}" width="{:.6f}" height="{:.6f}" '
+         'fill="#{:02x}{:02x}{:02x}" stroke="#000000" stroke-width="0.002"/>')
+
+
+def _edge_rgb(edge: np.ndarray) -> np.ndarray:
+    """(t, 3) 0-255 channels per primal diagonal (u, v): a hue hashed from
+    the ids at fixed saturation and lightness (a small HSL -> RGB)."""
+    u, v = edge.T
+    # int64 products may wrap, which keeps their low 32 bits
     x = (u * 2654435761 ^ v * 40503) & 0xFFFFFFFF
-    hue = (x % 360) / 360.0
-    # fixed saturation/lightness; small deterministic HSL -> RGB
+    hp = (x % 360) / 360.0 * 6.0
     c, m_ = 0.55, 0.35
-    hp = hue * 6.0
-    xx = c * (1 - abs(hp % 2 - 1))
-    r, g, b = [(c, xx, 0), (xx, c, 0), (0, c, xx), (0, xx, c), (xx, 0, c), (c, 0, xx)][int(hp) % 6]
-    return "#{:02x}{:02x}{:02x}".format(int((r + m_) * 255), int((g + m_) * 255),
-                                        int((b + m_) * 255))
+    xx = c * (1 - np.abs(hp % 2 - 1))
+    sector = hp.astype(np.int64) % 6
+    rgb = [np.choose(sector, ch) for ch in ((c, xx, 0, 0, xx, c), (xx, c, c, xx, 0, 0),
+                                             (0, 0, xx, c, c, xx))]
+    return ((np.stack(rgb, axis=1) + m_) * 255).astype(np.int64)
 
 
-def render_svg(t: Tiling, scale: float = 400.0) -> str:
+def render_svg(t: Tiling) -> str:
     """One rect per nondegenerate tile in [0, L] x [0, 1] with the y axis
     flipped for screen coordinates.  Byte-deterministic for fixed input."""
     lines = ['<?xml version="1.0" encoding="UTF-8"?>',
              '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
              'width="{:.6f}" height="{:.6f}" viewBox="0 0 {:.6f} 1.000000">'.format(
-                 scale * t.L, scale, t.L)]
+                 SVG_SCALE * t.L, SVG_SCALE, t.L)]
     lines.append("<!-- degenerate tiles omitted: {} -->".format(t.degenerate_count))
-    for tile in t.tiles:
-        if tile.degenerate:
-            continue
-        lines.append(
-            '<rect x="{:.6f}" y="{:.6f}" width="{:.6f}" height="{:.6f}" '
-            'fill="{}" stroke="#000000" stroke-width="0.002"/>'.format(
-                tile.x0, 1.0 - tile.y1, tile.width, tile.height,
-                _edge_color(tile.edge)))
+    live = ~t.degenerate
+    x0, x1, y0, y1 = t.rect[live].T
+    cols = [x0, 1.0 - y1, x1 - x0, y1 - y0, *_edge_rgb(t.edge[live]).T]
+    lines += [_RECT.format(*row) for row in zip(*(c.tolist() for c in cols))]
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -364,3 +364,160 @@ def oracle_cross_color_average(m, hv, tv):
         acc[da] += hv[pa]
         cnt[da] += 1.0
     return acc / np.where(cnt == 0, 1.0, cnt)
+
+
+# -- Tile-object tiling oracles ----------------------------------------------------
+#
+# The JSON load, verification and SVG rendering that read one Tile object at a
+# time, kept as the references the column versions must match bitwise.  Tiles
+# are (face, edge, x0, x1, y0, y1, degenerate) rows, e.g. Tiling.tiles.
+
+
+def oracle_tiles_from_json_dict(d, degenerate_tol=1e-9):
+    L = float(d["L"])
+    s = max(L, 1.0)
+    tiles = []
+    for rec in d["tiles"]:
+        x0, x1, y0, y1 = (float(rec[k]) for k in ("x0", "x1", "y0", "y1"))
+        deg = (x1 - x0) <= degenerate_tol * s or (y1 - y0) <= degenerate_tol
+        tiles.append((int(rec["face"]), tuple(rec["edge"]), x0, x1, y0, y1, deg))
+    return L, tiles
+
+
+def oracle_verify_tiling(L, tiles, tol=1e-9):
+    """(containment, overlaps, area_defect, area_ok) as the per-tile sweep
+    reports them."""
+    import bisect
+    s = max(L, 1.0)
+    slack = tol * s
+    containment, overlaps = [], []
+    for face, _, x0, x1, y0, y1, _ in tiles:
+        excess = max(0.0 - x0, x1 - L, 0.0 - y0, y1 - 1.0, x0 - x1, y0 - y1)
+        if excess > slack:
+            containment.append((face, float(excess)))
+    live = [tl for tl in tiles if not tl[6] and tl[3] - tl[2] > 0.0 and tl[5] - tl[4] > 0.0]
+    events = []
+    for k, tl in enumerate(live):
+        events.append((tl[2], 1, k))
+        events.append((tl[3], 0, k))
+    events.sort(key=lambda e: (e[0], e[1]))
+    active_y0, active_k = [], []
+    seen_pairs = set()
+    for _, typ, k in events:
+        tl = live[k]
+        if typ == 0:
+            i = bisect.bisect_left(active_y0, tl[4])
+            while i < len(active_k) and active_k[i] != k:
+                i += 1
+            if i < len(active_k):
+                del active_y0[i]
+                del active_k[i]
+            continue
+        i = bisect.bisect_left(active_y0, tl[4])
+        for j in (i - 1, i):
+            if 0 <= j < len(active_k):
+                other = live[active_k[j]]
+                w = min(tl[3], other[3]) - max(tl[2], other[2])
+                hgt = min(tl[5], other[5]) - max(tl[4], other[4])
+                area = max(w, 0.0) * max(hgt, 0.0)
+                if area > slack:
+                    key = tuple(sorted((tl[0], other[0])))
+                    if key not in seen_pairs:
+                        seen_pairs.add(key)
+                        overlaps.append((key[0], key[1], float(area)))
+        active_y0.insert(i, tl[4])
+        active_k.insert(i, k)
+    area_defect = float(abs(float(sum((x1 - x0) * (y1 - y0) for _, _, x0, x1, y0, y1, _ in tiles))
+                            - L))
+    return containment, overlaps, area_defect, area_defect <= slack
+
+
+def _oracle_edge_color(edge):
+    u, v = edge
+    x = (u * 2654435761 ^ v * 40503) & 0xFFFFFFFF
+    hue = (x % 360) / 360.0
+    c, m_ = 0.55, 0.35
+    hp = hue * 6.0
+    xx = c * (1 - abs(hp % 2 - 1))
+    r, g, b = [(c, xx, 0), (xx, c, 0), (0, c, xx), (0, xx, c), (xx, 0, c), (c, 0, xx)][int(hp) % 6]
+    return "#{:02x}{:02x}{:02x}".format(int((r + m_) * 255), int((g + m_) * 255),
+                                        int((b + m_) * 255))
+
+
+def oracle_render_svg(L, tiles, scale=400.0):
+    lines = ['<?xml version="1.0" encoding="UTF-8"?>',
+             '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+             'width="{:.6f}" height="{:.6f}" viewBox="0 0 {:.6f} 1.000000">'.format(
+                 scale * L, scale, L)]
+    lines.append("<!-- degenerate tiles omitted: {} -->".format(sum(1 for tl in tiles if tl[6])))
+    for _, edge, x0, x1, y0, y1, deg in tiles:
+        if deg:
+            continue
+        lines.append(
+            '<rect x="{:.6f}" y="{:.6f}" width="{:.6f}" height="{:.6f}" '
+            'fill="{}" stroke="#000000" stroke-width="0.002"/>'.format(
+                x0, 1.0 - y1, x1 - x0, y1 - y0, _oracle_edge_color(edge)))
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+# -- per-face validation oracle ----------------------------------------------------
+
+
+def oracle_validate(m):
+    """odmap.validate with its per-face loop and used-vertex set."""
+    from orthotile import geom
+    from orthotile.odmap import (DUAL, PRIMAL, TOL_ORTH, ValidationReport, _quads_convex,
+                                 side_keys)
+    rep = ValidationReport()
+    p = m.positions
+    convex = _quads_convex(p[m.faces])
+    for fi, f in enumerate(m.faces):
+        cols = [int(m.colors[v]) for v in f]
+        if cols != [PRIMAL, DUAL, PRIMAL, DUAL]:
+            rep.add("color-alternation", (fi,), 0.0,
+                    f"face {fi} colors {cols} do not alternate primal/dual")
+            continue
+        d1 = p[f[2]] - p[f[0]]
+        d2 = p[f[3]] - p[f[1]]
+        n1, n2 = np.hypot(*d1), np.hypot(*d2)
+        if n1 == 0.0 or n2 == 0.0:
+            rep.add("degenerate-diagonal", (fi,), 0.0, f"face {fi} has a zero-length diagonal")
+            continue
+        dot = abs(float(d1 @ d2))
+        if dot > TOL_ORTH * n1 * n2:
+            rep.add("orthogonality", (fi,), dot / (n1 * n2),
+                    f"face {fi} diagonals meet at |cos|={dot / (n1 * n2):.3e}")
+        q = p[f]
+        if geom.signed_area(q) <= 0:
+            rep.add("orientation", (fi,), float(geom.signed_area(q)),
+                    f"face {fi} is not counterclockwise")
+        if not convex[fi]:
+            rep.nonconvex_faces.append(fi)
+    used = sorted({int(v) for f in m.faces for v in f})
+    if len(used) != m.n_vertices:
+        rep.add("unused-vertices", tuple(set(range(m.n_vertices)) - set(used)), 0.0,
+                "vertices not incident to any face")
+    sides, counts = m._sides()
+    euler = m.n_vertices - len(sides) + (m.n_faces + 1)
+    if euler != 2:
+        rep.add("euler", (), float(euler),
+                f"V - E + F = {euler} != 2; map is not simply connected")
+    cyc = np.array(m.boundary, dtype=np.int64)
+    if len(np.unique(cyc)) != len(cyc):
+        rep.add("boundary-not-simple", (), 0.0, "boundary cycle repeats a vertex")
+    once = counts == 1
+    mismatch = np.setxor1d(side_keys(cyc, np.roll(cyc, -1)),
+                           side_keys(sides[once, 0], sides[once, 1]))
+    if len(mismatch):
+        rep.add("boundary-mismatch", (), float(len(mismatch)),
+                "stored boundary cycle does not match the once-used face sides")
+    else:
+        ring = m.boundary_polyline()
+        if geom.signed_area(ring[:-1]) <= 0:
+            rep.add("boundary-orientation", (), 0.0, "boundary cycle is not counterclockwise")
+    recomputed = m._recompute_mesh_eps()
+    if abs(recomputed - m.mesh_eps) > 1e-12 * max(1.0, recomputed):
+        rep.add("mesh-eps", (), abs(recomputed - m.mesh_eps),
+                f"stored mesh_eps {m.mesh_eps} != recomputed {recomputed}")
+    return rep

@@ -7,8 +7,8 @@ import importlib
 import importlib.util
 import os
 
-from conftest import star_map
-from orthotile import experiments, holo, tiling
+from conftest import star_map, strip_map
+from orthotile import experiments, holo, odmap, tiling
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -29,9 +29,13 @@ def _resolve(path):
     return obj
 
 
-def test_bench_tracer_targets_exist_and_hooks_read():
+def test_bench_tracer_targets_exist_and_hooks_read(tmp_path):
     layers = _load_layers()
     before = {tg.path: _resolve(tg.path) for tg in layers.TARGETS}
+    # the file and tiling hooks run on a tiling with degenerate tiles
+    strip = strip_map()
+    strip_t = tiling.build_tiling(strip)[0]
+    mp, tp = str(tmp_path / "strip.json"), str(tmp_path / "strip.tiling.json")
     tracer = layers.Tracer(layers.TARGETS).install()
     try:
         patched = {attr for _, attr, _ in tracer._patches}
@@ -43,6 +47,12 @@ def test_bench_tracer_targets_exist_and_hooks_read():
         holo.assemble(mm, h, ht)
         mm.map.side_edges()
         tiling.InterpolatedMap(mm, h, ht).evaluate(mm.map.positions[4])
+        odmap.save_map(mp, strip.map, strip.marked)
+        odmap.load_map(mp)
+        tiling.save_tiling(tp, strip_t)
+        loaded = tiling.load_tiling(tp)
+        tiling.verify_tiling(loaded)
+        svg = tiling.render_svg(loaded)
     finally:
         tracer.uninstall()
     for tg in layers.TARGETS:
@@ -57,6 +67,15 @@ def test_bench_tracer_targets_exist_and_hooks_read():
     assert tracer.counts["harmonic.solve_dirichlet.residual_max"] >= 0.0
     assert tracer.counts["tiling.build_tiling.degenerate_tiles"] == t.degenerate_count
     assert tracer.counts["tiling.InterpolatedMap.evaluate.calls"] == 1
+    for name in ("odmap.save_map", "odmap.load_map", "tiling.save_tiling",
+                 "tiling.load_tiling", "tiling.verify_tiling", "tiling.render_svg"):
+        assert table[name]["calls"] == 1, name
+    live = len(loaded) - loaded.degenerate_count
+    assert 0 < live < len(loaded)
+    assert tracer.counts["tiling.verify_tiling.live_tiles"] == live
+    assert tracer.counts["odmap.save_map.bytes"] == os.path.getsize(mp)
+    assert tracer.counts["tiling.save_tiling.bytes"] == os.path.getsize(tp)
+    assert tracer.counts["tiling.render_svg.bytes"] == len(svg.encode())
 
 
 def test_one_solve_per_system_per_ladder_level(rect_spec):

@@ -1,11 +1,12 @@
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
-from conftest import RECT_MARKS, RECT_POLY
-from orthotile import cli
+from conftest import RECT_MARKS, RECT_POLY, strip_map
+from orthotile import cli, odmap
 
 
 def run_cli(*args):
@@ -56,6 +57,61 @@ def test_verify_tampered_tiling_exit_4(tmp_path, domain_file):
     payload["tiles"][0]["x1"] += 1e-3
     tp.write_text(json.dumps(payload))
     assert cli.main(["verify", "--tiling", str(tp)]) == 4
+
+
+@pytest.fixture()
+def strip_files(tmp_path):
+    """The strip fixture's map and tiling files."""
+    mm = strip_map()
+    mp, tp = tmp_path / "strip.json", tmp_path / "strip.tiling.json"
+    odmap.save_map(str(mp), mm.map, mm.marked)
+    assert cli.main(["tile", "--map", str(mp), "--out", str(tp)]) == 0
+    return mp, tp
+
+
+def _set(path, *keys_and_value):
+    *keys, last, value = keys_and_value
+    d = json.loads(path.read_text())
+    node = d
+    for k in keys:
+        node = node[k]
+    node[last] = value
+    path.write_text(json.dumps(d))
+
+
+@pytest.mark.parametrize("commands,artifact,where", [
+    (["verify"], "tiling", ("tiles", 0, "x1")),
+    (["verify"], "tiling", ("L",)),
+    (["verify"], "tiling", ("tiles", 0, "face")),
+    (["tile", "duality"], "map", ("vertices", 3, "x")),
+    (["tile", "duality"], "map", ("faces", 0, 0)),
+])
+def test_null_in_artifact_exits_1(capsys, tmp_path, strip_files, commands, artifact, where):
+    mp, tp = strip_files
+    _set(mp if artifact == "map" else tp, *where, None)
+    for cmd in commands:
+        args = ["--tiling", str(tp)] if cmd == "verify" else ["--map", str(mp)]
+        out = ["--out", str(tmp_path / "t2.json")] if cmd == "tile" else []
+        assert cli.main([cmd, *args, *out]) == 1
+        assert capsys.readouterr().err.startswith("cannot read")
+
+
+@pytest.mark.parametrize("edge", [[7], [1, 2, 7]])
+def test_edge_not_a_pair_exits_1(capsys, strip_files, edge):
+    _, tp = strip_files
+    _set(tp, "tiles", 2, "edge", edge)
+    assert cli.main(["verify", "--tiling", str(tp)]) == 1
+    assert "pair" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bound", ["x0", "x1", "y0", "y1"])
+def test_nan_tile_named_in_containment(capsys, strip_files, bound):
+    _, tp = strip_files
+    face = json.loads(tp.read_text())["tiles"][5]["face"]
+    _set(tp, "tiles", 5, bound, math.nan)
+    capsys.readouterr()
+    assert cli.main(["verify", "--tiling", str(tp)]) == 4
+    assert f"containment {face} nan" in capsys.readouterr().out.splitlines()
 
 
 def test_usage_errors_exit_64():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import (OracleLocator, location_probes, oracle_boundary_edge_set,
-                      oracle_boundary_mismatch, oracle_quad_is_convex, oracle_side_set, star_map,
-                      strip_map)
+                      oracle_boundary_mismatch, oracle_quad_is_convex, oracle_side_set,
+                      oracle_validate, star_map, strip_map)
 from orthotile import geom, gridgen, odmap
 
 
@@ -187,6 +187,53 @@ def test_validate_boundary_measure_matches_oracle(topology_maps):
             assert found[0].measure == oracle_boundary_mismatch(bad) > 0
         assert oracle_boundary_mismatch(m) == 0
         assert odmap.validate(m).ok
+
+
+
+def _damaged(m):
+    """m with one fault each around a middle face: a recoloured vertex, a
+    zero diagonal, a sheared face, a clockwise face, an unused vertex and
+    a non-convex (dart) face."""
+    pos, col, faces, b = m.positions, m.colors, m.faces, m.boundary
+    f = faces[len(faces) // 2]
+    recol = col.copy()
+    recol[f[1]] = 1 - recol[f[1]]
+    flat, shear, dart = pos.copy(), pos.copy(), pos.copy()
+    flat[f[2]] = flat[f[0]]
+    shear[f[1]] += 0.1 * (pos[f[2]] - pos[f[0]])
+    mid = (pos[f[0]] + pos[f[2]]) / 2.0
+    dart[f[1]] = mid + 0.3 * (pos[f[3]] - mid)
+    cw = faces.copy()
+    cw[len(faces) // 2] = cw[len(faces) // 2][::-1]
+    om = odmap.OrthodiagonalMap
+    return [om(pos, recol, faces, b), om(flat, col, faces, b), om(shear, col, faces, b),
+            om(pos, col, cw, b), om(np.vstack([pos, [[9.0, 9.0]]]), np.append(col, 0), faces, b),
+            om(dart, col, faces, b)]
+
+
+def test_validate_matches_face_loop_oracle(topology_maps):
+    def bits(rep):
+        return (repr([(v.kind, v.where, float(v.measure), v.message) for v in rep.violations]),
+                rep.nonconvex_faces)
+
+    kinds, nonconvex = set(), 0
+    for mm in topology_maps.values():
+        for m in [mm.map] + _damaged(mm.map):
+            rep = odmap.validate(m)
+            assert bits(rep) == bits(oracle_validate(m))
+            kinds |= {v.kind for v in rep.violations}
+            nonconvex += len(rep.nonconvex_faces)
+    assert {"color-alternation", "degenerate-diagonal", "orthogonality", "orientation",
+            "unused-vertices"} <= kinds
+    assert nonconvex > 0
+
+
+def test_map_load_rejects_nonfinite_coordinates():
+    d = strip_map().map.to_json_dict()
+    for bad in (None, float("nan"), float("inf")):
+        d["vertices"][3]["x"] = bad
+        with pytest.raises(odmap.MapError):
+            odmap.OrthodiagonalMap.from_json_dict(d)
 
 
 def test_marked_map_arcs_and_errors():

@@ -1,8 +1,12 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
-from conftest import (OracleLocator, location_probes, oracle_cross_color_average, star_map,
-                      strip_map)
+from conftest import (OracleLocator, location_probes, oracle_cross_color_average,
+                      oracle_render_svg, oracle_tiles_from_json_dict, oracle_verify_tiling,
+                      star_map, strip_map)
 from orthotile import experiments, gridgen, tiling
 
 
@@ -67,24 +71,65 @@ def test_aspect_ratio_identity(rect_map16):
 def test_verify_tiling_passes_and_detects_faults():
     t, _, _ = tiling.build_tiling(strip_map())
     assert tiling.verify_tiling(t).ok
-    # widen one tile: an overlap appears and is named
-    bad = [tiling.Tile(tl.face, tl.edge, tl.x0, tl.x1 + (1e-3 if tl.x0 == 0.0 and tl.y0 == 0.0 else 0),
-                       tl.y0, tl.y1, tl.degenerate) for tl in t.tiles]
-    rep = tiling.verify_tiling(tiling.Tiling(t.L, bad))
+    # widen the tiles at the origin: an overlap appears and is named
+    rect = t.rect.copy()
+    rect[(rect[:, 0] == 0.0) & (rect[:, 2] == 0.0), 1] += 1e-3
+    rep = tiling.verify_tiling(dataclasses.replace(t, rect=rect))
     assert not rep.ok
     assert rep.overlaps
     pair = rep.overlaps[0][:2]
     assert 0 in pair  # face 0 is the widened bottom-left tile
     # shift one tile out of the target rectangle
-    bad2 = [tiling.Tile(tl.face, tl.edge, tl.x0 - (1.0 if tl.face == 0 else 0),
-                        tl.x1, tl.y0, tl.y1, tl.degenerate) for tl in t.tiles]
-    rep2 = tiling.verify_tiling(tiling.Tiling(t.L, bad2))
+    rect2 = t.rect.copy()
+    rect2[t.face == 0, 0] -= 1.0
+    rep2 = tiling.verify_tiling(dataclasses.replace(t, rect=rect2))
     assert any(face == 0 for face, _ in rep2.containment)
 
 
 def test_verify_empty_tiling_vacuous():
-    rep = tiling.verify_tiling(tiling.Tiling(0.0, []))
+    rep = tiling.verify_tiling(tiling.Tiling(0.0, np.zeros(0, np.int64), np.zeros((0, 2), np.int64),
+                                             np.zeros((0, 4)), np.zeros(0, bool)))
     assert rep.ok and rep.area_defect == 0.0
+
+
+def _corrupted(t, rng, n_widened):
+    """t with n_widened random tiles widened and one tile shifted left."""
+    rect = t.rect.copy()
+    k = rng.choice(len(t), n_widened, replace=False)
+    rect[k, 1] += rng.uniform(1e-6, 0.05, n_widened)
+    rect[k[0], :2] -= 0.5
+    return dataclasses.replace(t, rect=rect)
+
+
+def test_tiling_columns_match_tile_oracles(topology_maps, l_spec):
+    # load, verify and render on the columns, bitwise against the
+    # Tile-at-a-time versions, on built, reloaded and corrupted tilings
+    rng = np.random.default_rng(11)
+    maps = dict(topology_maps, L32=gridgen.grid_approximation(l_spec, 1 / 32)[0])
+    for name, mm in maps.items():
+        t, _, _ = tiling.build_tiling(mm)
+        d = json.loads(json.dumps(t.to_json_dict()))
+        d["tiles"][0]["x1"] = d["tiles"][0]["x0"] + 1e-10 * max(t.L, 1.0)
+        L, rows = oracle_tiles_from_json_dict(d)
+        loaded = tiling.Tiling.from_json_dict(d)
+        assert loaded.L == L and repr(loaded.tiles) == repr([tiling.Tile(*r) for r in rows])
+        assert tiling.Tiling.from_json_dict(loaded.to_json_dict()).to_json_dict() == d
+        variants = [t, loaded, _corrupted(t, rng, min(50, len(t) // 2))]
+        for v in variants:
+            rep = tiling.verify_tiling(v)
+            want = oracle_verify_tiling(v.L, v.tiles)
+            assert repr((rep.containment, rep.overlaps, rep.area_defect, rep.area_ok)) == \
+                repr(want), name
+            assert tiling.render_svg(v) == oracle_render_svg(v.L, v.tiles), name
+        assert variants[-1].tiles and not tiling.verify_tiling(variants[-1]).ok
+
+
+def test_tiles_view_rows():
+    t, _, _ = tiling.build_tiling(strip_map())
+    assert len(t.tiles) == len(t) == 10
+    tl = t.tiles[3]
+    assert tl == (3, tuple(t.edge[3].tolist()), *t.rect[3].tolist(), bool(t.degenerate[3]))
+    assert tl.width == tl.x1 - tl.x0 and tl.area == tl.width * tl.height
 
 
 def test_interpolated_map_exactness(rect_map16):
