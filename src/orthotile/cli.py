@@ -3,7 +3,8 @@
 Exit codes: 0 ok, 1 input error, 2 generation error, 3 solver error,
 4 verification failure, 64 usage.  All numeric output is printed with
 12 significant digits and commands are idempotent: identical inputs give
-byte-identical artifacts.
+byte-identical artifacts at a fixed BLAS thread count (the solver's last
+bits depend on it).
 """
 
 from __future__ import annotations
@@ -94,6 +95,8 @@ def cmd_tile(args) -> int:
     mm = _load_marked(args.map)
     try:
         t, h, ht = tiling.build_tiling(mm, tol=args.tol)
+    except odmap.MapError as exc:
+        return _fail(EXIT_INPUT, f"bad map {args.map}: {exc}")
     except (harmonic.SolverError, harmonic.ConjugacyError) as exc:
         res = getattr(exc, "residual", None)
         return _fail(EXIT_SOLVER, f"solver failed: {exc}"
@@ -124,6 +127,8 @@ def cmd_duality(args) -> int:
     mm = _load_marked(args.map)
     try:
         lp, ld, prod = extremal.duality_product(mm, tol=args.tol)
+    except odmap.MapError as exc:
+        return _fail(EXIT_INPUT, f"bad map {args.map}: {exc}")
     except harmonic.SolverError as exc:
         return _fail(EXIT_SOLVER, f"solver failed: {exc}")
     print("lambda_primal", FMT.format(lp))

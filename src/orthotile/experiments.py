@@ -271,14 +271,6 @@ class ConvergenceReport:
                                        "constants use 4x K_hat_coarsest"),
                 "levels": [lv.to_json_dict() for lv in self.levels]}
 
-    def to_csv(self) -> str:
-        cols = list(LevelRecord.__dataclass_fields__)
-        lines = [",".join(cols)]
-        for lv in self.levels:
-            lines.append(",".join("" if getattr(lv, c) is None else str(getattr(lv, c))
-                                  for c in cols))
-        return "\n".join(lines) + "\n"
-
 
 def save_report(path: str, rep: ConvergenceReport) -> None:
     save_json(path, rep.to_json_dict())

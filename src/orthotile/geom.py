@@ -139,11 +139,6 @@ class Polygon:
         cy = float(((y + yr) * cross).sum() / (6.0 * a))
         return Point2(cx, cy)
 
-    def boundary_distance(self, p) -> float:
-        """Distance from a point to the polygon boundary."""
-        return float(points_to_polyline_distance(
-            _as_points([p]), np.vstack([self.vertices, self.vertices[:1]]))[0])
-
 
 def point_segment_distance(p, a, b):
     """Exact distance from point p to segment [a, b].  p may also be an

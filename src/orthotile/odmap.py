@@ -86,10 +86,6 @@ class WeightedGraph:
     def m(self) -> int:
         return len(self.edge_u)
 
-    @property
-    def edge_r(self) -> np.ndarray:
-        return 1.0 / self.edge_c
-
     def adjacency(self) -> dict[int, list[tuple[int, float]]]:
         adj: dict[int, list[tuple[int, float]]] = {int(v): [] for v in self.ids}
         for u, v, c in zip(self.edge_u, self.edge_v, self.edge_c):
@@ -225,15 +221,6 @@ class OrthodiagonalMap:
 
     # -- serialization -------------------------------------------------------
 
-    def to_json_dict(self, marked: Optional[Sequence[int]] = None) -> dict:
-        rows = zip(self.positions.tolist(), self.colors.tolist())
-        verts = [{"id": i, "x": x, "y": y, "color": "primal" if c == PRIMAL else "dual"}
-                 for i, ((x, y), c) in enumerate(rows)]
-        out = {"vertices": verts, "faces": self.faces.tolist(), "boundary": list(self.boundary)}
-        if marked is not None:
-            out["marked"] = [int(x) for x in marked]
-        return out
-
     @staticmethod
     def from_json_dict(d: dict) -> tuple["OrthodiagonalMap", Optional[list[int]]]:
         verts = d["vertices"]
@@ -250,7 +237,9 @@ class OrthodiagonalMap:
 
 
 def save_json(path: str, obj) -> None:
-    """Write a map, tiling, domain, certificate or report: indent 1, final newline."""
+    """Write a small artifact (domain, certificate or report): indent 1,
+    final newline.  Maps and tilings are written from their columns by
+    save_map and tiling.save_tiling, in the same bytes."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=1)
         fh.write("\n")
@@ -261,8 +250,54 @@ def load_json(path: str):
         return json.load(fh)
 
 
+#: rows joined per write by write_json_rows, bounding the text held at once
+_ROWS_PER_WRITE = 4096
+
+
+def json_floats(col: np.ndarray) -> list[str]:
+    """The text json gives each float of a column: float.__repr__, with
+    non-finite values spelled NaN, Infinity and -Infinity."""
+    out = list(map(float.__repr__, col.tolist()))
+    for i in np.flatnonzero(~np.isfinite(col)).tolist():
+        out[i] = "NaN" if np.isnan(col[i]) else "Infinity" if col[i] > 0 else "-Infinity"
+    return out
+
+
+def write_json_rows(fh, key: str, template: str, columns: Sequence[np.ndarray]) -> None:
+    """Write the member `key` of a top-level object as json.dump(indent=1)
+    does: one row per index of the columns, row i being template % (the
+    json text of each column at i), rows joined by ",\n"; [] when empty."""
+    n = len(columns[0])
+    fh.write(f' "{key}": ' + ("[\n" if n else "[]"))
+    for lo in range(0, n, _ROWS_PER_WRITE):
+        texts = [json_floats(c[lo:lo + _ROWS_PER_WRITE]) if c.dtype.kind == "f"
+                 else c[lo:lo + _ROWS_PER_WRITE].tolist() for c in columns]
+        fh.write((",\n" if lo else "") + ",\n".join(template % row for row in zip(*texts)))
+    if n:
+        fh.write("\n ]")
+
+
+_VERTEX = '  {\n   "id": %d,\n   "x": %s,\n   "y": %s,\n   "color": "%s"\n  }'
+_FACE = "  [\n   %d,\n   %d,\n   %d,\n   %d\n  ]"
+
+
 def save_map(path: str, m: OrthodiagonalMap, marked: Optional[Sequence[int]] = None) -> None:
-    save_json(path, m.to_json_dict(marked))
+    """Write {"vertices": [{id, x, y, color}], "faces", "boundary"} and,
+    unless marked is None, "marked", in json.dump(indent=1) bytes."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("{\n")
+        write_json_rows(fh, "vertices", _VERTEX,
+                        [np.arange(m.n_vertices), *m.positions.T,
+                         np.where(m.colors == PRIMAL, "primal", "dual")])
+        fh.write(",\n")
+        write_json_rows(fh, "faces", _FACE, list(m.faces.T))
+        fh.write(",\n")
+        write_json_rows(fh, "boundary", "  %d", [np.array(m.boundary, dtype=np.int64)])
+        if marked is not None:
+            fh.write(",\n")
+            marks = np.array([int(v) for v in marked], dtype=np.int64)
+            write_json_rows(fh, "marked", "  %d", [marks])
+        fh.write("\n}\n")
 
 
 def load_map(path: str) -> tuple[OrthodiagonalMap, Optional[list[int]]]:
@@ -547,12 +582,6 @@ class MarkedRectangleMap:
 
     def _dual_arc(self, start: int, stop: int) -> list[int]:
         return [v for v in self._walk(start, stop)[1:-1] if self.map.colors[v] == DUAL]
-
-    def boundary_arcs(self) -> tuple[list[int], list[int], list[int], list[int]]:
-        """(arc_ab, arc_bc_dual, arc_cd, arc_da_dual), recomputed."""
-        a, b, c, d = self.marked
-        return (self._primal_arc(a, b), self._dual_arc(b, c),
-                self._primal_arc(c, d), self._dual_arc(d, a))
 
     def boundary_chain(self, start: int, stop: int) -> np.ndarray:
         """Positions of all boundary vertices from start to stop, ccw."""

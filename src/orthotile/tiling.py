@@ -19,7 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import harmonic
-from .odmap import FaceLocator, MarkedRectangleMap, first_per_point, load_json, save_json
+from .odmap import (FaceLocator, MarkedRectangleMap, first_per_point, json_floats, load_json,
+                    write_json_rows)
 
 DEGENERATE_TOL = 1e-9      # sides up to this (widths: times max(L, 1)) are degenerate
 ASPECT_TOL = 1e-8          # build_tiling also flags sides up to cycle residual / ASPECT_TOL
@@ -79,12 +80,6 @@ class Tiling:
         x0, x1, y0, y1 = self.rect.T
         return float(sum(((x1 - x0) * (y1 - y0)).tolist()))
 
-    def to_json_dict(self) -> dict:
-        return {"L": self.L,
-                "tiles": [{"face": f, "edge": e, "x0": x0, "x1": x1, "y0": y0, "y1": y1}
-                          for f, e, (x0, x1, y0, y1) in zip(
-                              self.face.tolist(), self.edge.tolist(), self.rect.tolist())]}
-
     @staticmethod
     def from_json_dict(d: dict) -> "Tiling":
         L = float(d["L"])
@@ -101,8 +96,17 @@ class Tiling:
         return Tiling(L, face, edge, rect, deg)
 
 
+_TILE = ('  {\n   "face": %d,\n   "edge": [\n    %d,\n    %d\n   ],\n'
+         '   "x0": %s,\n   "x1": %s,\n   "y0": %s,\n   "y1": %s\n  }')
+
+
 def save_tiling(path: str, t: Tiling) -> None:
-    save_json(path, t.to_json_dict())
+    """Write {"L", "tiles": [{face, edge, x0, x1, y0, y1}]} in
+    json.dump(indent=1) bytes."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{\n "L": %s,\n' % json_floats(np.array([t.L], dtype=float))[0])
+        write_json_rows(fh, "tiles", _TILE, [t.face, *t.edge.T, *t.rect.T])
+        fh.write("\n}\n")
 
 
 def load_tiling(path: str) -> Tiling:
@@ -304,8 +308,8 @@ class InterpolatedMap:
 # -- SVG ------------------------------------------------------------------------
 
 
-_RECT = ('<rect x="{:.6f}" y="{:.6f}" width="{:.6f}" height="{:.6f}" '
-         'fill="#{:02x}{:02x}{:02x}" stroke="#000000" stroke-width="0.002"/>')
+_RECT = ('<rect x="%.6f" y="%.6f" width="%.6f" height="%.6f" '
+         'fill="#%02x%02x%02x" stroke="#000000" stroke-width="0.002"/>')
 
 
 def _edge_rgb(edge: np.ndarray) -> np.ndarray:
@@ -334,6 +338,6 @@ def render_svg(t: Tiling) -> str:
     live = ~t.degenerate
     x0, x1, y0, y1 = t.rect[live].T
     cols = [x0, 1.0 - y1, x1 - x0, y1 - y0, *_edge_rgb(t.edge[live]).T]
-    lines += [_RECT.format(*row) for row in zip(*(c.tolist() for c in cols))]
+    lines += [_RECT % row for row in zip(*(c.tolist() for c in cols))]
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -1,4 +1,5 @@
 import collections
+import json
 
 import numpy as np
 import pytest
@@ -521,3 +522,32 @@ def oracle_validate(m):
         rep.add("mesh-eps", (), abs(recomputed - m.mesh_eps),
                 f"stored mesh_eps {m.mesh_eps} != recomputed {recomputed}")
     return rep
+
+
+# -- dict-list artifact writers ------------------------------------------------------
+#
+# The map and tiling writers that built one dict per row and passed the
+# object to json.dump(indent=1), kept as the references the column writers
+# must match byte for byte.
+
+
+def _oracle_json_bytes(obj) -> bytes:
+    return (json.dumps(obj, indent=1) + "\n").encode("utf-8")
+
+
+def oracle_map_bytes(m, marked=None) -> bytes:
+    rows = zip(m.positions.tolist(), m.colors.tolist())
+    verts = [{"id": i, "x": x, "y": y, "color": "primal" if c == odmap.PRIMAL else "dual"}
+             for i, ((x, y), c) in enumerate(rows)]
+    out = {"vertices": verts, "faces": m.faces.tolist(), "boundary": list(m.boundary)}
+    if marked is not None:
+        out["marked"] = [int(x) for x in marked]
+    return _oracle_json_bytes(out)
+
+
+def oracle_tiling_bytes(t) -> bytes:
+    return _oracle_json_bytes(
+        {"L": t.L,
+         "tiles": [{"face": f, "edge": e, "x0": x0, "x1": x1, "y0": y0, "y1": y1}
+                   for f, e, (x0, x1, y0, y1) in zip(
+                       t.face.tolist(), t.edge.tolist(), t.rect.tolist())]})

@@ -96,6 +96,21 @@ def test_null_in_artifact_exits_1(capsys, tmp_path, strip_files, commands, artif
         assert capsys.readouterr().err.startswith("cannot read")
 
 
+@pytest.mark.parametrize("command", ["tile", "duality"])
+def test_zero_diagonal_map_exits_1(capsys, tmp_path, strip_files, command):
+    # the map loads, but extracting its graphs fails on face 4
+    mp, _ = strip_files
+    v1, _, v2, _ = strip_map().map.faces[4].tolist()
+    d = json.loads(mp.read_text())
+    for k in ("x", "y"):
+        d["vertices"][v2][k] = d["vertices"][v1][k]
+    mp.write_text(json.dumps(d))
+    out = ["--out", str(tmp_path / "t2.json")] if command == "tile" else []
+    capsys.readouterr()
+    assert cli.main([command, "--map", str(mp), *out]) == 1
+    assert "zero-length diagonal" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("edge", [[7], [1, 2, 7]])
 def test_edge_not_a_pair_exits_1(capsys, strip_files, edge):
     _, tp = strip_files

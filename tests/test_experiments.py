@@ -156,9 +156,6 @@ def test_report_serialization(tmp_path, rect_spec):
     assert payload["schema"] == experiments.SCHEMA
     assert len(payload["levels"]) == 2
     assert payload["levels"][0]["eps"] == 0.25
-    csv = rep.to_csv()
-    assert csv.count("\n") == 3
-    assert csv.splitlines()[0].startswith("eps,")
 
 
 def test_persisted_levels_reverify(tmp_path, rect_spec):

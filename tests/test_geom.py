@@ -126,11 +126,10 @@ def test_polyline_min_distance():
     assert d == 0.0
 
 
-def test_centroid_and_boundary_distance():
+def test_centroid():
     sq = geom.Polygon([[0, 0], [2, 0], [2, 2], [0, 2]])
     c = sq.centroid()
     assert abs(c.x - 1) < 1e-12 and abs(c.y - 1) < 1e-12
-    assert abs(sq.boundary_distance((1, 1)) - 1.0) < 1e-12
 
 
 # -- scalar reference oracles --------------------------------------------------
