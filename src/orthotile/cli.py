@@ -53,10 +53,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read(kind: str, path: str, load):
-    """load(path); a missing, unparsable or malformed file exits 1 naming it."""
+    """load(path); a missing, unparsable or malformed file exits 1 naming it
+    (JSONDecodeError is a ValueError; an integer beyond int64 or float
+    range raises OverflowError)."""
     try:
         return load(path)
-    except (OSError, LookupError, TypeError, ValueError) as exc:  # JSONDecodeError: ValueError
+    except (OSError, LookupError, TypeError, ValueError, OverflowError) as exc:
         raise SystemExit(_fail(EXIT_INPUT, f"cannot read {kind} {path}: {exc}"))
 
 

@@ -158,27 +158,56 @@ def point_segment_distance(p, a, b):
     return float(out) if out.ndim == 0 else out
 
 
+def _segment_planes(a, b):
+    """x and y planes of a and of b - a, and |b - a|^2 with 0 replaced by 1."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    ax, ay = a[..., 0], a[..., 1]
+    abx, aby = b[..., 0] - ax, b[..., 1] - ay
+    denom = abx ** 2 + aby ** 2
+    return ax, ay, abx, aby, np.where(denom == 0.0, 1.0, denom)
+
+
+def _squared_distances(px, py, ax, ay, abx, aby, denom):
+    """Elementwise (px - (ax + t * abx)) ** 2 + (py - (ay + t * aby)) ** 2
+    with t = clip(((px - ax) * abx + (py - ay) * aby) / denom, 0, 1): the
+    same operations and operand order, in place in two buffers of the
+    shape of px - ax, which must be the full broadcast shape."""
+    t, u = px - ax, py - ay
+    t *= abx
+    u *= aby
+    t += u
+    t /= denom
+    np.clip(t, 0.0, 1.0, out=t)
+    np.subtract(px, np.add(ax, np.multiply(t, abx, out=u), out=u), out=u)
+    np.subtract(py, np.add(ay, np.multiply(t, aby, out=t), out=t), out=t)
+    u *= u
+    t *= t
+    return np.add(u, t, out=t)
+
+
 def segment_distances(p, a, b) -> np.ndarray:
-    """Elementwise distance from p to segment [a, b]; p, a and b broadcast
-    over their leading axes, the last axis holds the coordinates."""
-    ab = b - a
-    denom = (ab ** 2).sum(-1)
-    denom = np.where(denom == 0.0, 1.0, denom)
-    t = np.clip(((p - a) * ab).sum(-1) / denom, 0.0, 1.0)
-    proj = a + t[..., None] * ab
-    return np.sqrt(((p - proj) ** 2).sum(-1))
+    """Elementwise distance from p to segment [a, b]; a and b have one
+    shape, p broadcasts against it over the leading axes, the last axis
+    holds the coordinates.  The arithmetic runs on separate x and y
+    planes, each sum over the coordinate axis written as x + y."""
+    return np.sqrt(_squared_distances(p[..., 0], p[..., 1], *_segment_planes(a, b)))
 
 
 def points_to_segments_distance(pts: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray) -> np.ndarray:
     """Distances from each point to the nearest of the given segments.
 
-    pts: (n, 2); seg_a, seg_b: (m, 2).  Returns (n,).  Blocked over the
-    points, so temporaries stay bounded for any n and m.
+    pts: (n, 2); seg_a, seg_b: (m, 2).  Returns (n,).  segment_distances'
+    arithmetic on (rows, m) x and y planes, blocked over the points, so
+    temporaries stay bounded for any n and m.  The minimum is taken over
+    squared distances with one sqrt per point after it: sqrt is correctly
+    rounded and monotone, so this is bitwise the minimum of the distances.
     """
     out = np.empty(len(pts))
+    px, py = pts[:, 0, None], pts[:, 1, None]
+    planes = _segment_planes(seg_a, seg_b)
     for blk in _row_blocks(len(pts), len(seg_a)):
-        out[blk] = segment_distances(pts[blk, None, :], seg_a[None], seg_b[None]).min(axis=1)
-    return out
+        out[blk] = _squared_distances(px[blk], py[blk], *planes).min(axis=1)
+    return np.sqrt(out)
 
 
 def points_to_polyline_distance(pts: np.ndarray, polyline: np.ndarray) -> np.ndarray:
@@ -235,13 +264,18 @@ def polygon_contains(poly: Polygon, p, tol: float) -> str:
     return cls[0]
 
 
+def polygon_masks(poly: Polygon, pts, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Containment of many points as two masks: (on_boundary, inside),
+    within tol of an edge and by crossing-number parity.  A point is
+    BOUNDARY where on_boundary, else INSIDE where inside, else OUTSIDE."""
+    pts, v = _as_points(pts), poly.vertices
+    return (points_to_segments_distance(pts, v, np.roll(v, -1, axis=0)) <= tol,
+            points_in_ring(pts, v))
+
+
 def polygon_contains_many(poly: Polygon, pts, tol: float) -> list[str]:
     """Vectorized containment classification for many points."""
-    pts = _as_points(pts)
-    v = poly.vertices
-    ring = np.vstack([v, v[:1]])
-    on_boundary = points_to_segments_distance(pts, ring[:-1], ring[1:]) <= tol
-    inside = points_in_ring(pts, v)
+    on_boundary, inside = polygon_masks(poly, pts, tol)
     return np.where(on_boundary, BOUNDARY, np.where(inside, INSIDE, OUTSIDE)).tolist()
 
 
@@ -258,7 +292,7 @@ def _points_at(poly, seg, seg_len, cum, t: np.ndarray) -> np.ndarray:
     by the search and guarded in the division."""
     idx = np.clip(np.searchsorted(cum, t, side="right") - 1, 0, len(seg_len) - 1)
     frac = (t - cum[idx]) / np.where(seg_len[idx] == 0.0, 1.0, seg_len[idx])
-    return poly[idx] + frac[:, None] * seg[idx]
+    return np.stack([poly[:, k][idx] + frac * seg[:, k][idx] for k in (0, 1)], 1)
 
 
 def _sample_polyline(poly: np.ndarray, n_samples: int) -> tuple[np.ndarray, np.ndarray, float]:

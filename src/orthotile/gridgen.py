@@ -173,16 +173,13 @@ def _kept_faces(poly: Polygon, eps: float, tol: float):
     cy = y0 + cj * h
 
     # centers strictly inside
-    center_cls = geom.polygon_contains_many(poly, np.stack([cx, cy], 1), tol)
-    keep = np.array([c == geom.INSIDE for c in center_cls])
+    on_boundary, inside = geom.polygon_masks(poly, np.stack([cx, cy], 1), tol)
+    keep = inside & ~on_boundary
 
     # all four corners inside or on the boundary
-    corner_ok = np.ones(len(ci), dtype=bool)
     for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        pts = np.stack([cx + di * h, cy + dj * h], 1)
-        cls = geom.polygon_contains_many(poly, pts, tol)
-        corner_ok &= np.array([c != geom.OUTSIDE for c in cls])
-    keep &= corner_ok
+        on_boundary, inside = geom.polygon_masks(poly, np.stack([cx + di * h, cy + dj * h], 1), tol)
+        keep &= on_boundary | inside
 
     # no polygon edge may penetrate the open diamond: clip each edge to the
     # diamond (a square in the rotated frame u = dx + dy, v = dx - dy with

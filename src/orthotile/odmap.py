@@ -254,13 +254,17 @@ def load_json(path: str):
 _ROWS_PER_WRITE = 4096
 
 
-def json_floats(col: np.ndarray) -> list[str]:
-    """The text json gives each float of a column: float.__repr__, with
-    non-finite values spelled NaN, Infinity and -Infinity."""
-    out = list(map(float.__repr__, col.tolist()))
-    for i in np.flatnonzero(~np.isfinite(col)).tolist():
-        out[i] = "NaN" if np.isnan(col[i]) else "Infinity" if col[i] > 0 else "-Infinity"
-    return out
+def json_floats(a: np.ndarray) -> np.ndarray:
+    """The text json gives each float of a, in an object array of a's shape:
+    float.__repr__ of each distinct bit pattern (so -0.0 and 0.0 stay
+    apart), with non-finite values spelled NaN, Infinity and -Infinity."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    bits, inv = np.unique(a.view(np.int64), return_inverse=True)
+    u = bits.view(np.float64)
+    text = np.array(list(map(float.__repr__, u.tolist())), dtype=object)
+    bad = np.flatnonzero(~np.isfinite(u))
+    text[bad] = np.where(np.isnan(u[bad]), "NaN", np.where(u[bad] > 0, "Infinity", "-Infinity"))
+    return text[inv.reshape(a.shape)]
 
 
 def write_json_rows(fh, key: str, template: str, columns: Sequence[np.ndarray]) -> None:
@@ -270,8 +274,9 @@ def write_json_rows(fh, key: str, template: str, columns: Sequence[np.ndarray]) 
     n = len(columns[0])
     fh.write(f' "{key}": ' + ("[\n" if n else "[]"))
     for lo in range(0, n, _ROWS_PER_WRITE):
-        texts = [json_floats(c[lo:lo + _ROWS_PER_WRITE]) if c.dtype.kind == "f"
-                 else c[lo:lo + _ROWS_PER_WRITE].tolist() for c in columns]
+        block = [c[lo:lo + _ROWS_PER_WRITE] for c in columns]
+        floats = iter(json_floats(np.array([c for c in block if c.dtype.kind == "f"])))
+        texts = [next(floats).tolist() if c.dtype.kind == "f" else c.tolist() for c in block]
         fh.write((",\n" if lo else "") + ",\n".join(template % row for row in zip(*texts)))
     if n:
         fh.write("\n ]")

@@ -169,10 +169,9 @@ def _oracle_triangle_contains(a, b, c, p, tol: float) -> bool:
 
 
 def _oracle_simple_polygon_contains(corners, p, tol: float) -> bool:
-    from orthotile import geom
     ring = np.vstack([corners, corners[:1]])
-    d = geom.points_to_segments_distance(np.asarray([p], dtype=float),
-                                         ring[:-1], ring[1:])[0]
+    d = oracle_points_to_segments_distance(np.asarray([p], dtype=float),
+                                           ring[:-1], ring[1:])[0]
     if d <= tol:
         return True
     x, y = float(p[0]), float(p[1])
@@ -551,3 +550,29 @@ def oracle_tiling_bytes(t) -> bytes:
          "tiles": [{"face": f, "edge": e, "x0": x0, "x1": x1, "y0": y0, "y1": y1}
                    for f, e, (x0, x1, y0, y1) in zip(
                        t.face.tolist(), t.edge.tolist(), t.rect.tolist())]})
+
+
+# -- (n, m, 2) distance kernels ---------------------------------------------------
+#
+# The point/segment distance kernels on (..., 2) coordinate arrays and the
+# (n, 2)-gather _points_at that the coordinate-plane kernels replaced, kept
+# as the references they must match bit for bit.
+
+
+def oracle_segment_distances(p, a, b):
+    ab = b - a
+    denom = (ab ** 2).sum(-1)
+    denom = np.where(denom == 0.0, 1.0, denom)
+    t = np.clip(((p - a) * ab).sum(-1) / denom, 0.0, 1.0)
+    proj = a + t[..., None] * ab
+    return np.sqrt(((p - proj) ** 2).sum(-1))
+
+
+def oracle_points_to_segments_distance(pts, seg_a, seg_b):
+    return oracle_segment_distances(pts[:, None, :], seg_a[None], seg_b[None]).min(axis=1)
+
+
+def oracle_points_at(poly, seg, seg_len, cum, t):
+    idx = np.clip(np.searchsorted(cum, t, side="right") - 1, 0, len(seg_len) - 1)
+    frac = (t - cum[idx]) / np.where(seg_len[idx] == 0.0, 1.0, seg_len[idx])
+    return poly[idx] + frac[:, None] * seg[idx]

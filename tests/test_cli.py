@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -10,8 +11,11 @@ from orthotile import cli, odmap
 
 
 def run_cli(*args):
+    # the subprocess imports the same orthotile as this process
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "orthotile.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
 
 
 @pytest.fixture()
@@ -92,6 +96,24 @@ def test_null_in_artifact_exits_1(capsys, tmp_path, strip_files, commands, artif
     for cmd in commands:
         args = ["--tiling", str(tp)] if cmd == "verify" else ["--map", str(mp)]
         out = ["--out", str(tmp_path / "t2.json")] if cmd == "tile" else []
+        assert cli.main([cmd, *args, *out]) == 1
+        assert capsys.readouterr().err.startswith("cannot read")
+
+
+@pytest.mark.parametrize("commands,artifact,where", [
+    (["tile", "duality"], "map", ("vertices", 3, "id")),
+    (["tile", "duality"], "map", ("faces", 0, 0)),
+    (["verify"], "tiling", ("tiles", 0, "face")),
+    (["verify"], "tiling", ("tiles", 0, "edge", 1)),
+    (["verify"], "tiling", ("tiles", 0, "x1")),
+])
+def test_integer_beyond_int64_exits_1(capsys, tmp_path, strip_files, commands, artifact, where):
+    mp, tp = strip_files
+    _set(mp if artifact == "map" else tp, *where, 2 ** 64 * 10 ** 300)
+    for cmd in commands:
+        args = ["--tiling", str(tp)] if cmd == "verify" else ["--map", str(mp)]
+        out = ["--out", str(tmp_path / "t2.json")] if cmd == "tile" else []
+        capsys.readouterr()
         assert cli.main([cmd, *args, *out]) == 1
         assert capsys.readouterr().err.startswith("cannot read")
 

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orthotile import geom
+from conftest import (oracle_points_at, oracle_points_to_segments_distance,
+                      oracle_segment_distances)
+from orthotile import geom, gridgen
 
 
 def test_polygon_normalizes_orientation():
@@ -164,9 +168,9 @@ def _oracle_polyline_min_distance(a, b) -> float:
     for a1, a2 in ea:
         if _oracle_any_segment_crossing(a1, a2, eb):
             return 0.0
-        d1 = geom.points_to_segments_distance(np.array([a1, a2]), eb[:, 0], eb[:, 1]).min()
+        d1 = oracle_points_to_segments_distance(np.array([a1, a2]), eb[:, 0], eb[:, 1]).min()
         best = min(best, float(d1))
-    d2 = geom.points_to_segments_distance(pb, ea[:, 0], ea[:, 1]).min()
+    d2 = oracle_points_to_segments_distance(pb, ea[:, 0], ea[:, 1]).min()
     return min(best, float(d2))
 
 
@@ -343,3 +347,86 @@ def test_linspace17_matches_numpy_per_row():
     rows = geom._linspace17(start, stop)
     for k in range(len(start)):
         assert rows[k].tobytes() == np.linspace(start[k], stop[k], 17).tobytes()
+
+
+# -- coordinate-plane kernels against the (n, m, 2) oracles -----------------------
+
+SCALES = [1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150, 1e300]
+# half-integer lattice coordinates make shared vertices, zero-length
+# segments and points on segments common; free floats fill the rest
+COORD = st.one_of(st.integers(-6, 6).map(lambda k: k / 2.0), st.floats(-3.0, 3.0))
+
+
+def _xy(draw, n):
+    return np.array(draw(st.lists(st.tuples(COORD, COORD), min_size=n, max_size=n)))
+
+
+@st.composite
+def distance_cases(draw):
+    """(points, segment starts, segment ends) scaled by 1e-300 ... 1e300,
+    with zero-length segments, points on vertices and inside segments, and
+    NaN coordinates."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 9))
+    a, b, pts = _xy(draw, m), _xy(draw, m), _xy(draw, n)
+    zero = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+    b[zero] = a[zero]
+    for i in range(draw(st.integers(0, n))):
+        j = draw(st.integers(0, m - 1))
+        pts[i] = a[j] + draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])) * (b[j] - a[j])
+    where = draw(st.sampled_from([None, pts, a, b]))
+    if where is not None:
+        where[draw(st.integers(0, len(where) - 1)), draw(st.integers(0, 1))] = math.nan
+    scale = draw(st.sampled_from(SCALES))
+    return pts * scale, a * scale, b * scale
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")     # overflow and NaN
+@settings(max_examples=400, deadline=None)
+@given(case=distance_cases(), block_pairs=st.sampled_from([1, 3, 1 << 16]))
+def test_points_to_segments_distance_matches_oracle(case, block_pairs):
+    pts, a, b = case
+    want = oracle_points_to_segments_distance(pts, a, b)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geom, "_BLOCK_PAIRS", block_pairs)     # 1 and 3: many row blocks
+        got = geom.points_to_segments_distance(pts, a, b)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")     # overflow and NaN
+@settings(max_examples=200, deadline=None)
+@given(case=distance_cases())
+def test_segment_distances_matches_oracle(case):
+    # FaceLocator's layout: (k, 1, 2) points against (k, m, 2) rings
+    pts, a, _ = case
+    ring = np.broadcast_to(a, (len(pts), *a.shape))
+    p, nxt = pts[:, None, :], np.roll(ring, -1, axis=1)
+    got = geom.segment_distances(p, ring, nxt)
+    assert got.tobytes() == oracle_segment_distances(p, ring, nxt).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")     # overflow and NaN
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 8), repeat=st.booleans(), scale=st.sampled_from(SCALES),
+       frac=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20), data=st.data())
+def test_points_at_matches_oracle(n, repeat, scale, frac, data):
+    poly = _xy(data.draw, n) * scale
+    if repeat:
+        poly[1] = poly[0]                                   # a zero-length segment
+    seg, seg_len, cum = geom._arclength(poly)
+    t = np.concatenate([np.array(frac) * cum[-1], cum])
+    got = geom._points_at(poly, seg, seg_len, cum, t)
+    assert got.tobytes() == oracle_points_at(poly, seg, seg_len, cum, t).tobytes()
+
+
+@pytest.mark.parametrize("domain,eps", [("rect", 1 / 4), ("rect", 1 / 8), ("rect", 1 / 16),
+                                        ("rect", 1 / 32), ("L", 2.0 ** -6)])
+def test_certificate_bits_match_oracle_kernels(rect_spec, l_spec, domain, eps):
+    spec = rect_spec if domain == "rect" else l_spec
+    mm, cert = gridgen.grid_approximation(spec, eps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geom, "points_to_segments_distance", oracle_points_to_segments_distance)
+        mp.setattr(geom, "_points_at", oracle_points_at)
+        mm_o, cert_o = gridgen.grid_approximation(spec, eps)
+    assert np.array_equal(mm.map.faces, mm_o.map.faces)
+    bits = [np.array([c.delta, *c.per_arc_hausdorff]).tobytes() for c in (cert, cert_o)]
+    assert bits[0] == bits[1]
