@@ -45,6 +45,16 @@ class RunConfig:
 DEFAULTS = RunConfig()
 
 
+def _tol_flag(name: str):
+    """argparse type: a float RunConfig accepts as `name`, else exit 64."""
+    def parse(text: str) -> float:
+        try:
+            return getattr(RunConfig(**{name: float(text)}), name)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -169,17 +179,17 @@ def build_parser() -> _Parser:
     t.add_argument("--map", required=True)
     t.add_argument("--out", required=True)
     t.add_argument("--svg", default=None)
-    t.add_argument("--tol", type=float, default=DEFAULTS.solver_tol)
+    t.add_argument("--tol", type=_tol_flag("solver_tol"), default=DEFAULTS.solver_tol)
     t.set_defaults(fn=cmd_tile)
 
     v = sub.add_parser("verify", help="check a tiling file against the BSST facts")
     v.add_argument("--tiling", required=True)
-    v.add_argument("--tol", type=float, default=DEFAULTS.verify_tol)
+    v.add_argument("--tol", type=_tol_flag("verify_tol"), default=DEFAULTS.verify_tol)
     v.set_defaults(fn=cmd_verify)
 
     d = sub.add_parser("duality", help="report both extremal lengths and their product")
     d.add_argument("--map", required=True)
-    d.add_argument("--tol", type=float, default=DEFAULTS.solver_tol)
+    d.add_argument("--tol", type=_tol_flag("solver_tol"), default=DEFAULTS.solver_tol)
     d.set_defaults(fn=cmd_duality)
 
     c = sub.add_parser("converge", help="run the refinement convergence harness")

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import geom, gridgen, harmonic, holo, tiling
 from .extremal import extremal_length
@@ -185,25 +184,52 @@ def modulus_pointwise_check(m: MarkedRectangleMap, h: harmonic.HarmonicField,
 # -- square symmetry ---------------------------------------------------------------
 
 
+def _nearest_vertex(pos: np.ndarray, pts: np.ndarray, tol: float) -> np.ndarray:
+    """Index of the nearest row of pos within tol of each point (ties to the
+    lowest index), else -1.  Exact: pos is hashed into sorted cells of side
+    2 tol, so every row within tol lies in the point's 3 x 3 cells."""
+    h = 2.0 * tol
+    lo = pos.min(axis=0)
+    cell = np.floor((pos - lo) / h).astype(np.int64)
+    stride = int(cell[:, 1].max()) + 5
+    key = (cell[:, 0] + 2) * stride + cell[:, 1] + 2
+    order = np.argsort(key)
+    skey = key[order]
+    pc = np.clip(np.floor((pts - lo) / h), -1, cell.max(axis=0) + 1).astype(np.int64)
+    best = np.full(len(pts), -1, dtype=np.int64)
+    best_d = np.full(len(pts), np.inf)
+    for k in ((pc[:, 0] + dx + 2) * stride + pc[:, 1] + dy + 2
+              for dx in (-1, 0, 1) for dy in (-1, 0, 1)):
+        start = np.searchsorted(skey, k)
+        count = np.searchsorted(skey, k, side="right") - start
+        for j in range(int(count.max(initial=0))):
+            q = np.flatnonzero(count > j)
+            v = order[start[q] + j]
+            d = np.sqrt((pts[q, 0] - pos[v, 0]) ** 2 + (pts[q, 1] - pos[v, 1]) ** 2)
+            win = (d <= tol) & ((d < best_d[q]) | ((d == best_d[q]) & (v < best[q])))
+            best[q[win]] = v[win]
+            best_d[q[win]] = d[win]
+    return best
+
+
 def rotation_color_swap_symmetric(m: MarkedRectangleMap) -> bool:
     """True when a quarter rotation about the bounding-box center maps the
     map onto itself with the two color classes swapped and carries the
     primal Dirichlet arcs onto the dual arcs (which forces the extremal
-    length to be exactly 1 by duality)."""
+    length to be exactly 1 by duality).  Rotated vertices match the nearest
+    vertex within tol, ties to the lowest id: the only one if vertices lie
+    over 2 tol apart."""
     mp = m.map
     pos = mp.positions
     lo = pos.min(axis=0)
     hi = pos.max(axis=0)
     c = (lo + hi) / 2.0
     tol = 1e-9 * max(float(np.hypot(*(hi - lo))), 1.0)
-    tree = cKDTree(pos)
     for sgn in (1.0, -1.0):
         rel = pos - c
         rot = np.stack([-sgn * rel[:, 1], sgn * rel[:, 0]], 1) + c
-        d, idx = tree.query(rot)
-        if d.max() > tol:
-            continue
-        if len(set(idx.tolist())) != mp.n_vertices:
+        idx = _nearest_vertex(pos, rot, tol)
+        if idx.min() < 0 or len(np.unique(idx)) != mp.n_vertices:
             continue
         if not np.all(mp.colors[idx] == 1 - mp.colors):
             continue

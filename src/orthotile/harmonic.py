@@ -200,12 +200,14 @@ def solve_dirichlet_dense(g: WeightedGraph, pinned: Mapping[int, float]) -> Harm
 @dataclass
 class Flow:
     """Antisymmetric edge function, stored once per undirected edge in the
-    graph's edge order, oriented edge_u -> edge_v."""
+    graph's edge order, oriented edge_u -> edge_v.  tol, check()'s default,
+    is the solved field's tol for a gradient flow."""
 
     graph: WeightedGraph
     theta: np.ndarray
     source_set: frozenset[int]
     sink_set: frozenset[int]
+    tol: float = 1e-10
 
     def divergence(self) -> np.ndarray:
         """Net outflow at each vertex, as an array indexed by vertex id
@@ -230,11 +232,12 @@ class Flow:
         return float(np.sum(self.theta * self.theta / self.graph.edge_c))
 
     def scaled(self, s: float) -> "Flow":
-        return Flow(self.graph, self.theta * s, self.source_set, self.sink_set)
+        return Flow(self.graph, self.theta * s, self.source_set, self.sink_set, self.tol)
 
-    def check(self, rel: float = 1e-10) -> None:
+    def check(self, rel: Optional[float] = None) -> None:
         """Raise ValueError at the lowest-id free vertex with nonzero
         divergence, or when source and sink strengths do not balance."""
+        rel = self.tol if rel is None else rel
         ids = self.graph.ids
         div = self.divergence()
         s = self._total(div, self.source_set)
@@ -259,7 +262,7 @@ def gradient_flow(f: HarmonicField) -> Flow:
     lo, hi = min(bvals.values()), max(bvals.values())
     sources = frozenset(v for v, val in bvals.items() if val == lo)
     sinks = frozenset(v for v, val in bvals.items() if val == hi)
-    return Flow(g, theta, sources, sinks)
+    return Flow(g, theta, sources, sinks, f.tol)
 
 
 def effective_resistance(g: WeightedGraph, S, T, tol: float = DEFAULT_TOL) -> float:

@@ -1,10 +1,19 @@
 import collections
 import json
+import os
 
 import numpy as np
 import pytest
 
 from orthotile import gridgen, odmap
+
+
+def src_env():
+    """os.environ with the imported package's source root first on
+    PYTHONPATH, so that a subprocess imports the same orthotile."""
+    src = os.path.dirname(os.path.dirname(odmap.__file__))
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def grid_graph(a, b, c=1.0):
@@ -576,3 +585,44 @@ def oracle_points_at(poly, seg, seg_len, cum, t):
     idx = np.clip(np.searchsorted(cum, t, side="right") - 1, 0, len(seg_len) - 1)
     frac = (t - cum[idx]) / np.where(seg_len[idx] == 0.0, 1.0, seg_len[idx])
     return poly[idx] + frac[:, None] * seg[idx]
+
+
+# -- k-d tree vertex matching ------------------------------------------------------
+#
+# The rotation check on scipy's cKDTree that the cell-hash matcher replaced,
+# kept as the reference it must agree with.  scipy.spatial is imported here
+# only, so no orthotile process loads it.
+
+
+def oracle_rotation_color_swap_symmetric(m) -> bool:
+    from scipy.spatial import cKDTree
+    mp = m.map
+    pos = mp.positions
+    lo = pos.min(axis=0)
+    hi = pos.max(axis=0)
+    c = (lo + hi) / 2.0
+    tol = 1e-9 * max(float(np.hypot(*(hi - lo))), 1.0)
+    tree = cKDTree(pos)
+    for sgn in (1.0, -1.0):
+        rel = pos - c
+        rot = np.stack([-sgn * rel[:, 1], sgn * rel[:, 0]], 1) + c
+        d, idx = tree.query(rot)
+        if d.max() > tol:
+            continue
+        if len(set(idx.tolist())) != mp.n_vertices:
+            continue
+        if not np.all(mp.colors[idx] == 1 - mp.colors):
+            continue
+        img_ab = {int(idx[v]) for v in m.arc_ab}
+        img_cd = {int(idx[v]) for v in m.arc_cd}
+        bc, da = set(m.arc_bc), set(m.arc_da)
+        if (img_ab == bc and img_cd == da) or (img_ab == da and img_cd == bc):
+            return True
+    return False
+
+
+def oracle_nearest_vertex(pos, pts, tol):
+    """Nearest row of pos for each point by a k-d tree, -1 beyond tol."""
+    from scipy.spatial import cKDTree
+    d, idx = cKDTree(pos).query(pts)
+    return np.where(d <= tol, idx, -1)

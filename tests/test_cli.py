@@ -1,21 +1,17 @@
 import json
 import math
-import os
 import subprocess
 import sys
 
 import pytest
 
-from conftest import RECT_MARKS, RECT_POLY, strip_map
+from conftest import RECT_MARKS, RECT_POLY, src_env, strip_map
 from orthotile import cli, odmap
 
 
 def run_cli(*args):
-    # the subprocess imports the same orthotile as this process
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "orthotile.cli", *args],
-                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+                          capture_output=True, text=True, env=src_env())
 
 
 @pytest.fixture()
@@ -156,6 +152,31 @@ def test_usage_errors_exit_64():
     assert r.returncode == 64
     r = run_cli("tile", "--bogus")
     assert r.returncode == 64
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "0.5", "inf"])
+@pytest.mark.parametrize("command", ["tile", "verify", "duality"])
+def test_out_of_range_tol_is_a_usage_error(capsys, strip_files, command, tol):
+    mp, tp = strip_files
+    files = {"tile": ["--map", str(mp), "--out", str(tp)],
+             "verify": ["--tiling", str(tp)],
+             "duality": ["--map", str(mp)]}[command]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *files, "--tol", tol])
+    assert exc.value.code == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert "_tol must be in (0, 1e-2]" in err
+    assert cli.main([command, *files, "--tol", "1e-2"]) == 0
+
+
+def test_no_process_loads_scipy_spatial():
+    # only the tests' k-d tree oracles use scipy.spatial
+    code = "import sys, orthotile, orthotile.cli; print('scipy.spatial' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=src_env(), check=True)
+    assert r.stdout.strip() == "False"
 
 
 def test_help_available():

@@ -2,9 +2,13 @@ import json
 import math
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import plus_map, star_map
-from orthotile import experiments, gridgen, tiling
+from conftest import (oracle_nearest_vertex, oracle_rotation_color_swap_symmetric, plus_map,
+                      star_map)
+from orthotile import experiments, gridgen, odmap, tiling
 
 
 def test_reference_map_detection(rect_spec, square_spec, l_spec):
@@ -114,6 +118,57 @@ def test_symmetry_check_true_and_false_cases(square_spec):
     assert not experiments.rotation_color_swap_symmetric(star_map())
     mm, _ = gridgen.grid_approximation(square_spec, 1 / 8)
     assert not experiments.rotation_color_swap_symmetric(mm)
+
+
+@pytest.mark.parametrize("eps", [1 / 4, 1 / 8, 1 / 16, 1 / 32])
+def test_symmetry_check_matches_kdtree_oracle(eps, rect_spec, square_spec, l_spec):
+    maps = [plus_map(), star_map()]
+    maps += [gridgen.grid_approximation(s, eps)[0] for s in (rect_spec, square_spec, l_spec)]
+    for mm in maps:
+        assert (experiments.rotation_color_swap_symmetric(mm)
+                == oracle_rotation_color_swap_symmetric(mm))
+
+
+@settings(max_examples=150, deadline=None)
+@given(scale=st.sampled_from([1e-14, 1e-12, 1e-7, 1e-4, 1e-2]),
+       seed=st.integers(0, 2 ** 32 - 1), frac=st.floats(0.0, 1.0))
+def test_symmetry_check_matches_oracle_under_perturbation(scale, seed, frac):
+    # the plus map's tol is 1e-9 * diagonal (~5.7e-9): scales 1e-14 and
+    # 1e-12 stay well inside it, the others land well outside
+    base = plus_map()
+    rng = np.random.default_rng(seed)
+    pos = base.map.positions.copy()
+    moved = rng.random(len(pos)) < frac
+    pos[moved] += rng.uniform(-scale, scale, (int(moved.sum()), 2))
+    m = odmap.OrthodiagonalMap(pos, base.map.colors, base.map.faces, base.map.boundary)
+    mm = odmap.MarkedRectangleMap(m, base.marked)
+    got = experiments.rotation_color_swap_symmetric(mm)
+    assert got == oracle_rotation_color_swap_symmetric(mm)
+    if scale < 1e-9:
+        assert got
+
+
+def test_nearest_vertex_matches_oracle_off_the_cells(rect_spec):
+    mm, _ = gridgen.grid_approximation(rect_spec, 1 / 8)
+    pos = mm.map.positions
+    rng = np.random.default_rng(5)
+    lo, hi = pos.min(axis=0), pos.max(axis=0)
+    pts = np.vstack([pos + rng.normal(0.0, 1e-3, pos.shape),
+                     rng.uniform(lo - 1.0, hi + 1.0, (2000, 2)),
+                     [[-1e6, 3.0], [1e6, -1e6], [hi[0] + 1e-3, hi[1]], [lo[0], lo[1] - 1e-3]]])
+    # tols from well below the vertex spacing to several spacings, where
+    # cells hold many vertices
+    for tol in (1e-9, 1e-3, 0.02, 0.3, 5.0):
+        got = experiments._nearest_vertex(pos, pts, tol)
+        want = oracle_nearest_vertex(pos, pts, tol)
+        assert np.array_equal(got, want), tol
+
+
+def test_nearest_vertex_ties_go_to_the_lowest_id():
+    # (2, 0) meets id 1 in the cell left of its own before id 0 in its own
+    pos = np.array([[3.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+    pts = np.array([[2.0, 0.0], [0.5, 0.0], [9.0, 9.0]])
+    assert experiments._nearest_vertex(pos, pts, 1.0).tolist() == [0, 1, -1]
 
 
 def test_convergence_run_rectangle(rect_spec):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import grid_graph, oracle_conjugate_values, oracle_flow_check, star_map
-from orthotile import extremal, harmonic, odmap, tiling
+from orthotile import extremal, gridgen, harmonic, odmap, tiling
 
 
 def path3(c1=1.0, c2=1.0):
@@ -138,6 +138,18 @@ def test_flow_check_matches_dict_oracle(topology_maps):
     f = harmonic.Flow(g, np.array([1e16, -1e16, 1.0]), frozenset([1, 2, 8]), frozenset([0]))
     assert list(f.source_set) == [8, 1, 2]
     assert f.strength == oracle_flow_check(f)[0] == 0.0
+
+
+@pytest.mark.parametrize("eps", [1 / 8, 1 / 16, 1 / 32])
+@pytest.mark.parametrize("domain", ["L", "rect"])
+def test_witness_flows_pass_their_own_check(eps, domain, rect_spec, l_spec):
+    # check() admits the divergence of the solve that produced the flow
+    spec = {"L": l_spec, "rect": rect_spec}[domain]
+    mm, _ = gridgen.grid_approximation(spec, eps)
+    for pair in ("primal", "dual"):
+        res = extremal.extremal_length(mm, pair)
+        assert res.witness_flow.tol == res.witness_field.tol
+        res.witness_flow.check()
 
 
 def test_dirichlet_thomson_gap_inequalities():
