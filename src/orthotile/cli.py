@@ -10,6 +10,7 @@ bits depend on it).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
@@ -53,6 +54,17 @@ def _tol_flag(name: str):
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     return parse
+
+
+def _finite_flag(name: str, allow_zero: bool = False):
+    """argparse type: a finite float above 0 (at least 0 if allow_zero), else exit 64."""
+    def number(text: str) -> float:
+        v = float(text)
+        if not (math.isfinite(v) and (v >= 0.0 if allow_zero else v > 0.0)):
+            raise argparse.ArgumentTypeError(
+                f"{name} must be finite and {'>=' if allow_zero else '>'} 0")
+        return v
+    return number
 
 
 class _Parser(argparse.ArgumentParser):
@@ -171,7 +183,7 @@ def build_parser() -> _Parser:
 
     g = sub.add_parser("generate", help="build a grid approximation of a domain")
     g.add_argument("--domain", required=True)
-    g.add_argument("--mesh", type=float, required=True)
+    g.add_argument("--mesh", type=_finite_flag("mesh"), required=True)
     g.add_argument("--out", required=True)
     g.set_defaults(fn=cmd_generate)
 
@@ -194,10 +206,11 @@ def build_parser() -> _Parser:
 
     c = sub.add_parser("converge", help="run the refinement convergence harness")
     c.add_argument("--domain", required=True)
-    c.add_argument("--mesh0", type=float, required=True)
+    c.add_argument("--mesh0", type=_finite_flag("mesh0"), required=True)
     c.add_argument("--levels", type=int, default=DEFAULTS.levels)
     c.add_argument("--report", required=True)
-    c.add_argument("--probe-margin", type=float, default=None, dest="probe_margin")
+    c.add_argument("--probe-margin", type=_finite_flag("probe margin", allow_zero=True),
+                   default=None, dest="probe_margin")
     c.set_defaults(fn=cmd_converge)
     return p
 

@@ -207,7 +207,7 @@ class OrthodiagonalMap:
             bad = int(np.argmax((own == 0.0) | (other == 0.0)))
             raise MapError(f"face {bad} has a zero-length diagonal")
         c = other / own
-        ids = np.array(sorted(int(i) for i in np.where(self.colors == which)[0]), dtype=np.int64)
+        ids = np.flatnonzero(self.colors == which)
         g = WeightedGraph(ids, p[ids], u.astype(np.int64), v.astype(np.int64),
                           c, own, np.arange(self.n_faces, dtype=np.int64))
         self._caches[key] = g
@@ -218,22 +218,6 @@ class OrthodiagonalMap:
 
     def extract_dual(self) -> WeightedGraph:
         return self.extract(DUAL)
-
-    # -- serialization -------------------------------------------------------
-
-    @staticmethod
-    def from_json_dict(d: dict) -> tuple["OrthodiagonalMap", Optional[list[int]]]:
-        verts = d["vertices"]
-        ids = np.array([rec["id"] for rec in verts], dtype=np.int64)
-        pos = np.zeros((len(verts), 2))
-        col = np.zeros(len(verts), dtype=np.int64)
-        pos[ids] = [(rec["x"], rec["y"]) for rec in verts]
-        if not np.all(np.isfinite(pos)):
-            raise MapError("vertex coordinates must be finite numbers")
-        col[ids] = [PRIMAL if rec["color"] == "primal" else DUAL for rec in verts]
-        m = OrthodiagonalMap(pos, col, d["faces"], d["boundary"])
-        marked = [int(x) for x in d["marked"]] if "marked" in d and d["marked"] else None
-        return m, marked
 
 
 def save_json(path: str, obj) -> None:
@@ -305,8 +289,52 @@ def save_map(path: str, m: OrthodiagonalMap, marked: Optional[Sequence[int]] = N
         fh.write("\n}\n")
 
 
+def load_rows(path: str, member: str, keys: frozenset, row) -> dict:
+    """json.load(path), handing each object that carries all of keys to
+    row(obj) as soon as it is decoded and leaving a marker in its place, so
+    no row's container outlives its decode.  The top-level member must hold
+    exactly those objects, else ValueError."""
+    mark, n = object(), 0
+
+    def hook(obj):
+        nonlocal n
+        if keys <= obj.keys():
+            row(obj)
+            n += 1
+            return mark
+        return obj
+
+    with open(path, encoding="utf-8") as fh:
+        d = json.load(fh, object_hook=hook)
+    if list(d[member]) != [mark] * n:
+        raise ValueError(f"{member} must hold all objects with keys {sorted(keys)}, and only those")
+    return d
+
+
 def load_map(path: str) -> tuple[OrthodiagonalMap, Optional[list[int]]]:
-    return OrthodiagonalMap.from_json_dict(load_json(path))
+    """Read a save_map file, its vertex records straight into columns."""
+    ids, xy, primal = [], ([], []), []
+
+    def row(r):
+        ids.append(r["id"])
+        xy[0].append(r["x"])
+        xy[1].append(r["y"])
+        primal.append(r["color"] == "primal")
+
+    d = load_rows(path, "vertices", frozenset(("id", "x", "y", "color")), row)
+    ids = np.array(ids, dtype=np.int64)
+    pos = np.zeros((len(ids), 2))
+    pos[ids] = np.array(xy, dtype=float).swapaxes(0, 1)   # converted as (x, y) pairs are
+    if not np.all(np.isfinite(pos)):
+        raise MapError("vertex coordinates must be finite numbers")
+    col = np.zeros(len(ids), dtype=np.int64)
+    col[ids] = np.where(primal, PRIMAL, DUAL)
+    # free the value lists, and the face lists once converted, before the
+    # map's (f, 4, 2) temporaries
+    del xy, primal
+    m = OrthodiagonalMap(pos, col, d.pop("faces"), d["boundary"])
+    marked = [int(x) for x in d["marked"]] if "marked" in d and d["marked"] else None
+    return m, marked
 
 
 def trace_boundary(faces) -> list[int]:

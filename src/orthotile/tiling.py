@@ -12,6 +12,7 @@ overlap detection needs no slack of its own.
 
 from __future__ import annotations
 
+import array
 import bisect
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -19,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import harmonic
-from .odmap import (FaceLocator, MarkedRectangleMap, first_per_point, json_floats, load_json,
+from .odmap import (FaceLocator, MarkedRectangleMap, first_per_point, json_floats, load_rows,
                     write_json_rows)
 
 DEGENERATE_TOL = 1e-9      # sides up to this (widths: times max(L, 1)) are degenerate
@@ -80,21 +81,6 @@ class Tiling:
         x0, x1, y0, y1 = self.rect.T
         return float(sum(((x1 - x0) * (y1 - y0)).tolist()))
 
-    @staticmethod
-    def from_json_dict(d: dict) -> "Tiling":
-        L = float(d["L"])
-        recs = d["tiles"]
-        face = np.array([rec["face"] for rec in recs], dtype=np.int64)
-        edges = [rec["edge"] for rec in recs]
-        if any(len(e) != 2 for e in edges):
-            raise ValueError("a tile edge must be a pair of vertex ids")
-        edge = np.array(edges, dtype=np.int64).reshape(-1, 2)
-        rect = np.array(list(map(float, [rec[k] for rec in recs
-                                         for k in ("x0", "x1", "y0", "y1")]))).reshape(-1, 4)
-        x0, x1, y0, y1 = rect.T
-        deg = (x1 - x0 <= DEGENERATE_TOL * max(L, 1.0)) | (y1 - y0 <= DEGENERATE_TOL)
-        return Tiling(L, face, edge, rect, deg)
-
 
 _TILE = ('  {\n   "face": %d,\n   "edge": [\n    %d,\n    %d\n   ],\n'
          '   "x0": %s,\n   "x1": %s,\n   "y0": %s,\n   "y1": %s\n  }')
@@ -110,7 +96,27 @@ def save_tiling(path: str, t: Tiling) -> None:
 
 
 def load_tiling(path: str) -> Tiling:
-    return Tiling.from_json_dict(load_json(path))
+    """Read a save_tiling file, its tile records straight into columns;
+    degenerate uses the size rule only."""
+    face, eu, ev, rect = [], [], [], array.array("d")
+
+    def row(r):
+        face.append(r["face"])
+        e = r["edge"]
+        if len(e) != 2:
+            raise ValueError("a tile edge must be a pair of vertex ids")
+        eu.append(e[0])
+        ev.append(e[1])
+        rect.extend((float(r["x0"]), float(r["x1"]), float(r["y0"]), float(r["y1"])))
+
+    d = load_rows(path, "tiles", frozenset(("face", "edge", "x0", "x1", "y0", "y1")), row)
+    L = float(d["L"])
+    face = np.array(face, dtype=np.int64)
+    edge = np.stack([np.array(c, dtype=np.int64) for c in (eu, ev)], axis=1).reshape(-1, 2)
+    rect = np.frombuffer(rect).reshape(-1, 4)
+    x0, x1, y0, y1 = rect.T
+    deg = (x1 - x0 <= DEGENERATE_TOL * max(L, 1.0)) | (y1 - y0 <= DEGENERATE_TOL)
+    return Tiling(L, face, edge, rect, deg)
 
 
 def build_tiling(m: MarkedRectangleMap, tol: float = 1e-12

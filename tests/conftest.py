@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from orthotile import gridgen, odmap
+from orthotile import gridgen, odmap, tiling
 
 
 def src_env():
@@ -559,6 +559,64 @@ def oracle_tiling_bytes(t) -> bytes:
          "tiles": [{"face": f, "edge": e, "x0": x0, "x1": x1, "y0": y0, "y1": y1}
                    for f, e, (x0, x1, y0, y1) in zip(
                        t.face.tolist(), t.edge.tolist(), t.rect.tolist())]})
+
+
+# -- dict-tree artifact readers -------------------------------------------------------
+#
+# OrthodiagonalMap.from_json_dict and Tiling.from_json_dict, which walked the
+# per-row dicts json.load builds, kept as the references load_map and
+# load_tiling must match bit for bit.
+
+
+def oracle_map_from_json_dict(d):
+    verts = d["vertices"]
+    ids = np.array([rec["id"] for rec in verts], dtype=np.int64)
+    pos = np.zeros((len(verts), 2))
+    col = np.zeros(len(verts), dtype=np.int64)
+    pos[ids] = [(rec["x"], rec["y"]) for rec in verts]
+    if not np.all(np.isfinite(pos)):
+        raise odmap.MapError("vertex coordinates must be finite numbers")
+    col[ids] = [odmap.PRIMAL if rec["color"] == "primal" else odmap.DUAL for rec in verts]
+    m = odmap.OrthodiagonalMap(pos, col, d["faces"], d["boundary"])
+    marked = [int(x) for x in d["marked"]] if "marked" in d and d["marked"] else None
+    return m, marked
+
+
+def oracle_tiling_from_json_dict(d, degenerate_tol=1e-9):
+    L = float(d["L"])
+    recs = d["tiles"]
+    face = np.array([rec["face"] for rec in recs], dtype=np.int64)
+    edges = [rec["edge"] for rec in recs]
+    if any(len(e) != 2 for e in edges):
+        raise ValueError("a tile edge must be a pair of vertex ids")
+    edge = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    rect = np.array(list(map(float, [rec[k] for rec in recs
+                                     for k in ("x0", "x1", "y0", "y1")]))).reshape(-1, 4)
+    x0, x1, y0, y1 = rect.T
+    deg = (x1 - x0 <= degenerate_tol * max(L, 1.0)) | (y1 - y0 <= degenerate_tol)
+    return tiling.Tiling(L, face, edge, rect, deg)
+
+
+def oracle_load(path, from_json_dict):
+    """from_json_dict of json.load's tree of path."""
+    with open(path, encoding="utf-8") as fh:
+        return from_json_dict(json.load(fh))
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def map_bits(m, marked=None):
+    """Every column of a loaded map, as comparable dtype, shape and bytes."""
+    return ([_bits(c) for c in (m.positions, m.colors, m.faces, m.boundary)],
+            m.mesh_eps.hex(), marked)
+
+
+def tiling_bits(t):
+    """Every column of a tiling, as comparable dtype, shape and bytes."""
+    return t.L.hex(), [_bits(c) for c in (t.face, t.edge, t.rect, t.degenerate)]
 
 
 # -- (n, m, 2) distance kernels ---------------------------------------------------

@@ -171,6 +171,38 @@ def test_out_of_range_tol_is_a_usage_error(capsys, strip_files, command, tol):
     assert cli.main([command, *files, "--tol", "1e-2"]) == 0
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "-0.5", "abc"])
+@pytest.mark.parametrize("command", ["generate", "converge"])
+def test_bad_mesh_is_a_usage_error(capsys, tmp_path, domain_file, command, value):
+    args = {"generate": [f"--mesh={value}", "--out", str(tmp_path / "m.json")],
+            "converge": [f"--mesh0={value}", "--levels", "2",
+                         "--report", str(tmp_path / "r.json")]}[command]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--domain", domain_file, *args])
+    assert exc.value.code == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert "must be finite and > 0" in err or "invalid number value" in err
+    assert not (tmp_path / "m.json").exists() and not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("margin", ["nan", "inf", "-1", "-1e-300"])
+def test_bad_probe_margin_is_a_usage_error(capsys, tmp_path, domain_file, margin):
+    rp = tmp_path / "r.json"
+    argv = ["converge", "--domain", domain_file, "--mesh0", "0.25", "--levels", "2",
+            "--report", str(rp)]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, f"--probe-margin={margin}"])
+    assert exc.value.code == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "probe margin must be finite and >= 0" in err
+    assert not rp.exists()
+    assert cli.main([*argv, "--probe-margin=0"]) == 0
+    assert json.loads(rp.read_text())["probe_margin"] == 0.0
+
+
 def test_no_process_loads_scipy_spatial():
     # only the tests' k-d tree oracles use scipy.spatial
     code = "import sys, orthotile, orthotile.cli; print('scipy.spatial' in sys.modules)"

@@ -107,7 +107,9 @@ def test_json_roundtrip_bit_identical(tmp_path):
     # vertex records are placed by id, in whatever order they come
     d = json.loads(p1.read_text())
     d["vertices"] = d["vertices"][::-1]
-    m3, _ = odmap.OrthodiagonalMap.from_json_dict(d)
+    p3 = tmp_path / "m3.json"
+    p3.write_text(json.dumps(d))
+    m3, _ = odmap.load_map(str(p3))
     assert np.array_equal(m3.positions, mm.map.positions)
     assert np.array_equal(m3.colors, mm.map.colors)
     assert np.array_equal(m2.positions, mm.map.positions)
@@ -222,12 +224,14 @@ def test_validate_matches_face_loop_oracle(topology_maps):
     assert nonconvex > 0
 
 
-def test_map_load_rejects_nonfinite_coordinates():
+def test_map_load_rejects_nonfinite_coordinates(tmp_path):
     d = json.loads(oracle_map_bytes(strip_map().map))
+    p = tmp_path / "m.json"
     for bad in (None, float("nan"), float("inf")):
         d["vertices"][3]["x"] = bad
+        p.write_text(json.dumps(d))
         with pytest.raises(odmap.MapError):
-            odmap.OrthodiagonalMap.from_json_dict(d)
+            odmap.load_map(str(p))
 
 
 def test_marked_map_arcs_and_errors():

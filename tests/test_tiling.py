@@ -101,19 +101,22 @@ def _corrupted(t, rng, n_widened):
     return dataclasses.replace(t, rect=rect)
 
 
-def test_tiling_columns_match_tile_oracles(topology_maps, l_spec):
+def test_tiling_columns_match_tile_oracles(tmp_path, topology_maps, l_spec):
     # load, verify and render on the columns, bitwise against the
     # Tile-at-a-time versions, on built, reloaded and corrupted tilings
     rng = np.random.default_rng(11)
     maps = dict(topology_maps, L32=gridgen.grid_approximation(l_spec, 1 / 32)[0])
+    p = tmp_path / "t.json"
     for name, mm in maps.items():
         t, _, _ = tiling.build_tiling(mm)
         d = json.loads(oracle_tiling_bytes(t))
         d["tiles"][0]["x1"] = d["tiles"][0]["x0"] + 1e-10 * max(t.L, 1.0)
         L, rows = oracle_tiles_from_json_dict(d)
-        loaded = tiling.Tiling.from_json_dict(d)
+        p.write_text(json.dumps(d))
+        loaded = tiling.load_tiling(str(p))
         assert loaded.L == L and repr(loaded.tiles) == repr([tiling.Tile(*r) for r in rows])
-        reloaded = tiling.Tiling.from_json_dict(json.loads(oracle_tiling_bytes(loaded)))
+        p.write_bytes(oracle_tiling_bytes(loaded))
+        reloaded = tiling.load_tiling(str(p))
         assert json.loads(oracle_tiling_bytes(reloaded)) == d
         variants = [t, loaded, _corrupted(t, rng, min(50, len(t) // 2))]
         for v in variants:
