@@ -17,13 +17,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 from . import geom
 from .geom import Polygon
 from .odmap import (DUAL, PRIMAL, MapError, MarkedRectangleMap, OrthodiagonalMap,
-                    load_json, save_json, trace_boundary)
+                    component_labels, load_json, save_json, trace_boundary)
 
 
 class GenerationError(RuntimeError):
@@ -226,27 +224,21 @@ def _largest_component_near(centers_ij: np.ndarray, centers_xy: np.ndarray,
     order = np.argsort(key)
     sorted_key = key[order]
     rows, cols = [], []
-    for di, dj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+    for di, dj in ((1, 1), (1, -1)):
         nbr = (centers_ij[:, 0] + di).astype(np.int64) * (2 ** 32) + (centers_ij[:, 1] + dj)
         pos = np.searchsorted(sorted_key, nbr)
         pos = np.clip(pos, 0, nfc - 1)
         hit = sorted_key[pos] == nbr
         rows.append(np.flatnonzero(hit))
         cols.append(order[pos[hit]])
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    adjm = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(nfc, nfc))
-    ncomp, labels = csgraph.connected_components(adjm, directed=False)
-    if ncomp == 1:
-        return np.arange(nfc)
+    labels = component_labels(nfc, np.concatenate(rows), np.concatenate(cols))
+    # a component is named by its smallest face index
+    roots = np.flatnonzero(labels == np.arange(nfc))
     d = np.sqrt(((centers_xy - np.asarray(target_xy)) ** 2).sum(-1))
-    best_label, best = None, (math.inf, math.inf)
-    for lab in range(ncomp):
-        sel = labels == lab
-        cand = (float(d[sel].min()), float(np.flatnonzero(sel)[0]))
-        if cand < best:
-            best, best_label = cand, lab
-    return np.flatnonzero(labels == best_label)
+    dmin = np.full(nfc, math.inf)
+    np.minimum.at(dmin, labels, d)
+    best = roots[np.lexsort((roots, dmin[roots]))[0]]
+    return np.flatnonzero(labels == best)
 
 
 def grid_approximation(spec: DomainSpec, eps: float) -> tuple[MarkedRectangleMap,

@@ -13,11 +13,8 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.sparse import csgraph
 
-from .odmap import MarkedRectangleMap, WeightedGraph
+from .odmap import MarkedRectangleMap, WeightedGraph, component_labels
 
 DEFAULT_TOL = 1e-10
 
@@ -109,6 +106,8 @@ def _reduced_system(g: WeightedGraph, pinned: Mapping[int, float]):
     """Check the pinned set and restrict the Laplacian to the free vertices
     (ascending id).  Returns the values array (pinned values by vertex id,
     NaN elsewhere), the free ids, the matrix, its rhs and its diagonal."""
+    import scipy.sparse as sp
+
     if not pinned:
         raise SolverError("pinned set is empty")
     ids = g.ids
@@ -151,9 +150,7 @@ def _reduced_system(g: WeightedGraph, pinned: Mapping[int, float]):
 
 def _check_connectivity(g: WeightedGraph, pidx: np.ndarray) -> None:
     """Every vertex must share a component with a pinned index."""
-    iu, iv = edge_indices(g)
-    adj = sp.csr_matrix((np.ones(g.m), (iu, iv)), shape=(g.n, g.n))
-    _, labels = csgraph.connected_components(adj, directed=False)
+    labels = component_labels(g.n, *edge_indices(g))
     bad = np.flatnonzero(~np.isin(labels, labels[pidx]))
     if bad.size:
         raise SolverError(f"{bad.size} free vertices unreachable from the pinned set "
@@ -170,6 +167,9 @@ def solve_dirichlet(g: WeightedGraph, pinned: Mapping[int, float],
     relative residual <= tol.  Raises SolverError for an empty pinned set,
     a free component with no pinned neighbor, or non-convergence.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     pinned = {int(k): float(v) for k, v in pinned.items()}
     values, free_ids, A, b, diag = _reduced_system(g, pinned)
     if len(free_ids):
@@ -296,6 +296,9 @@ def harmonic_conjugate(m: MarkedRectangleMap, h: HarmonicField,
     checked against cycle_tol_rel * max(gap, 1) and returned alongside the
     field.
     """
+    import scipy.sparse as sp
+    from scipy.sparse import csgraph
+
     g_dual = m.map.extract_dual()
     scale = max(h.gap(), 1.0)
 

@@ -46,9 +46,6 @@ class DiscreteHolomorphic:
     def max_cr_residual(self) -> float:
         return float(self.face_residuals.max()) if len(self.face_residuals) else 0.0
 
-    def max_abs(self) -> float:
-        return float(np.abs(self.values).max())
-
 
 def assemble(m: MarkedRectangleMap, h: harmonic.HarmonicField,
              h_tilde: harmonic.HarmonicField) -> DiscreteHolomorphic:

@@ -96,19 +96,24 @@ class WeightedGraph:
         return adj
 
 
-def graph_from_edges(positions: dict[int, tuple[float, float]],
-                     edges: Sequence[tuple[int, int, float]]) -> WeightedGraph:
-    """Build an abstract WeightedGraph from (u, v, conductance) triples."""
-    ids = np.array(sorted(positions), dtype=np.int64)
-    pos = np.array([positions[int(i)] for i in ids], dtype=float)
-    eu = np.array([e[0] for e in edges], dtype=np.int64)
-    ev = np.array([e[1] for e in edges], dtype=np.int64)
-    ec = np.array([e[2] for e in edges], dtype=float)
-    pmap = {int(i): positions[int(i)] for i in ids}
-    el = np.array([np.hypot(pmap[int(u)][0] - pmap[int(v)][0],
-                            pmap[int(u)][1] - pmap[int(v)][1]) for u, v in zip(eu, ev)])
-    return WeightedGraph(ids, pos, eu, ev, ec, el,
-                         np.full(len(eu), -1, dtype=np.int64))
+def component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Label each of n vertices with the smallest vertex index in its
+    connected component, for the undirected edges (u[k], v[k]).
+
+    Each round hooks the larger of two root labels met across an edge onto
+    the smaller one, then jumps pointers until every label is a root."""
+    lab = np.arange(n)
+    while True:
+        lu, lv = lab[u], lab[v]
+        ne = lu != lv
+        if not ne.any():
+            return lab
+        np.minimum.at(lab, np.maximum(lu[ne], lv[ne]), np.minimum(lu[ne], lv[ne]))
+        while True:
+            nxt = lab[lab]
+            if np.array_equal(nxt, lab):
+                break
+            lab = nxt
 
 
 class OrthodiagonalMap:
@@ -418,13 +423,11 @@ class FaceLocator:
     def __init__(self, m: OrthodiagonalMap, tol: Optional[float] = None):
         self.m = m
         q = m.positions[m.faces]
-        self.fmin = q.min(axis=1)
-        self.fmax = q.max(axis=1)
         self.convex = _quads_convex(q)
         self.cell = max(m.mesh_eps * 2.0, 1e-12)
         self.tol = tol if tol is not None else 1e-12 * max(1.0, m.mesh_eps)
-        lo = np.floor(self.fmin / self.cell).astype(np.int64)
-        hi = np.floor(self.fmax / self.cell).astype(np.int64)
+        lo = np.floor(q.min(axis=1) / self.cell).astype(np.int64)
+        hi = np.floor(q.max(axis=1) / self.cell).astype(np.int64)
         self.origin = lo.min(axis=0)
         self.shape = hi.max(axis=0) - self.origin + 1
         # one (cell, face) entry per cell of each face's bounding box
@@ -483,13 +486,11 @@ class FaceLocator:
         return np.concatenate(out_p), np.concatenate(out_f)
 
     def locate_many(self, pts) -> np.ndarray:
-        """Per point, the lowest id of a face whose closed quadrilateral and
-        bounding box (within tol) contain it, or -1."""
+        """Per point, the lowest id of a face that contains it (as in
+        containing()), or -1."""
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
         pi, fi = self.containing(pts)
-        p = pts[pi]
-        box = np.all((self.fmin[fi] - self.tol <= p) & (p <= self.fmax[fi] + self.tol), axis=1)
-        return first_per_point(len(pts), pi[box], fi[box], -1)
+        return first_per_point(len(pts), pi, fi, -1)
 
     def locate(self, p) -> Optional[int]:
         fi = int(self.locate_many(p)[0])

@@ -16,6 +16,19 @@ def src_env():
             "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
+def graph_from_edges(positions, edges):
+    """An abstract WeightedGraph from {id: (x, y)} and (u, v, conductance)
+    triples."""
+    ids = np.array(sorted(positions), dtype=np.int64)
+    pos = np.array([positions[int(i)] for i in ids], dtype=float)
+    eu = np.array([e[0] for e in edges], dtype=np.int64)
+    ev = np.array([e[1] for e in edges], dtype=np.int64)
+    ec = np.array([e[2] for e in edges], dtype=float)
+    el = np.array([np.hypot(positions[int(u)][0] - positions[int(v)][0],
+                            positions[int(u)][1] - positions[int(v)][1]) for u, v in zip(eu, ev)])
+    return odmap.WeightedGraph(ids, pos, eu, ev, ec, el, np.full(len(eu), -1, dtype=np.int64))
+
+
 def grid_graph(a, b, c=1.0):
     """a x b lattice of unit squares' vertices with uniform conductances."""
     pos = {}
@@ -29,7 +42,7 @@ def grid_graph(a, b, c=1.0):
                 edges.append((i * b + j, (i + 1) * b + j, c))
             if j + 1 < b:
                 edges.append((i * b + j, i * b + j + 1, c))
-    return odmap.graph_from_edges(pos, edges)
+    return graph_from_edges(pos, edges)
 
 
 def star_map():
@@ -213,13 +226,11 @@ class OracleLocator:
         self.math = math
         self.m = m
         q = m.positions[m.faces]
-        self.fmin = q.min(axis=1)
-        self.fmax = q.max(axis=1)
         self.cell = max(m.mesh_eps * 2.0, 1e-12)
         self.tol = tol if tol is not None else 1e-12 * max(1.0, m.mesh_eps)
         buckets = {}
-        lo = np.floor(self.fmin / self.cell).astype(int)
-        hi = np.floor(self.fmax / self.cell).astype(int)
+        lo = np.floor(q.min(axis=1) / self.cell).astype(int)
+        hi = np.floor(q.max(axis=1) / self.cell).astype(int)
         for fi in range(m.n_faces):
             for gx in range(lo[fi, 0], hi[fi, 0] + 1):
                 for gy in range(lo[fi, 1], hi[fi, 1] + 1):
@@ -240,9 +251,7 @@ class OracleLocator:
 
     def locate(self, p):
         for fi in self.bucket(p):
-            if (self.fmin[fi, 0] - self.tol <= p[0] <= self.fmax[fi, 0] + self.tol
-                    and self.fmin[fi, 1] - self.tol <= p[1] <= self.fmax[fi, 1] + self.tol
-                    and self.face_contains(fi, p)):
+            if self.face_contains(fi, p):
                 return fi
         return None
 

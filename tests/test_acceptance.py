@@ -199,7 +199,7 @@ def test_criterion_09_discrete_morera(big):
                 continue
             pts = mm.map.positions[np.array(walk + [walk[0]])]
             per = float(np.sqrt(((pts[1:] - pts[:-1]) ** 2).sum(-1)).sum())
-            tol = 1e-9 * per * F.max_abs()
+            tol = 1e-9 * per * float(np.abs(F.values).max())
             worst_rel = max(worst_rel, abs(integral) / tol)
             assert abs(integral) <= tol
             count += 1

@@ -1,3 +1,5 @@
+import ast
+import hashlib
 import json
 import math
 import subprocess
@@ -203,12 +205,46 @@ def test_bad_probe_margin_is_a_usage_error(capsys, tmp_path, domain_file, margin
     assert json.loads(rp.read_text())["probe_margin"] == 0.0
 
 
+# one CLI command in a fresh interpreter; the last stdout line lists the
+# scipy modules it loaded
+FRESH_CLI = ("import sys\nfrom orthotile import cli\nrc = cli.main(sys.argv[1:])\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+             "sys.exit(rc)")
+
+
+def run_fresh(*args):
+    r = subprocess.run([sys.executable, "-c", FRESH_CLI, *args], capture_output=True,
+                       text=True, env=src_env())
+    return r.returncode, ast.literal_eval(r.stdout.splitlines()[-1])
+
+
 def test_no_process_loads_scipy_spatial():
-    # only the tests' k-d tree oracles use scipy.spatial
-    code = "import sys, orthotile, orthotile.cli; print('scipy.spatial' in sys.modules)"
+    # importing the package loads no scipy module at all; only the tests'
+    # k-d tree oracles use scipy.spatial
+    code = ("import sys, orthotile, orthotile.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                        env=src_env(), check=True)
-    assert r.stdout.strip() == "False"
+    assert r.stdout.strip() == "[]"
+
+
+def test_only_sparse_solves_load_scipy(tmp_path, domain_file):
+    # generate labels components and verify sweeps the tiling with numpy;
+    # the sparse solves and tree walk of tile and duality load scipy.sparse
+    # but no scipy.spatial, and the three artifacts keep their pinned bytes
+    mp, tp, svg = (str(tmp_path / n) for n in ("map.json", "t.json", "t.svg"))
+    assert run_fresh("generate", "--domain", domain_file, "--mesh", "0.25",
+                     "--out", mp) == (0, [])
+    for argv in (["tile", "--map", mp, "--out", tp, "--svg", svg], ["duality", "--map", mp]):
+        rc, mods = run_fresh(*argv)
+        assert rc == 0 and "scipy.sparse.linalg" in mods and "scipy.spatial" not in mods
+    assert run_fresh("verify", "--tiling", tp) == (0, [])
+    digest = {n: hashlib.sha256((tmp_path / n).read_bytes()).hexdigest()
+              for n in ("map.json", "t.json", "t.svg")}
+    assert digest == {
+        "map.json": "6a8450201551500961ea55307c0d051e765ccebc3695d3d8793e53cd4099f58e",
+        "t.json": "81f567d361bddf307d56f4d8f21edda3b14daa2b9e8e1173b1519246a10e543e",
+        "t.svg": "47f5b47605c10314c3d6e97cb0511d3d4eac58a522f2e2f12d899822499fe45b"}
 
 
 def test_help_available():

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import OracleLocator, grid_graph, star_map, strip_map
+from conftest import OracleLocator, graph_from_edges, grid_graph, star_map, strip_map
 from orthotile import extremal, geom, gridgen, harmonic, odmap
 
 
 def test_single_edge_network():
-    g = odmap.graph_from_edges({0: (0, 0), 1: (1, 0)}, [(0, 1, 1.0)])
+    g = graph_from_edges({0: (0, 0), 1: (1, 0)}, [(0, 1, 1.0)])
     assert abs(harmonic.effective_resistance(g, [0], [1]) - 1.0) < 1e-12
 
 
@@ -50,7 +50,7 @@ def test_witness_metric_attains_lambda():
 
 
 def test_metric_lower_bound_path_graph():
-    g = odmap.graph_from_edges({0: (0, 0), 1: (1, 0), 2: (2, 0)},
+    g = graph_from_edges({0: (0, 0), 1: (1, 0), 2: (2, 0)},
                                [(0, 1, 1.0), (1, 2, 1.0)])
     rho = extremal.EdgeMetric(g, np.ones(2))
     assert abs(extremal.metric_lower_bound(g, [0], [2], rho) - 2.0) < 1e-12
@@ -77,7 +77,7 @@ def test_edge_metric_validation():
 
 
 def test_metric_unreachable_is_inf():
-    g = odmap.graph_from_edges({0: (0, 0), 1: (1, 0), 2: (5, 0), 3: (6, 0)},
+    g = graph_from_edges({0: (0, 0), 1: (1, 0), 2: (5, 0), 3: (6, 0)},
                                [(0, 1, 1.0), (2, 3, 1.0)])
     rho = extremal.EdgeMetric(g, np.ones(2))
     assert math.isinf(extremal.metric_lower_bound(g, [0], [3], rho))
@@ -177,12 +177,12 @@ def test_rayleigh_monotonicity_random_graphs():
         pos = {int(i): tuple(p) for i, p in zip(g.ids, g.positions)}
         edges = [(int(u), int(v), float(rng.uniform(0.3, 3.0)))
                  for u, v in zip(g.edge_u, g.edge_v)]
-        g1 = odmap.graph_from_edges(pos, edges)
+        g1 = graph_from_edges(pos, edges)
         S, T = [0], [a * b - 1]
         r1 = harmonic.effective_resistance(g1, S, T, tol=1e-12)
         # add one random extra edge of positive conductance
         u, v = rng.choice(g1.ids, 2, replace=False)
-        g2 = odmap.graph_from_edges(pos, edges + [(int(u), int(v), 1.0)])
+        g2 = graph_from_edges(pos, edges + [(int(u), int(v), 1.0)])
         r2 = harmonic.effective_resistance(g2, S, T, tol=1e-12)
         assert r2 <= r1 + 1e-9
 

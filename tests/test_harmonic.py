@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import grid_graph, oracle_conjugate_values, oracle_flow_check, star_map
+from conftest import (graph_from_edges, grid_graph, oracle_conjugate_values, oracle_flow_check,
+                      star_map)
 from orthotile import extremal, gridgen, harmonic, odmap, tiling
 
 
 def path3(c1=1.0, c2=1.0):
-    return odmap.graph_from_edges({0: (0, 0), 1: (1, 0), 2: (2, 0)},
+    return graph_from_edges({0: (0, 0), 1: (1, 0), 2: (2, 0)},
                                   [(0, 1, c1), (1, 2, c2)])
 
 
@@ -43,7 +44,7 @@ def test_maximum_principle_and_residual_fields():
 
 def test_series_parallel_resistance():
     assert abs(harmonic.effective_resistance(path3(), [0], [2]) - 2.0) < 1e-10
-    g = odmap.graph_from_edges({0: (0, 0), 1: (1, 0)}, [(0, 1, 1.0), (0, 1, 1.0)])
+    g = graph_from_edges({0: (0, 0), 1: (1, 0)}, [(0, 1, 1.0), (0, 1, 1.0)])
     assert abs(harmonic.effective_resistance(g, [0], [1]) - 0.5) < 1e-10
 
 
@@ -69,7 +70,7 @@ def test_cg_matches_dense_oracle_everywhere():
         pos = {int(i): tuple(p) for i, p in zip(g.ids, g.positions)}
         edges = [(int(u), int(v), float(rng.uniform(0.2, 5.0)))
                  for u, v in zip(g.edge_u, g.edge_v)]
-        g = odmap.graph_from_edges(pos, edges)
+        g = graph_from_edges(pos, edges)
         n = g.n
         pinned = {0: float(rng.uniform(-1, 1)), n - 1: float(rng.uniform(-1, 1))}
         hc = harmonic.solve_dirichlet(g, pinned, tol=1e-12)
@@ -82,10 +83,10 @@ def test_solver_errors():
     g = grid_graph(3, 3)
     with pytest.raises(harmonic.SolverError):
         harmonic.solve_dirichlet(g, {})
-    disconnected = odmap.graph_from_edges(
+    disconnected = graph_from_edges(
         {0: (0, 0), 1: (1, 0), 2: (5, 0), 3: (6, 0)},
         [(0, 1, 1.0), (2, 3, 1.0)])
-    with pytest.raises(harmonic.SolverError):
+    with pytest.raises(harmonic.SolverError, match=r"^2 free vertices unreachable .*first: 2\)"):
         harmonic.solve_dirichlet(disconnected, {0: 0.0, 1: 1.0})
     with pytest.raises(harmonic.SolverError):
         harmonic.effective_resistance(g, [0, 1], [1, 2])  # overlap
@@ -133,7 +134,7 @@ def test_flow_check_matches_dict_oracle(topology_maps):
     assert str(exc.value).startswith("nonzero divergence")
     # the strength's bits follow the source set's iteration order (8, 1, 2),
     # not the id order (1, 2, 8)
-    g = odmap.graph_from_edges({0: (0.0, 0.0), 1: (1.0, 0.0), 2: (0.0, 1.0), 8: (1.0, 1.0)},
+    g = graph_from_edges({0: (0.0, 0.0), 1: (1.0, 0.0), 2: (0.0, 1.0), 8: (1.0, 1.0)},
                                [(1, 0, 1.0), (2, 0, 1.0), (8, 0, 1.0)])
     f = harmonic.Flow(g, np.array([1e16, -1e16, 1.0]), frozenset([1, 2, 8]), frozenset([0]))
     assert list(f.source_set) == [8, 1, 2]
@@ -193,7 +194,7 @@ def test_dirichlet_thomson_gap_inequalities():
 
 def test_thomson_on_explicit_flows():
     # two-route network: send unit flow along suboptimal splits
-    g = odmap.graph_from_edges(
+    g = graph_from_edges(
         {0: (0, 0), 1: (1, 1), 2: (1, -1), 3: (2, 0)},
         [(0, 1, 1.0), (1, 3, 1.0), (0, 2, 1.0), (2, 3, 1.0)])
     r_eff = harmonic.effective_resistance(g, [0], [3], tol=1e-12)
@@ -224,7 +225,7 @@ def test_scale_covariance():
         pos = {int(i): tuple(p) for i, p in zip(g.ids, g.positions)}
         edges = [(int(u), int(v), s * float(c))
                  for u, v, c in zip(g.edge_u, g.edge_v, g.edge_c)]
-        gs = odmap.graph_from_edges(pos, edges)
+        gs = graph_from_edges(pos, edges)
         rs = harmonic.effective_resistance(gs, S, T, tol=1e-12)
         assert abs(rs - r1 / s) < 1e-10 * max(1.0, r1 / s)
 

@@ -257,6 +257,35 @@ def test_arcs_partition_boundary_colors():
     assert not (set(mm.arc_bc) & set(mm.arc_da))
 
 
+def oracle_component_minima(n, u, v):
+    """Union-find: per vertex, the smallest vertex index in its component."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+    for a, b in zip(u.tolist(), v.tolist()):
+        ra, rb = find(a), find(b)
+        parent[max(ra, rb)] = min(ra, rb)
+    return [find(x) for x in range(n)]
+
+
+def test_component_labels_match_union_find():
+    rng = np.random.default_rng(33)
+    cases = [(0, np.zeros(0, np.int64), np.zeros(0, np.int64))]
+    for n in (1, 2, 9, 80, 500):
+        for m in (0, n // 2, n, 3 * n):
+            cases.append((n, rng.integers(0, n, m), rng.integers(0, n, m)))
+    # a shuffled path and a star centred on the largest index need several
+    # hooking rounds
+    perm = rng.permutation(300)
+    cases.append((300, perm[:-1], perm[1:]))
+    cases.append((50, np.full(49, 49), np.arange(49)))
+    for n, u, v in cases:
+        assert odmap.component_labels(n, u, v).tolist() == oracle_component_minima(n, u, v)
+
+
 def test_face_locator():
     mm = strip_map()
     loc = odmap.FaceLocator(mm.map)
@@ -316,16 +345,18 @@ def test_locate_batches_agree(rect_map16, monkeypatch):
     assert np.array_equal(odmap.FaceLocator(m).locate_many(pts), want)
 
 
-def test_locate_needs_bounding_box_but_containment_does_not():
+def test_locate_and_containment_agree_past_the_bounding_box():
     # just past the diamond's right corner the two side lines are both
-    # within tol, so the closed face contains the point, yet it lies
-    # beyond the face's bounding box plus tol: locate() rejects it,
-    # containing() (the evaluation path) keeps it, as the scalar code did
+    # within tol, so the closed face contains the point although it lies
+    # beyond the face's bounding box plus tol: locate() and containing()
+    # (the evaluation path) both keep it
     m = odmap.OrthodiagonalMap([(1, 0), (2, 1), (1, 2), (0, 1)], [0, 1, 0, 1],
                                [[0, 1, 2, 3]], [0, 1, 2, 3])
     loc = odmap.FaceLocator(m)
     p = np.array([2.0 + 1.2 * loc.tol, 1.0])
-    assert OracleLocator(m).locate(p) is None and loc.locate(p) is None
+    assert p[0] > m.positions[:, 0].max() + loc.tol
     assert OracleLocator(m).face_contains(0, p)
     pi, fi = loc.containing(p)
     assert pi.tolist() == [0] and fi.tolist() == [0]
+    assert OracleLocator(m).locate(p) == loc.locate(p) == 0
+    assert loc.locate_many(np.array([p, [2.0 + 3 * loc.tol, 1.0]])).tolist() == [0, -1]
