@@ -32,8 +32,8 @@ class RunConfig:
     solver accuracy, so these defaults are artifact policy; the CLI flags
     default to this record."""
 
-    solver_tol: float = 1e-12
-    verify_tol: float = 1e-9
+    solver_tol: float = harmonic.DEFAULT_TOL
+    verify_tol: float = tiling.VERIFY_TOL
     levels: int = 4
 
     def __post_init__(self):

@@ -21,6 +21,7 @@ from .gridgen import DomainSpec, GenerationError
 from .odmap import MarkedRectangleMap, save_json, save_map
 
 SCHEMA = "orthotile.convergence@1"
+PROBE_PITCH = 1 / 64       # probe lattice pitch, relative to the domain diameter
 
 
 # -- reference map ---------------------------------------------------------------
@@ -63,15 +64,14 @@ def reference_map(spec: DomainSpec) -> Optional[tuple[Callable[[complex], comple
     return phi, L_ref
 
 
-def probe_points(spec: DomainSpec, margin: Optional[float] = None,
-                 pitch: Optional[float] = None) -> np.ndarray:
-    """Fixed probe compact: a lattice of pitch diameter/64 restricted to
-    points at least `margin` (default 0.1 diameter) from the boundary."""
+def probe_points(spec: DomainSpec, margin: Optional[float] = None) -> np.ndarray:
+    """Fixed probe compact: a lattice of pitch PROBE_PITCH diameter
+    restricted to points at least `margin` (default 0.1 diameter) from the
+    boundary."""
     diam = spec.boundary.diameter()
     if margin is None:
         margin = 0.1 * diam
-    if pitch is None:
-        pitch = diam / 64.0
+    pitch = diam * PROBE_PITCH
     v = spec.boundary.vertices
     x0, y0 = v[:, 0].min(), v[:, 1].min()
     x1, y1 = v[:, 0].max(), v[:, 1].max()
@@ -142,19 +142,12 @@ class PointwiseReport:
 
 
 def modulus_pointwise_check(m: MarkedRectangleMap, h: harmonic.HarmonicField,
-                            pairs, K_cal: float,
-                            profile: Optional[ModulusProfile] = None,
-                            h_tilde: Optional[harmonic.HarmonicField] = None
-                            ) -> PointwiseReport:
+                            pairs, K_cal: float, profile: ModulusProfile) -> PointwiseReport:
     """Bulk modulus-of-continuity check: for vertex pairs with
     |x - y| <= dist to the mesh boundary on both sides, record
     |h(y) - h(x)| log(d_hat' / (|y - x| v eps)) and compare the maximum
-    against the calibrated constant.  Non-bulk pairs are skipped with a
-    note."""
-    if profile is None:
-        if h_tilde is None:
-            raise ValueError("need either a profile or h_tilde")
-        profile = modulus_profile(m, h, h_tilde)
+    against the calibrated constant, with d_hat' and eps from the map's
+    modulus_profile.  Non-bulk pairs are skipped with a note."""
     rep = PointwiseReport(K_cal=K_cal)
     ring = m.map.boundary_polyline()
     pos = m.map.positions
@@ -233,9 +226,8 @@ def rotation_color_swap_symmetric(m: MarkedRectangleMap) -> bool:
             continue
         if not np.all(mp.colors[idx] == 1 - mp.colors):
             continue
-        img_ab = {int(idx[v]) for v in m.arc_ab}
-        img_cd = {int(idx[v]) for v in m.arc_cd}
-        bc, da = set(m.arc_bc), set(m.arc_da)
+        img_ab, img_cd, bc, da = (set(a.tolist()) for a in (idx[m.arc_ab], idx[m.arc_cd],
+                                                            m.arc_bc, m.arc_da))
         if (img_ab == bc and img_cd == da) or (img_ab == da and img_cd == bc):
             return True
     return False
@@ -351,7 +343,8 @@ def _run_level(spec: DomainSpec, eps: float, probes: np.ndarray,
 
 def convergence_run(spec: DomainSpec, eps0: float, levels: int,
                     probe_margin: Optional[float] = None,
-                    solver_tol: float = 1e-12, verify_tol: float = 1e-9,
+                    solver_tol: float = harmonic.DEFAULT_TOL,
+                    verify_tol: float = tiling.VERIFY_TOL,
                     save_dir: Optional[str] = None) -> ConvergenceReport:
     """Generate, tile, verify and probe `levels` refinements with
     eps = eps0 / 2^k.  Per-level generation errors are recorded and the

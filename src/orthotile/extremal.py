@@ -68,11 +68,7 @@ def extremal_length(m: MarkedRectangleMap, pair: str = "primal",
         S, T = m.arc_bc, m.arc_da
     else:
         raise ValueError("pair must be 'primal' or 'dual'")
-    pinned = {int(v): 0.0 for v in S}
-    pinned.update({int(v): 1.0 for v in T})
-    if len(pinned) != len(set(S)) + len(set(T)):
-        raise harmonic.SolverError("arc sets overlap")
-    h = harmonic.solve_dirichlet(g, pinned, tol)
+    h = harmonic.solve_dirichlet(g, harmonic.unit_pins(S, T), tol)
     lam = 1.0 / h.energy
     flow = harmonic.gradient_flow(h)
     unit = flow.scaled(1.0 / flow.strength)
@@ -217,7 +213,7 @@ def min_cut_dual_path(m: MarkedRectangleMap, cut) -> CutPathResult:
     ends = sorted(v for v, nb in adj.items() if len(nb) == 1)
     if len(ends) != 2 or any(len(nb) > 2 for nb in adj.values()):
         return CutPathResult("mismatch", message="cut faces' dual edges do not chain")
-    bc, da = set(m.arc_bc), set(m.arc_da)
+    bc, da = set(m.arc_bc.tolist()), set(m.arc_da.tolist())
     start = next((e for e in ends if e in bc), None)
     stop = next((e for e in ends if e in da), None)
     if start is None or stop is None:

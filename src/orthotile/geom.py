@@ -19,6 +19,9 @@ OUTSIDE = "outside"
 
 #: default relative tolerance, scaled by the domain diameter at call sites
 DEFAULT_REL_TOL = 1e-9
+#: hausdorff_distance's uniform samples per direction and refinement rounds
+HAUSDORFF_SAMPLES = 1024
+HAUSDORFF_ROUNDS = 8
 
 
 class GeometryError(ValueError):
@@ -318,12 +321,12 @@ def _linspace17(start: np.ndarray, stop: np.ndarray) -> np.ndarray:
     return y
 
 
-def _directed_hausdorff(a: np.ndarray, b: np.ndarray, n_samples: int, rounds: int) -> float:
+def _directed_hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     """sup over points of a of the distance to b, by dense sampling with
     local refinement around the sampled maximizers (dist(., b) is
     1-Lipschitz along a).  Each round evaluates all candidates' 17-point
     neighbourhoods at once."""
-    pts, params, spacing = _sample_polyline(a, n_samples)
+    pts, params, spacing = _sample_polyline(a, HAUSDORFF_SAMPLES)
     d = points_to_polyline_distance(pts, b)
     if a.shape[0] == 1 or spacing == 0.0:
         return float(d.max())
@@ -333,7 +336,7 @@ def _directed_hausdorff(a: np.ndarray, b: np.ndarray, n_samples: int, rounds: in
     half = spacing / 2.0
     # any unsampled point can exceed the sampled max by at most `half`
     cand = params[d >= best - spacing]
-    for _ in range(rounds):
+    for _ in range(HAUSDORFF_ROUNDS):
         if half <= 0.0:
             break
         tt = np.unique(_linspace17(np.maximum(cand - half, 0.0),
@@ -347,18 +350,17 @@ def _directed_hausdorff(a: np.ndarray, b: np.ndarray, n_samples: int, rounds: in
     return best
 
 
-def hausdorff_distance(a, b, n_samples: int = 1024, rounds: int = 8) -> float:
+def hausdorff_distance(a, b) -> float:
     """Symmetric Hausdorff distance between the point sets of two polylines,
     as a sampled lower estimate.
 
-    Each direction samples n_samples uniform arclength points plus every
-    vertex, with analytic point-to-segment minimization, then refines
-    locally around the sampled maximizers for `rounds` rounds, keeping at
+    Each direction samples HAUSDORFF_SAMPLES uniform arclength points plus
+    every vertex, with analytic point-to-segment minimization, then refines
+    locally around the sampled maximizers for HAUSDORFF_ROUNDS rounds, keeping at
     most 64 candidates per round.  Up to rounding the result never exceeds
     the true distance, but it is not a certified upper bound: a maximizer
     missed by the sampling and the candidate cap is not recovered (see the
     certified-bound item in ROADMAP.md).
     """
     pa, pb = _as_points(a), _as_points(b)
-    return max(_directed_hausdorff(pa, pb, n_samples, rounds),
-               _directed_hausdorff(pb, pa, n_samples, rounds))
+    return max(_directed_hausdorff(pa, pb), _directed_hausdorff(pb, pa))

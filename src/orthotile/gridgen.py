@@ -49,7 +49,8 @@ class DomainSpec:
                 raise geom.GeometryError(
                     f"marked point {tuple(p)} is {d:.3e} away from the boundary")
             params.append(s)
-        rel = [(params[i] - params[0]) % _perimeter(poly) for i in range(4)]
+        perimeter = _ring_arclength(poly)[3][-1]
+        rel = [(params[i] - params[0]) % perimeter for i in range(4)]
         if not (rel[1] < rel[2] < rel[3]) or min(rel[1:]) <= 0:
             raise geom.GeometryError("marked points are not in counterclockwise order")
         object.__setattr__(self, "boundary", poly)
@@ -98,41 +99,29 @@ class ApproximationCertificate:
 # -- boundary parameterization ------------------------------------------------
 
 
-def _perimeter(poly: Polygon) -> float:
-    v = poly.vertices
-    return float(np.sqrt(((np.roll(v, -1, axis=0) - v) ** 2).sum(-1)).sum())
+def _ring_arclength(poly: Polygon):
+    """The closed vertex ring of poly and its geom._arclength: segment
+    vectors, lengths and cumulative arclength (the perimeter last)."""
+    ring = np.vstack([poly.vertices, poly.vertices[:1]])
+    return (ring, *geom._arclength(ring))
 
 
 def _boundary_parameter(poly: Polygon, p) -> tuple[float, float]:
     """Arclength parameter of the boundary point nearest to p, and the
     distance to it."""
-    v = poly.vertices
-    a = v
-    b = np.roll(v, -1, axis=0)
-    ab = b - a
-    denom = (ab ** 2).sum(-1)
-    t = np.clip(((np.asarray(p) - a) * ab).sum(-1) / denom, 0.0, 1.0)
-    proj = a + t[:, None] * ab
-    d = np.sqrt(((np.asarray(p) - proj) ** 2).sum(-1))
+    ring, _, seg_len, cum = _ring_arclength(poly)
+    ax, ay, abx, aby, denom = geom._segment_planes(ring[:-1], ring[1:])
+    px, py = (float(c) for c in p)
+    d = np.sqrt(geom._squared_distances(px, py, ax, ay, abx, aby, denom))
     k = int(np.argmin(d))
-    seg_len = np.sqrt(denom)
-    cum = np.concatenate([[0.0], np.cumsum(seg_len)])
-    return float(cum[k] + t[k] * seg_len[k]), float(d[k])
+    t = min(max(((px - ax[k]) * abx[k] + (py - ay[k]) * aby[k]) / denom[k], 0.0), 1.0)
+    return float(cum[k] + t * seg_len[k]), float(d[k])
 
 
 def _boundary_arc(poly: Polygon, s0: float, s1: float) -> np.ndarray:
     """Boundary sub-polyline from parameter s0 ccw to s1."""
-    v = poly.vertices
-    nxt = np.roll(v, -1, axis=0)
-    seg_len = np.sqrt(((nxt - v) ** 2).sum(-1))
-    cum = np.concatenate([[0.0], np.cumsum(seg_len)])
+    ring, seg, seg_len, cum = _ring_arclength(poly)
     total = cum[-1]
-
-    def point_at(s: float) -> np.ndarray:
-        s = s % total
-        k = int(np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(seg_len) - 1))
-        return v[k] + ((s - cum[k]) / seg_len[k]) * (nxt[k] - v[k])
-
     span = (s1 - s0) % total
     if span == 0.0:
         span = total
@@ -140,8 +129,8 @@ def _boundary_arc(poly: Polygon, s0: float, s1: float) -> np.ndarray:
     slack = 1e-12 * total
     inside = np.flatnonzero((rel > slack) & (rel < span - slack))
     inside = inside[np.argsort(rel[inside])]
-    pts = [point_at(s0)] + [v[k] for k in inside] + [point_at(s0 + span)]
-    arr = np.array(pts)
+    ends = geom._points_at(ring, seg, seg_len, cum, np.array([s0, s0 + span]) % total)
+    arr = np.vstack([ends[:1], ring[inside], ends[1:]])
     keep = np.ones(len(arr), dtype=bool)
     keep[1:] = np.sqrt(((arr[1:] - arr[:-1]) ** 2).sum(-1)) > slack
     return arr[keep]
@@ -297,12 +286,11 @@ def grid_approximation(spec: DomainSpec, eps: float) -> tuple[MarkedRectangleMap
     if m.n_vertices - n_e + (m.n_faces + 1) != 2:
         raise GenerationError("kept cells are not simply connected: refine eps")
 
-    primal_boundary = [b for b in boundary if colors[b] == PRIMAL]
-    if len(set(primal_boundary)) < 4:
+    pb = np.unique(m.boundary[colors[m.boundary] == PRIMAL])
+    if len(pb) < 4:
         raise GenerationError("fewer than 4 distinct primal boundary vertices: refine eps")
 
     marked = []
-    pb = np.array(sorted(set(primal_boundary)), dtype=np.int64)
     for p in spec.marked_points:
         d = np.sqrt(((positions[pb] - p) ** 2).sum(-1))
         best = d.min()
@@ -325,16 +313,9 @@ def grid_approximation(spec: DomainSpec, eps: float) -> tuple[MarkedRectangleMap
 def _per_arc_hausdorff(spec: DomainSpec, mm: MarkedRectangleMap) -> list[float]:
     """Hausdorff distance of each discrete arc polyline to its continuous
     counterpart, in arc order AB, BC, CD, DA (primal, dual, primal, dual)."""
-    pos = mm.map.positions
-    discrete = [pos[np.array(mm.arc_ab, dtype=np.int64)],
-                pos[np.array(mm.arc_bc, dtype=np.int64)],
-                pos[np.array(mm.arc_cd, dtype=np.int64)],
-                pos[np.array(mm.arc_da, dtype=np.int64)]]
-    out = []
-    for i, disc in enumerate(discrete):
-        cont = spec.arc_polyline(i)
-        out.append(geom.hausdorff_distance(disc, cont))
-    return out
+    arcs = (mm.arc_ab, mm.arc_bc, mm.arc_cd, mm.arc_da)
+    return [geom.hausdorff_distance(mm.map.positions[a], spec.arc_polyline(i))
+            for i, a in enumerate(arcs)]
 
 
 def refine_sequence(spec: DomainSpec, eps0: float, levels: int

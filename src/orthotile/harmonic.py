@@ -4,6 +4,9 @@ Dirichlet solves use conjugate gradient on the reduced SPD system (free
 vertices in ascending-id order, Jacobi preconditioner), so results are
 deterministic.  A dense direct solve is provided as an independent oracle,
 and a random-walk estimator gives a third route to the same values.
+
+Solves take the pinned set as an {id: value} mapping; a solved field keeps
+the pinned ids as one int64 array and their values in its values array.
 """
 
 from __future__ import annotations
@@ -16,7 +19,12 @@ import numpy as np
 
 from .odmap import MarkedRectangleMap, WeightedGraph, component_labels
 
-DEFAULT_TOL = 1e-10
+#: the solver's relative residual, unless a caller passes its own
+DEFAULT_TOL = 1e-12
+#: harmonic_conjugate's bound on the non-tree CR residual, relative to max(gap, 1)
+CYCLE_TOL_REL = 1e-8
+#: random_walk_oracle's bound on the steps of all its walks together
+MAX_WALK_STEPS = 10 ** 8
 
 
 class SolverError(RuntimeError):
@@ -61,51 +69,51 @@ class HarmonicField:
     """Vertex potential on one color class with its boundary record.
 
     values is a float array indexed by vertex id, NaN at ids outside the
-    graph; boundary maps the pinned ids to their pinned values.  residual
-    is max |Laplacian| over free vertices, checked against tol at
-    construction, and energy is sum_e c(e) (df(e))^2.  The maximum
-    principle is enforced up to tol * gap slack.
+    graph; boundary is the int64 array of pinned ids, in the caller's
+    order, and values holds their pinned values.  residual is max
+    |Laplacian| over free vertices, checked against tol at construction,
+    and energy is sum_e c(e) (df(e))^2.  The maximum principle is enforced
+    up to tol * gap slack.
     """
 
     graph: WeightedGraph
     values: np.ndarray
-    boundary: dict[int, float]
+    boundary: np.ndarray
     tol: float
     residual: float = field(init=False)
     energy: float = field(init=False)
 
     def __post_init__(self):
         g = self.graph
+        self.boundary = np.asarray(self.boundary, dtype=np.int64)
         iu, iv = edge_indices(g)
         flux = g.edge_c * (self.values[g.edge_v] - self.values[g.edge_u])
         lap = np.zeros(g.n)
         np.add.at(lap, iu, flux)
         np.add.at(lap, iv, -flux)
-        free = ~np.isin(g.ids, np.fromiter(self.boundary, dtype=np.int64,
-                                           count=len(self.boundary)))
+        free = ~np.isin(g.ids, self.boundary)
         self.residual = float(np.abs(lap[free]).max()) if free.any() else 0.0
         self.energy = dirichlet_energy(g, self.values)
-        scale = max(max(abs(v) for v in self.boundary.values()), 1.0)
-        if self.residual > self.tol * scale:
+        bvals = self.values[self.boundary]
+        lo, hi = float(bvals.min()), float(bvals.max())
+        if self.residual > self.tol * max(-lo, hi, 1.0):
             raise SolverError(
                 f"free-vertex residual {self.residual:.3e} exceeds tol {self.tol:.3e}",
                 residual=self.residual)
-        bvals = list(self.boundary.values())
-        lo, hi = min(bvals), max(bvals)
         slack = max(self.tol, 1e-12) * max(hi - lo, 1.0)
         varr = self.values[g.ids]
         if varr.min() < lo - slack or varr.max() > hi + slack:
             raise SolverError("maximum principle violated by solved field")
 
     def gap(self) -> float:
-        b = list(self.boundary.values())
-        return max(b) - min(b)
+        return float(np.ptp(self.values[self.boundary]))
 
 
 def _reduced_system(g: WeightedGraph, pinned: Mapping[int, float]):
     """Check the pinned set and restrict the Laplacian to the free vertices
-    (ascending id).  Returns the values array (pinned values by vertex id,
-    NaN elsewhere), the free ids, the matrix, its rhs and its diagonal."""
+    (ascending id).  Returns the pinned ids in the mapping's order, the
+    values array (pinned values by vertex id, NaN elsewhere), the free ids,
+    the matrix, its rhs and its diagonal."""
     import scipy.sparse as sp
 
     if not pinned:
@@ -145,7 +153,7 @@ def _reduced_system(g: WeightedGraph, pinned: Mapping[int, float]):
     v_free = pin_mask[iu] & (~pin_mask[iv])
     np.add.at(b, fidx[iu[u_free]], c[u_free] * pin_val[iv[u_free]])
     np.add.at(b, fidx[iv[v_free]], c[v_free] * pin_val[iu[v_free]])
-    return values, free_ids, A, b, diag[~pin_mask]
+    return keys, values, free_ids, A, b, diag[~pin_mask]
 
 
 def _check_connectivity(g: WeightedGraph, pidx: np.ndarray) -> None:
@@ -158,25 +166,23 @@ def _check_connectivity(g: WeightedGraph, pidx: np.ndarray) -> None:
 
 
 def solve_dirichlet(g: WeightedGraph, pinned: Mapping[int, float],
-                    tol: float = DEFAULT_TOL,
-                    maxiter: Optional[int] = None) -> HarmonicField:
+                    tol: float = DEFAULT_TOL) -> HarmonicField:
     """Solve the Dirichlet problem: pinned values on the given vertices,
     zero Laplacian everywhere else.
 
     Conjugate gradient with Jacobi preconditioning on the reduced system,
-    relative residual <= tol.  Raises SolverError for an empty pinned set,
-    a free component with no pinned neighbor, or non-convergence.
+    relative residual <= tol, at most max(20 sqrt(free) + 1, 10^4)
+    iterations.  Raises SolverError for an empty pinned set, a free
+    component with no pinned neighbor, or non-convergence.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    pinned = {int(k): float(v) for k, v in pinned.items()}
-    values, free_ids, A, b, diag = _reduced_system(g, pinned)
+    keys, values, free_ids, A, b, diag = _reduced_system(g, pinned)
     if len(free_ids):
-        if maxiter is None:
-            maxiter = max(int(20 * math.isqrt(len(free_ids)) + 1), 10_000)
+        maxiter = max(int(20 * math.isqrt(len(free_ids)) + 1), 10_000)
         M = sp.diags(1.0 / diag)
-        x0 = np.full(len(free_ids), float(np.mean(list(pinned.values()))))
+        x0 = np.full(len(free_ids), float(np.mean(values[keys])))
         x, info = spla.cg(A, b, x0=x0, rtol=tol, atol=0.0, maxiter=maxiter, M=M)
         if info != 0:
             res = float(np.linalg.norm(b - A @ x) / max(np.linalg.norm(b), 1e-300))
@@ -185,16 +191,15 @@ def solve_dirichlet(g: WeightedGraph, pinned: Mapping[int, float],
     # the l2 residual bound controls the vertexwise Laplacian only up to a
     # norm factor; the field check keeps a safety margin
     field_tol = max(tol * 1e4, 1e-13)
-    return HarmonicField(g, values, pinned, field_tol)
+    return HarmonicField(g, values, keys, field_tol)
 
 
 def solve_dirichlet_dense(g: WeightedGraph, pinned: Mapping[int, float]) -> HarmonicField:
     """Independent oracle: direct dense solve of the reduced system."""
-    pinned = {int(k): float(v) for k, v in pinned.items()}
-    values, free_ids, A, b, _ = _reduced_system(g, pinned)
+    keys, values, free_ids, A, b, _ = _reduced_system(g, pinned)
     if len(free_ids):
         values[free_ids] = np.linalg.solve(A.toarray(), b)
-    return HarmonicField(g, values, pinned, 1e-8)
+    return HarmonicField(g, values, keys, 1e-8)
 
 
 @dataclass
@@ -258,11 +263,21 @@ def gradient_flow(f: HarmonicField) -> Flow:
     is positive and E(flow) = E(f)."""
     g = f.graph
     theta = g.edge_c * (f.values[g.edge_v] - f.values[g.edge_u])
-    bvals = f.boundary
-    lo, hi = min(bvals.values()), max(bvals.values())
-    sources = frozenset(v for v, val in bvals.items() if val == lo)
-    sinks = frozenset(v for v, val in bvals.items() if val == hi)
+    b = f.values[f.boundary]
+    sources = frozenset(f.boundary[b == b.min()].tolist())
+    sinks = frozenset(f.boundary[b == b.max()].tolist())
     return Flow(g, theta, sources, sinks, f.tol)
+
+
+def unit_pins(S, T) -> dict[int, float]:
+    """0.0 at the vertex ids S, then 1.0 at the ids T, in their order;
+    SolverError when the two share an id."""
+    S, T = (np.fromiter(X, dtype=np.int64) for X in (S, T))
+    if np.intersect1d(S, T).size:
+        raise SolverError("the two pinned sets overlap")
+    pinned = dict.fromkeys(S.tolist(), 0.0)
+    pinned.update(dict.fromkeys(T.tolist(), 1.0))
+    return pinned
 
 
 def effective_resistance(g: WeightedGraph, S, T, tol: float = DEFAULT_TOL) -> float:
@@ -271,19 +286,12 @@ def effective_resistance(g: WeightedGraph, S, T, tol: float = DEFAULT_TOL) -> fl
     Pinning both whole sets is the vertex identification of the set
     version of effective resistance.
     """
-    S, T = {int(s) for s in S}, {int(t) for t in T}
-    if not S or not T:
+    if not len(S) or not len(T):
         raise SolverError("S and T must be nonempty")
-    if S & T:
-        raise SolverError("S and T overlap")
-    pinned = {s: 0.0 for s in S}
-    pinned.update({t: 1.0 for t in T})
-    h = solve_dirichlet(g, pinned, tol)
-    return 1.0 / h.energy
+    return 1.0 / solve_dirichlet(g, unit_pins(S, T), tol).energy
 
 
-def harmonic_conjugate(m: MarkedRectangleMap, h: HarmonicField,
-                       cycle_tol_rel: float = 1e-8) -> tuple[HarmonicField, float]:
+def harmonic_conjugate(m: MarkedRectangleMap, h: HarmonicField) -> tuple[HarmonicField, float]:
     """Integrate the conjugate dual field of a primal tiling solution.
 
     Across each face (v1, w1, v2, w2) the increment is
@@ -293,8 +301,8 @@ def harmonic_conjugate(m: MarkedRectangleMap, h: HarmonicField,
     minimum over that arc is 0.  The search visits neighbours in ascending
     index order, and a tree edge crosses the lowest-id face between its two
     ends.  The maximum leftover CR residual on non-tree dual edges is
-    checked against cycle_tol_rel * max(gap, 1) and returned alongside the
-    field.
+    checked against CYCLE_TOL_REL * max(gap, 1) and returned alongside the
+    field, whose pinned ids are arc_bc then arc_da.
     """
     import scipy.sparse as sp
     from scipy.sparse import csgraph
@@ -318,7 +326,7 @@ def harmonic_conjugate(m: MarkedRectangleMap, h: HarmonicField,
     indptr = np.searchsorted(arcs // n, np.arange(n + 1))
     adj = sp.csr_matrix((np.ones(len(arcs)), arcs % n, indptr), shape=(n, n))
 
-    root = int(np.searchsorted(g_dual.ids, min(m.arc_da)))
+    root = int(np.searchsorted(g_dual.ids, m.arc_da.min()))
     order, pred = csgraph.breadth_first_order(adj, root, directed=True,
                                               return_predecessors=True)
     if len(order) != n:
@@ -334,25 +342,21 @@ def harmonic_conjugate(m: MarkedRectangleMap, h: HarmonicField,
         vals[v] = vals[u] + d
     res = np.abs(vals[w2] - vals[w1] - inc)
     max_res = float(res[~tree_face].max()) if (~tree_face).any() else 0.0
-    if max_res > cycle_tol_rel * scale:
+    if max_res > CYCLE_TOL_REL * scale:
         raise ConjugacyError(
-            f"max non-tree CR residual {max_res:.3e} exceeds {cycle_tol_rel:.1e} * {scale:.3g}; "
+            f"max non-tree CR residual {max_res:.3e} exceeds {CYCLE_TOL_REL:.1e} * {scale:.3g}; "
             "the primal field is not harmonic enough")
 
-    da_idx = np.searchsorted(g_dual.ids, sorted(m.arc_da))
-    vals -= vals[da_idx].min()
-
+    vals -= vals[np.searchsorted(g_dual.ids, m.arc_da)].min()
     values = np.full(int(g_dual.ids[-1]) + 1, np.nan)
     values[g_dual.ids] = vals
-    boundary = {int(v): float(values[v]) for v in list(m.arc_bc) + list(m.arc_da)}
-    field_tol = max(cycle_tol_rel * 10.0, 1e-12)
-    conj = HarmonicField(g_dual, values, boundary, field_tol)
+    conj = HarmonicField(g_dual, values, np.concatenate([m.arc_bc, m.arc_da]),
+                         max(CYCLE_TOL_REL * 10.0, 1e-12))
     return conj, max_res
 
 
 def random_walk_oracle(g: WeightedGraph, pinned: Mapping[int, float], v: int,
-                       n_walks: int, seed: int,
-                       max_total_steps: int = 10 ** 8) -> tuple[float, float]:
+                       n_walks: int, seed: int) -> tuple[float, float]:
     """Monte Carlo estimate of the harmonic value at v: expected pinned
     value at the first hit of the pinned set, walking with transition
     probabilities c(x, y) / pi_x.  Deterministic for a fixed seed."""
@@ -378,8 +382,8 @@ def random_walk_oracle(g: WeightedGraph, pinned: Mapping[int, float], v: int,
             r = rng.random()
             cur = int(neigh[cur][np.searchsorted(cdf[cur], r)])
             total += 1
-            if total > max_total_steps:
-                raise SolverError(f"random walk exceeded {max_total_steps} total steps")
+            if total > MAX_WALK_STEPS:
+                raise SolverError(f"random walk exceeded {MAX_WALK_STEPS} total steps")
         hits[k] = pinned[cur]
     est = float(hits.mean())
     stderr = float(hits.std(ddof=1) / math.sqrt(n_walks)) if n_walks > 1 else 0.0

@@ -5,6 +5,8 @@ four marked boundary arcs.
 Faces are stored as ordered 4-tuples (v1, w1, v2, w2) in counterclockwise
 order, normalized to start at a primal vertex; v1, v2 are the primal
 diagonal, w1, w2 the dual diagonal.  Adjacency tables are derived lazily.
+Every set of vertex ids (the boundary cycle, the four marked arcs) is one
+int64 array.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ class OrthodiagonalMap:
     """Embedded quadrangulation with one exterior face.
 
     vertices: (n, 2) float positions, colors: (n,) 0=primal / 1=dual,
-    faces: (f, 4) int vertex ids ccw starting primal, boundary: list of
+    faces: (f, 4) int vertex ids ccw starting primal, boundary: (b,) int64
     vertex ids tracing the outer face counterclockwise.
     """
 
@@ -133,7 +135,10 @@ class OrthodiagonalMap:
         # a face given from a dual vertex starts one step later
         self.faces = np.where((self.colors[faces[:, 0]] == PRIMAL)[:, None],
                               faces, np.roll(faces, -1, axis=1))
-        self.boundary = [int(b) for b in boundary]
+        boundary = np.asarray(boundary)
+        if boundary.ndim != 1 or (boundary.size and boundary.dtype.kind not in "iu"):
+            raise MapError("boundary must be a flat list of vertex ids")
+        self.boundary = boundary.astype(np.int64)
         self.mesh_eps = float(mesh_eps) if mesh_eps is not None else self._recompute_mesh_eps()
         self._caches: dict = {}
 
@@ -183,8 +188,7 @@ class OrthodiagonalMap:
         return 0.5 * (x * yr - xr * y).sum(axis=1)
 
     def boundary_polyline(self) -> np.ndarray:
-        cyc = self.boundary + [self.boundary[0]]
-        return self.positions[np.array(cyc, dtype=np.int64)]
+        return self.positions[np.append(self.boundary, self.boundary[:1])]
 
     # -- weighted graph extraction ------------------------------------------
 
@@ -286,7 +290,7 @@ def save_map(path: str, m: OrthodiagonalMap, marked: Optional[Sequence[int]] = N
         fh.write(",\n")
         write_json_rows(fh, "faces", _FACE, list(m.faces.T))
         fh.write(",\n")
-        write_json_rows(fh, "boundary", "  %d", [np.array(m.boundary, dtype=np.int64)])
+        write_json_rows(fh, "boundary", "  %d", [m.boundary])
         if marked is not None:
             fh.write(",\n")
             marks = np.array([int(v) for v in marked], dtype=np.int64)
@@ -379,21 +383,27 @@ def _quads_convex(q: np.ndarray) -> np.ndarray:
     return np.all(cross > 0, axis=-1) | np.all(cross < 0, axis=-1)
 
 
-def _triangles_contain(a, b, c, p, tol: float) -> np.ndarray:
-    """Elementwise over rows: is p in the closed triangle abc, with each
-    side moved out by tol?  Degenerate triangles contain nothing."""
-    (ax, ay), (bx, by), (cx, cy), (px, py) = a.T, b.T, c.T, p.T
+def barycentric(a, b, c, p) -> tuple[np.ndarray, ...]:
+    """Twice the signed area det of the triangle abc and the barycentric
+    coordinates l1, l2, l3 of p in it, elementwise: the arguments broadcast
+    over the leading axes and hold x, y on the last.  Where det is 0 the
+    coordinates are not finite."""
+    ax, ay, bx, by, cx, cy, px, py = (q[..., k] for q in (a, b, c, p) for k in (0, 1))
     det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
     with np.errstate(divide="ignore", invalid="ignore"):
         l1 = ((bx - px) * (cy - py) - (by - py) * (cx - px)) / det
         l2 = ((cx - px) * (ay - py) - (cy - py) * (ax - px)) / det
-        l3 = 1.0 - l1 - l2
+        return det, l1, l2, 1.0 - l1 - l2
+
+
+def _triangles_contain(a, b, c, p, tol: float) -> np.ndarray:
+    """Elementwise over rows: is p in the closed triangle abc, with each
+    side moved out by tol?  Degenerate triangles contain nothing."""
+    det, l1, l2, l3 = barycentric(a, b, c, p)
+    with np.errstate(divide="ignore", invalid="ignore"):
         # a negative coordinate l_i means distance |l_i| |det| / |opposite
         # side| outside that side; convert tol to per-coordinate slack
-        adet = np.abs(det)
-        s1 = tol * np.hypot(cx - bx, cy - by) / adet
-        s2 = tol * np.hypot(ax - cx, ay - cy) / adet
-        s3 = tol * np.hypot(bx - ax, by - ay) / adet
+        s1, s2, s3 = (tol * np.hypot(*(v - u).T) / np.abs(det) for u, v in ((b, c), (c, a), (a, b)))
     return (det != 0.0) & (l1 >= -s1) & (l2 >= -s2) & (l3 >= -s3)
 
 
@@ -416,16 +426,17 @@ class FaceLocator:
     Every face is hashed to the grid cells its bounding box meets; the
     cells are stored as sorted keys with their face ids in ascending order.
     containing(pts) is the batched kernel: all (point, face) pairs where
-    the closed face contains the point within tol, ordered by point and
-    then face id.  locate(p) returns the lowest such face id or None.
+    the closed face contains the point within tol = 1e-12 max(1, mesh_eps),
+    ordered by point and then face id.  locate(p) returns the lowest such
+    face id or None.
     """
 
-    def __init__(self, m: OrthodiagonalMap, tol: Optional[float] = None):
+    def __init__(self, m: OrthodiagonalMap):
         self.m = m
         q = m.positions[m.faces]
         self.convex = _quads_convex(q)
         self.cell = max(m.mesh_eps * 2.0, 1e-12)
-        self.tol = tol if tol is not None else 1e-12 * max(1.0, m.mesh_eps)
+        self.tol = 1e-12 * max(1.0, m.mesh_eps)
         lo = np.floor(q.min(axis=1) / self.cell).astype(np.int64)
         hi = np.floor(q.max(axis=1) / self.cell).astype(np.int64)
         self.origin = lo.min(axis=0)
@@ -547,11 +558,10 @@ def validate(m: OrthodiagonalMap) -> ValidationReport:
         rep.add("euler", (), float(euler),
                 f"V - E + F = {euler} != 2; map is not simply connected")
 
-    cyc = np.array(m.boundary, dtype=np.int64)
-    if len(np.unique(cyc)) != len(cyc):
+    if len(np.unique(m.boundary)) != len(m.boundary):
         rep.add("boundary-not-simple", (), 0.0, "boundary cycle repeats a vertex")
     once = counts == 1
-    mismatch = np.setxor1d(side_keys(cyc, np.roll(cyc, -1)),
+    mismatch = np.setxor1d(side_keys(m.boundary, np.roll(m.boundary, -1)),
                            side_keys(sides[once, 0], sides[once, 1]))
     if len(mismatch):
         rep.add("boundary-mismatch", (), float(len(mismatch)),
@@ -575,9 +585,11 @@ class MarkedRectangleMap:
     """OrthodiagonalMap with four marked primal boundary vertices A, B, C, D
     in counterclockwise boundary order, and the four derived arcs.
 
-    arc_ab / arc_cd: primal vertices along the ccw boundary path from A to B
-    (resp. C to D), endpoints included.  arc_bc / arc_da: dual vertices
-    strictly between B and C (resp. D and A).
+    walks: the boundary cycle rolled to start at A, cut into the four ccw
+    walks [A..B], [B..C], [C..D], [D..A] (int64 arrays, ends included).
+    arc_ab / arc_cd: the primal vertices of the walk A..B (resp. C..D).
+    arc_bc / arc_da: the dual vertices of the walk B..C (resp. D..A); the
+    ends are primal, so these lie strictly between them.
     """
 
     def __init__(self, m: OrthodiagonalMap, marked: Sequence[int]):
@@ -585,44 +597,26 @@ class MarkedRectangleMap:
         self.marked = tuple(int(x) for x in marked)
         if len(self.marked) != 4 or len(set(self.marked)) != 4:
             raise MapError("need four distinct marked vertices")
+        cyc = m.boundary
+        at = []
         for v in self.marked:
             if m.colors[v] != PRIMAL:
                 raise MapError(f"marked vertex {v} is not primal")
-            if v not in m.boundary:
+            hits = np.flatnonzero(cyc == v)
+            if len(hits) == 0:
                 raise MapError(f"marked vertex {v} is not on the boundary")
-        pos = {v: m.boundary.index(v) for v in self.marked}
-        a, b, c, d = self.marked
-        nb = len(m.boundary)
-        order = sorted(self.marked, key=lambda v: (pos[v] - pos[a]) % nb)
-        if order != [a, b, c, d]:
+            if len(hits) > 1:
+                raise MapError(f"marked vertex {v} appears {len(hits)} times on the boundary cycle")
+            at.append(int(hits[0]))
+        rel = (np.array(at) - at[0]) % len(cyc)
+        if not rel[1] < rel[2] < rel[3]:
             raise MapError("marked vertices are not in counterclockwise order")
-        self.arc_ab = self._primal_arc(a, b)
-        self.arc_cd = self._primal_arc(c, d)
-        self.arc_bc = self._dual_arc(b, c)
-        self.arc_da = self._dual_arc(d, a)
-
-    def _walk(self, start: int, stop: int) -> list[int]:
-        cyc = self.map.boundary
-        nb = len(cyc)
-        i = cyc.index(start)
-        out = [start]
-        while cyc[i] != stop:
-            i = (i + 1) % nb
-            out.append(cyc[i])
-        return out
-
-    def _primal_arc(self, start: int, stop: int) -> list[int]:
-        return [v for v in self._walk(start, stop) if self.map.colors[v] == PRIMAL]
-
-    def _dual_arc(self, start: int, stop: int) -> list[int]:
-        return [v for v in self._walk(start, stop)[1:-1] if self.map.colors[v] == DUAL]
-
-    def boundary_chain(self, start: int, stop: int) -> np.ndarray:
-        """Positions of all boundary vertices from start to stop, ccw."""
-        return self.map.positions[np.array(self._walk(start, stop), dtype=np.int64)]
+        ring = np.append(np.roll(cyc, -at[0]), self.marked[0])
+        ends = [*rel.tolist(), len(cyc)]
+        w = self.walks = [ring[ends[i]:ends[i + 1] + 1] for i in range(4)]
+        self.arc_ab, self.arc_cd = (w[i][m.colors[w[i]] == PRIMAL] for i in (0, 2))
+        self.arc_bc, self.arc_da = (w[i][m.colors[w[i]] == DUAL] for i in (1, 3))
 
     def arc_chains(self) -> list[np.ndarray]:
         """Boundary chains [A..B], [B..C], [C..D], [D..A] as polylines."""
-        a, b, c, d = self.marked
-        return [self.boundary_chain(a, b), self.boundary_chain(b, c),
-                self.boundary_chain(c, d), self.boundary_chain(d, a)]
+        return [self.map.positions[w] for w in self.walks]

@@ -20,10 +20,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import harmonic
-from .odmap import (FaceLocator, MarkedRectangleMap, first_per_point, json_floats, load_rows,
-                    write_json_rows)
+from .odmap import (FaceLocator, MarkedRectangleMap, barycentric, first_per_point, json_floats,
+                    load_rows, write_json_rows)
 
 DEGENERATE_TOL = 1e-9      # sides up to this (widths: times max(L, 1)) are degenerate
+VERIFY_TOL = 1e-9          # verify_tiling's slack, times max(L, 1), unless a caller passes one
 ASPECT_TOL = 1e-8          # build_tiling also flags sides up to cycle residual / ASPECT_TOL
 SVG_SCALE = 400.0          # SVG user units per tiling unit
 
@@ -119,7 +120,7 @@ def load_tiling(path: str) -> Tiling:
     return Tiling(L, face, edge, rect, deg)
 
 
-def build_tiling(m: MarkedRectangleMap, tol: float = 1e-12
+def build_tiling(m: MarkedRectangleMap, tol: float = harmonic.DEFAULT_TOL
                  ) -> tuple[Tiling, harmonic.HarmonicField, harmonic.HarmonicField]:
     """Solve the conjugate pair and assemble one tile per interior face.
 
@@ -130,16 +131,10 @@ def build_tiling(m: MarkedRectangleMap, tol: float = 1e-12
     in all accounting.
     """
     gp = m.map.extract_primal()
-    pinned01 = {int(v): 0.0 for v in m.arc_ab}
-    pinned01.update({int(v): 1.0 for v in m.arc_cd})
-    if set(m.arc_ab) & set(m.arc_cd):
-        raise harmonic.SolverError("Dirichlet arcs overlap")
-    h01 = harmonic.solve_dirichlet(gp, pinned01, tol)
+    h01 = harmonic.solve_dirichlet(gp, harmonic.unit_pins(m.arc_ab, m.arc_cd), tol)
     L = 1.0 / h01.energy
-
-    pinned = {int(v): 0.0 for v in m.arc_ab}
-    pinned.update({int(v): L for v in m.arc_cd})
-    h = harmonic.HarmonicField(gp, L * h01.values, pinned, h01.tol * max(L, 1.0))
+    # L * 0.0 and L * 1.0 are the pinned values 0 and L exactly
+    h = harmonic.HarmonicField(gp, L * h01.values, h01.boundary, h01.tol * max(L, 1.0))
 
     conj, max_res = harmonic.harmonic_conjugate(m, h)
     # normalize the conjugate's boundary values onto [0, 1] exactly: shift
@@ -148,9 +143,8 @@ def build_tiling(m: MarkedRectangleMap, tol: float = 1e-12
     shift = float(conj.values[m.arc_bc].min())
     span = float(conj.values[m.arc_da].max()) - shift
     span = span if span > 0 else 1.0
-    t_boundary = {k: (v - shift) / span for k, v in conj.boundary.items()}
     h_tilde = harmonic.HarmonicField(conj.graph, (conj.values - shift) / span,
-                                     t_boundary, conj.tol)
+                                     conj.boundary, conj.tol)
 
     v1, w1, v2, w2 = m.map.faces.T
     xa, xb = h.values[v1], h.values[v2]
@@ -176,7 +170,7 @@ class TilingReport:
         return not self.containment and not self.overlaps and self.area_ok
 
 
-def verify_tiling(t: Tiling, tol: float = 1e-9) -> TilingReport:
+def verify_tiling(t: Tiling, tol: float = VERIFY_TOL) -> TilingReport:
     """Check the three BSST facts: tiles inside [0, L] x [0, 1], pairwise
     interior overlap area zero, areas summing to L (all within tol scaled
     by max(L, 1)).  A tile with a NaN bound fails containment.  Overlap
@@ -294,14 +288,8 @@ class InterpolatedMap:
         aux = (pos[v1] + pos[v2]) / 2.0
         aux_val = (vv[v1].real + vv[v2].real) / 2.0 + 0.5j * (vv[w1].imag + vv[w2].imag)
         # fan triangle k of a face: corners k, k + 1 and the midpoint aux
-        pa, pb = pos[f], pos[np.roll(f, -1, axis=1)]
-        (ax, ay), (px, py) = aux.T[:, :, None], pts[pi].T[:, :, None]
-        xa, ya, xb, yb = pa[..., 0], pa[..., 1], pb[..., 0], pb[..., 1]
-        det = (xb - xa) * (ay - ya) - (yb - ya) * (ax - xa)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            l1 = ((xb - px) * (ay - py) - (yb - py) * (ax - px)) / det
-            l2 = ((ax - px) * (ya - py) - (ay - py) * (xa - px)) / det
-        l3 = 1.0 - l1 - l2
+        det, l1, l2, l3 = barycentric(pos[f], pos[np.roll(f, -1, axis=1)], aux[:, None],
+                                      pts[pi][:, None])
         eps = 1e-9
         hit = (det != 0.0) & (l1 >= -eps) & (l2 >= -eps) & (l3 >= -eps)
         r, k = np.arange(len(fi)), hit.argmax(axis=1)

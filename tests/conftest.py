@@ -221,13 +221,13 @@ def oracle_quad_is_convex(q) -> bool:
 class OracleLocator:
     """Dict-of-lists spatial hash with per-point, per-face containment."""
 
-    def __init__(self, m, tol=None):
+    def __init__(self, m):
         import math
         self.math = math
         self.m = m
         q = m.positions[m.faces]
         self.cell = max(m.mesh_eps * 2.0, 1e-12)
-        self.tol = tol if tol is not None else 1e-12 * max(1.0, m.mesh_eps)
+        self.tol = 1e-12 * max(1.0, m.mesh_eps)
         buckets = {}
         lo = np.floor(q.min(axis=1) / self.cell).astype(int)
         hi = np.floor(q.max(axis=1) / self.cell).astype(int)
@@ -303,6 +303,30 @@ def oracle_boundary_mismatch(m):
     cyc_edges = {(min(cyc[i], cyc[(i + 1) % len(cyc)]), max(cyc[i], cyc[(i + 1) % len(cyc)]))
                  for i in range(len(cyc))}
     return len(cyc_edges ^ oracle_boundary_edge_set(m))
+
+
+def oracle_marked_arcs(mm):
+    """(arc_ab, arc_bc, arc_cd, arc_da, chains) by walking the boundary as
+    a list from list.index of each mark: the primal vertices of the walks
+    A..B and C..D, the dual vertices strictly inside B..C and D..A, and the
+    positions of the four walks."""
+    cyc = mm.map.boundary.tolist()
+    col = mm.map.colors
+
+    def walk(start, stop):
+        i = cyc.index(start)
+        out = [start]
+        while cyc[i] != stop:
+            i = (i + 1) % len(cyc)
+            out.append(cyc[i])
+        return out
+
+    a, b, c, d = mm.marked
+    walks = [walk(a, b), walk(b, c), walk(c, d), walk(d, a)]
+    prim = [[v for v in w if col[v] == odmap.PRIMAL] for w in walks]
+    dual = [[v for v in w[1:-1] if col[v] == odmap.DUAL] for w in walks]
+    return (prim[0], dual[1], prim[2], dual[3],
+            [mm.map.positions[np.array(w, dtype=np.int64)] for w in walks])
 
 
 def oracle_walk_error(m, walk):
@@ -556,7 +580,7 @@ def oracle_map_bytes(m, marked=None) -> bytes:
     rows = zip(m.positions.tolist(), m.colors.tolist())
     verts = [{"id": i, "x": x, "y": y, "color": "primal" if c == odmap.PRIMAL else "dual"}
              for i, ((x, y), c) in enumerate(rows)]
-    out = {"vertices": verts, "faces": m.faces.tolist(), "boundary": list(m.boundary)}
+    out = {"vertices": verts, "faces": m.faces.tolist(), "boundary": m.boundary.tolist()}
     if marked is not None:
         out["marked"] = [int(x) for x in marked]
     return _oracle_json_bytes(out)

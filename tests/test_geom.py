@@ -243,7 +243,7 @@ def _random_polyline(rng, n, repeat=False):
     return pts
 
 
-def test_directed_hausdorff_matches_scalar_oracle():
+def test_directed_hausdorff_matches_scalar_oracle(monkeypatch):
     rng = np.random.default_rng(20)
     capped_seen = 0
     cases = [(_random_polyline(rng, int(rng.integers(2, 12)), repeat=k % 3 == 0),
@@ -255,11 +255,12 @@ def test_directed_hausdorff_matches_scalar_oracle():
     ang = np.linspace(0, 2 * math.pi, 40)
     cases.append((np.stack([np.cos(ang), np.sin(ang)], 1), np.array([[0.0, 0.0]]), 256))
     for a, b, n in cases:
+        monkeypatch.setattr(geom, "HAUSDORFF_SAMPLES", n)
         for src, dst in ((a, b), (b, a)):
             want, capped = _oracle_directed_hausdorff(src, dst, n, 8)
-            assert geom._directed_hausdorff(src, dst, n, 8) == want
+            assert geom._directed_hausdorff(src, dst) == want
             capped_seen += capped
-        assert geom.hausdorff_distance(a, b, n) == max(_oracle_directed_hausdorff(a, b, n)[0],
+        assert geom.hausdorff_distance(a, b) == max(_oracle_directed_hausdorff(a, b, n)[0],
                                                          _oracle_directed_hausdorff(b, a, n)[0])
     assert capped_seen >= 2
 

@@ -248,7 +248,7 @@ def test_conjugate_constant_field():
     vals = np.full(mm.map.n_vertices, np.nan)
     vals[gp.ids] = 4.0
     pinned = {0: 4.0, 3: 4.0, 8: 4.0, 5: 4.0}
-    h = harmonic.HarmonicField(gp, vals, pinned, 1e-12)
+    h = harmonic.HarmonicField(gp, vals, list(pinned), 1e-12)
     conj, max_res = harmonic.harmonic_conjugate(mm, h)
     assert max_res == 0.0
     assert all(v == 0.0 for v in conj.values[conj.graph.ids])
@@ -297,7 +297,7 @@ def test_conjugacy_error_on_nonharmonic_field():
     pinned = {0: 0.0, 3: 0.0, 8: 1.0, 5: 1.0, 4: 0.9}  # wrong center value
     vals = np.full(mm.map.n_vertices, np.nan)
     vals[list(pinned)] = list(pinned.values())
-    h = harmonic.HarmonicField(gp, vals, pinned, 1.0)
+    h = harmonic.HarmonicField(gp, vals, list(pinned), 1.0)
     with pytest.raises(harmonic.ConjugacyError):
         harmonic.harmonic_conjugate(mm, h)
 

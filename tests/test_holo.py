@@ -40,9 +40,8 @@ def test_conjugacy_iff_cr(tiled_rect):
     from orthotile import harmonic
     mm, F = tiled_rect
     gp = mm.map.extract_primal()
-    pinned = {int(v): 0.0 for v in mm.arc_ab}
     L = F.values.real[gp.ids].max()
-    pinned.update({int(v): L for v in mm.arc_cd})
+    pinned = np.concatenate([mm.arc_ab, mm.arc_cd])
     h = harmonic.HarmonicField(gp, F.values.real, pinned, 1e-6 * max(L, 1))
     _, max_res = harmonic.harmonic_conjugate(mm, h)
     # per-face: |dF_p dz_d - dF_d dz_p| = cycle residual * |dz_p|; dividing

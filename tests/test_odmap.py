@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import (OracleLocator, location_probes, oracle_boundary_edge_set,
-                      oracle_boundary_mismatch, oracle_map_bytes, oracle_quad_is_convex,
-                      oracle_side_set, oracle_validate, star_map, strip_map)
+                      oracle_boundary_mismatch, oracle_map_bytes, oracle_marked_arcs,
+                      oracle_quad_is_convex, oracle_side_set, oracle_validate, star_map,
+                      strip_map)
 from orthotile import geom, gridgen, odmap
 
 
@@ -175,7 +176,7 @@ def test_side_array_matches_set_oracle(topology_maps):
 def test_validate_boundary_measure_matches_oracle(topology_maps):
     for mm in topology_maps.values():
         m = mm.map
-        b = m.boundary
+        b = m.boundary.tolist()
         for wrong in (b[:-1], b[1:2] + b[:1] + b[2:], b[:3], [b[0]], b[::2]):
             bad = odmap.OrthodiagonalMap(m.positions, m.colors, m.faces, wrong)
             found = [v for v in odmap.validate(bad).violations if v.kind == "boundary-mismatch"]
@@ -244,6 +245,37 @@ def test_marked_map_arcs_and_errors():
         odmap.MarkedRectangleMap(mm.map, [1, 3, 8, 5])       # dual vertex
     with pytest.raises(odmap.MapError):
         odmap.MarkedRectangleMap(mm.map, [4, 3, 8, 5])       # interior vertex
+
+
+def test_marked_arcs_match_list_oracle(topology_maps):
+    for name, mm in topology_maps.items():
+        for k in range(4):
+            mr = odmap.MarkedRectangleMap(mm.map, mm.marked[k:] + mm.marked[:k])
+            *arcs, chains = oracle_marked_arcs(mr)
+            for got, want in zip((mr.arc_ab, mr.arc_bc, mr.arc_cd, mr.arc_da), arcs):
+                assert got.dtype == np.int64 and got.tolist() == want, (name, k)
+            for got, want in zip(mr.arc_chains(), chains):
+                assert np.array_equal(got, want), (name, k)
+
+
+def test_boundary_must_be_a_flat_list_of_ids():
+    m = star_map().map
+    for bad in (5, [[3, 6], [8, 7]], [3.0, 6.0, 8.0], ["3", "6"], [True, False]):
+        with pytest.raises(odmap.MapError, match="flat list of vertex ids"):
+            odmap.OrthodiagonalMap(m.positions, m.colors, m.faces, bad)
+    for good in ([], np.array([3, 6, 8], dtype=np.int32), (3, 6, 8)):
+        b = odmap.OrthodiagonalMap(m.positions, m.colors, m.faces, good).boundary
+        assert b.dtype == np.int64 and b.tolist() == list(good)
+
+
+def test_marked_vertex_repeated_on_the_cycle_is_an_error():
+    mm = star_map()
+    b = mm.map.boundary.tolist()
+    for v in mm.marked:
+        # the cycle visits v twice; list.index would take the first visit
+        twice = odmap.OrthodiagonalMap(mm.map.positions, mm.map.colors, mm.map.faces, b + [v])
+        with pytest.raises(odmap.MapError, match=f"marked vertex {v} appears 2 times"):
+            odmap.MarkedRectangleMap(twice, mm.marked)
 
 
 def test_arcs_partition_boundary_colors():

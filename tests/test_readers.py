@@ -132,6 +132,34 @@ def test_rows_not_exactly_the_member_exit_1(capsys, tmp_path, artifact_files, ki
         assert capsys.readouterr().err.startswith("cannot read")
 
 
+@pytest.mark.parametrize("boundary", [5, [[0, 1], [2, 3]], [[0, 1], [2]], [0.0, 1.0, 2.0],
+                                      ["0", "1"]])
+def test_boundary_not_a_flat_list_of_ids_exit_1(capsys, tmp_path, artifact_files, boundary):
+    mp, _ = artifact_files["strip"]
+    d = json.loads(mp.read_text())
+    d["boundary"] = boundary
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    for argv in (["tile", "--map", str(path), "--out", str(tmp_path / "t.json")],
+                 ["duality", "--map", str(path)]):
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("cannot read map")
+
+
+def test_boundary_repeating_a_marked_vertex_exit_1(capsys, tmp_path, artifact_files):
+    mp, _ = artifact_files["strip"]
+    d = json.loads(mp.read_text())
+    d["boundary"].append(d["marked"][1])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    for argv in (["tile", "--map", str(path), "--out", str(tmp_path / "t.json")],
+                 ["duality", "--map", str(path)]):
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("bad marking")
+
+
 def _read_peak(load, path) -> int:
     """tracemalloc's peak over load(path), above what was allocated before."""
     gc.collect()
