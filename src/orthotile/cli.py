@@ -67,6 +67,17 @@ def _finite_flag(name: str, allow_zero: bool = False):
     return number
 
 
+def _levels_flag(text: str) -> int:
+    """argparse type: an integer >= 2 (the ladder compares each level with
+    the next), else exit 64."""
+    try:
+        if int(text) >= 2:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("levels must be an integer >= 2")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -110,9 +121,12 @@ def _load_marked(path: str) -> odmap.MarkedRectangleMap:
     if marked is None:
         raise SystemExit(_fail(EXIT_INPUT, f"map {path} has no marked vertices"))
     try:
-        return odmap.MarkedRectangleMap(m, marked)
+        mm = odmap.MarkedRectangleMap(m, marked)
     except (IndexError, odmap.MapError) as exc:
         raise SystemExit(_fail(EXIT_INPUT, f"bad marking in {path}: {exc}"))
+    if odmap.boundary_mismatch(m):
+        raise SystemExit(_fail(EXIT_INPUT, f"bad map {path}: {odmap.BOUNDARY_MISMATCH}"))
+    return mm
 
 
 def cmd_tile(args) -> int:
@@ -207,7 +221,7 @@ def build_parser() -> _Parser:
     c = sub.add_parser("converge", help="run the refinement convergence harness")
     c.add_argument("--domain", required=True)
     c.add_argument("--mesh0", type=_finite_flag("mesh0"), required=True)
-    c.add_argument("--levels", type=int, default=DEFAULTS.levels)
+    c.add_argument("--levels", type=_levels_flag, default=DEFAULTS.levels)
     c.add_argument("--report", required=True)
     c.add_argument("--probe-margin", type=_finite_flag("probe margin", allow_zero=True),
                    default=None, dest="probe_margin")

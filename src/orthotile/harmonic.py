@@ -2,8 +2,11 @@
 
 Dirichlet solves use conjugate gradient on the reduced SPD system (free
 vertices in ascending-id order, Jacobi preconditioner), so results are
-deterministic.  A dense direct solve is provided as an independent oracle,
-and a random-walk estimator gives a third route to the same values.
+deterministic.  The CG loop is the package's own, with the arithmetic of
+scipy.sparse.linalg.cg step for step, and so is the conjugate's
+breadth-first search; scipy.sparse provides the matrix and its product.
+A dense direct solve is provided as an independent oracle, and a
+random-walk estimator gives a third route to the same values.
 
 Solves take the pinned set as an {id: value} mapping; a solved field keeps
 the pinned ids as one int64 array and their values in its values array.
@@ -165,29 +168,55 @@ def _check_connectivity(g: WeightedGraph, pidx: np.ndarray) -> None:
                           f"(first: {int(g.ids[bad[0]])})")
 
 
+def _cg(A, b: np.ndarray, x: np.ndarray, dinv: np.ndarray, tol: float,
+        maxiter: int) -> np.ndarray:
+    """Jacobi-preconditioned conjugate gradient (Hestenes & Stiefel 1952)
+    from x, in place, operation for operation as scipy 1.17's
+    sparse.linalg.cg(A, b, x, rtol=tol, atol=0, maxiter, M=diags(dinv)), so
+    with its bits: b when norm(b) == 0, else x once norm(r) < tol norm(b).
+    SolverError with the relative residual after maxiter steps short of it."""
+    bnrm2 = np.linalg.norm(b)
+    if bnrm2 == 0:
+        return b
+    atol = tol * float(bnrm2)
+    r = b - A @ x if x.any() else b.copy()
+    for it in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x
+        z = dinv * r
+        rho = np.dot(r, z)
+        if it:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = A @ p
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    res = float(np.linalg.norm(b - A @ x) / max(np.linalg.norm(b), 1e-300))
+    raise SolverError(f"CG did not converge in {maxiter} iterations", residual=res)
+
+
 def solve_dirichlet(g: WeightedGraph, pinned: Mapping[int, float],
                     tol: float = DEFAULT_TOL) -> HarmonicField:
     """Solve the Dirichlet problem: pinned values on the given vertices,
     zero Laplacian everywhere else.
 
     Conjugate gradient with Jacobi preconditioning on the reduced system,
-    relative residual <= tol, at most max(20 sqrt(free) + 1, 10^4)
-    iterations.  Raises SolverError for an empty pinned set, a free
+    started from the mean pinned value, relative residual <= tol, at most
+    max(20 sqrt(free) + 1, 10^4) iterations.  The loop (_cg) is the
+    package's own and gives scipy.sparse.linalg.cg's bits; its dot products
+    and norms are still BLAS calls, so the last bits depend on the BLAS
+    thread count.  Raises SolverError for an empty pinned set, a free
     component with no pinned neighbor, or non-convergence.
     """
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
     keys, values, free_ids, A, b, diag = _reduced_system(g, pinned)
     if len(free_ids):
         maxiter = max(int(20 * math.isqrt(len(free_ids)) + 1), 10_000)
-        M = sp.diags(1.0 / diag)
         x0 = np.full(len(free_ids), float(np.mean(values[keys])))
-        x, info = spla.cg(A, b, x0=x0, rtol=tol, atol=0.0, maxiter=maxiter, M=M)
-        if info != 0:
-            res = float(np.linalg.norm(b - A @ x) / max(np.linalg.norm(b), 1e-300))
-            raise SolverError(f"CG did not converge in {maxiter} iterations", residual=res)
-        values[free_ids] = x
+        values[free_ids] = _cg(A, b, x0, 1.0 / diag, tol, maxiter)
     # the l2 residual bound controls the vertexwise Laplacian only up to a
     # norm factor; the field check keeps a safety margin
     field_tol = max(tol * 1e4, 1e-13)
@@ -291,6 +320,40 @@ def effective_resistance(g: WeightedGraph, S, T, tol: float = DEFAULT_TOL) -> fl
     return 1.0 / solve_dirichlet(g, unit_pins(S, T), tol).energy
 
 
+def breadth_first_levels(indptr: np.ndarray, indices: np.ndarray,
+                         root: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Breadth-first search from root along the arcs u -> indices[indptr[u]:
+    indptr[u + 1]], each row ascending, one level at a time: the frontier in
+    queue order, each vertex's targets in row order, the first discovery
+    wins.  That is the FIFO order and tree of
+    scipy.sparse.csgraph.breadth_first_order(..., directed=True).  Returns
+    the levels, root's first, and each vertex's predecessor (-1 at the root
+    and at unreached vertices)."""
+    degs = np.diff(indptr)
+    pred = np.full(len(degs), -1, dtype=np.int64)
+    unseen = np.ones(len(degs), dtype=bool)
+    unseen[root] = False
+    # a vertex's first position among the candidates of the level that
+    # discovers it; no other level lists it unseen
+    first = np.full(len(degs), len(indices))
+    levels = [np.array([root], dtype=np.int64)]
+    while True:
+        front = levels[-1]
+        deg = degs[front]
+        ends = deg.cumsum()
+        cand = indices[np.arange(ends[-1]) + (indptr[front] - ends + deg).repeat(deg)]
+        at = unseen[cand].nonzero()[0]
+        new = cand[at]
+        np.minimum.at(first, new, at)
+        keep = first[new] == at
+        if not keep.any():
+            return levels, pred
+        new, at = new[keep], at[keep]
+        pred[new] = front[ends.searchsorted(at, side="right")]
+        unseen[new] = False
+        levels.append(new)
+
+
 def harmonic_conjugate(m: MarkedRectangleMap, h: HarmonicField) -> tuple[HarmonicField, float]:
     """Integrate the conjugate dual field of a primal tiling solution.
 
@@ -304,9 +367,6 @@ def harmonic_conjugate(m: MarkedRectangleMap, h: HarmonicField) -> tuple[Harmoni
     checked against CYCLE_TOL_REL * max(gap, 1) and returned alongside the
     field, whose pinned ids are arc_bc then arc_da.
     """
-    import scipy.sparse as sp
-    from scipy.sparse import csgraph
-
     g_dual = m.map.extract_dual()
     scale = max(h.gap(), 1.0)
 
@@ -324,22 +384,21 @@ def harmonic_conjugate(m: MarkedRectangleMap, h: HarmonicField) -> tuple[Harmoni
     arc_face = first // 2
     arc_sign = np.where(first % 2 == 0, 1.0, -1.0)
     indptr = np.searchsorted(arcs // n, np.arange(n + 1))
-    adj = sp.csr_matrix((np.ones(len(arcs)), arcs % n, indptr), shape=(n, n))
 
     root = int(np.searchsorted(g_dual.ids, m.arc_da.min()))
-    order, pred = csgraph.breadth_first_order(adj, root, directed=True,
-                                              return_predecessors=True)
-    if len(order) != n:
+    levels, pred = breadth_first_levels(indptr, arcs % n, root)
+    child = np.concatenate(levels)[1:]
+    if len(child) != n - 1:
         raise ConjugacyError("dual graph is not connected")
-    child = order[1:].astype(np.int64)
-    parent = pred[child].astype(np.int64)
-    arc = np.searchsorted(arcs, parent * n + child)
+    arc = np.searchsorted(arcs, pred[child] * n + child)
     tree = arc_face[arc]
     tree_face = np.zeros(nf, dtype=bool)
     tree_face[tree] = True
+    step = np.zeros(n)
+    step[child] = arc_sign[arc] * inc[tree]
     vals = np.zeros(n)
-    for v, u, d in zip(child.tolist(), parent.tolist(), (arc_sign[arc] * inc[tree]).tolist()):
-        vals[v] = vals[u] + d
+    for front in levels[1:]:
+        vals[front] = vals[pred[front]] + step[front]
     res = np.abs(vals[w2] - vals[w1] - inc)
     max_res = float(res[~tree_face].max()) if (~tree_face).any() else 0.0
     if max_res > CYCLE_TOL_REL * scale:

@@ -31,6 +31,13 @@ def side_keys(a, b) -> np.ndarray:
     return np.minimum(a, b) * (2 ** 32) + np.maximum(a, b)
 
 
+def _side_key_counts(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The side keys of (f, 4) faces, ascending, and the number of faces
+    using each side."""
+    return np.unique(side_keys(faces.T.ravel(), np.roll(faces, -1, axis=1).T.ravel()),
+                     return_counts=True)
+
+
 class MapError(ValueError):
     """Structurally invalid orthodiagonal map or marking."""
 
@@ -152,21 +159,13 @@ class OrthodiagonalMap:
     def n_faces(self) -> int:
         return self.faces.shape[0]
 
-    def _sides(self) -> tuple[np.ndarray, np.ndarray]:
-        """side_edges() and, per row, the number of faces using that side
-        (1 on the boundary, 2 inside)."""
-        if "sides" not in self._caches:
-            f = self.faces
-            keys, counts = np.unique(side_keys(f.T.ravel(), np.roll(f, -1, axis=1).T.ravel()),
-                                     return_counts=True)
-            pairs = np.stack([keys >> 32, keys & (2 ** 32 - 1)], axis=1)
-            self._caches["sides"] = (pairs, counts)
-        return self._caches["sides"]
-
     def side_edges(self) -> np.ndarray:
         """Quadrilateral sides as a cached (e, 2) int64 array of unique
         vertex-id pairs, smaller id first, rows in ascending (a, b) order."""
-        return self._sides()[0]
+        if "sides" not in self._caches:
+            keys = _side_key_counts(self.faces)[0]
+            self._caches["sides"] = np.stack([keys >> 32, keys & (2 ** 32 - 1)], axis=1)
+        return self._caches["sides"]
 
     def _recompute_mesh_eps(self) -> float:
         if self.n_faces == 0:
@@ -511,6 +510,17 @@ class FaceLocator:
 # -- validation ---------------------------------------------------------------
 
 
+BOUNDARY_MISMATCH = "stored boundary cycle does not match the once-used face sides"
+
+
+def boundary_mismatch(m: OrthodiagonalMap) -> int:
+    """Number of sides in one but not both of the stored boundary cycle and
+    the faces' once-used sides; 0 when the two side sets agree.  Nothing is
+    cached on m, so a solve that checks its input holds no side table."""
+    keys, counts = _side_key_counts(m.faces)
+    return len(np.setxor1d(side_keys(m.boundary, np.roll(m.boundary, -1)), keys[counts == 1]))
+
+
 def validate(m: OrthodiagonalMap) -> ValidationReport:
     """Check every structural invariant; returns a report, never raises.
 
@@ -552,20 +562,16 @@ def validate(m: OrthodiagonalMap) -> ValidationReport:
         rep.add("unused-vertices", tuple(set(range(m.n_vertices)) - set(used.tolist())), 0.0,
                 "vertices not incident to any face")
 
-    sides, counts = m._sides()
-    euler = m.n_vertices - len(sides) + (m.n_faces + 1)
+    euler = m.n_vertices - len(m.side_edges()) + (m.n_faces + 1)
     if euler != 2:
         rep.add("euler", (), float(euler),
                 f"V - E + F = {euler} != 2; map is not simply connected")
 
     if len(np.unique(m.boundary)) != len(m.boundary):
         rep.add("boundary-not-simple", (), 0.0, "boundary cycle repeats a vertex")
-    once = counts == 1
-    mismatch = np.setxor1d(side_keys(m.boundary, np.roll(m.boundary, -1)),
-                           side_keys(sides[once, 0], sides[once, 1]))
-    if len(mismatch):
-        rep.add("boundary-mismatch", (), float(len(mismatch)),
-                "stored boundary cycle does not match the once-used face sides")
+    mismatch = boundary_mismatch(m)
+    if mismatch:
+        rep.add("boundary-mismatch", (), float(mismatch), BOUNDARY_MISMATCH)
     else:
         ring = m.boundary_polyline()
         if geom.signed_area(ring[:-1]) <= 0:

@@ -394,6 +394,39 @@ def oracle_conjugate_values(mm, h):
     return np.array(vals), tree
 
 
+def oracle_cg(A, b, x0, dinv, tol, maxiter):
+    """scipy.sparse.linalg.cg with the Jacobi preconditioner diags(dinv), the
+    call harmonic._cg replaced: (x, info), x0 left as it is."""
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import cg
+    return cg(A, b, x0=x0, rtol=tol, atol=0.0, maxiter=maxiter, M=sp.diags(dinv))
+
+
+def oracle_breadth_first(indptr, indices, root):
+    """scipy.sparse.csgraph.breadth_first_order on the CSR pattern, the search
+    harmonic.breadth_first_levels replaced: the order, and the predecessors
+    with -1 at the root and at unreached vertices."""
+    import scipy.sparse as sp
+    from scipy.sparse import csgraph
+    n = len(indptr) - 1
+    adj = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+    order, pred = csgraph.breadth_first_order(adj, root, directed=True,
+                                              return_predecessors=True)
+    return order, np.where(pred < 0, -1, pred)
+
+
+def dual_arcs_csr(mm):
+    """The dual graph's arcs w -> w' as a CSR pattern (indptr, indices), one
+    per ordered pair, targets ascending, and the search root of
+    harmonic_conjugate."""
+    g = mm.map.extract_dual()
+    f, n = mm.map.faces, g.n
+    w1, w2 = np.searchsorted(g.ids, f[:, 1]), np.searchsorted(g.ids, f[:, 3])
+    arcs = np.unique(np.concatenate([w1 * n + w2, w2 * n + w1]))
+    indptr = np.searchsorted(arcs // n, np.arange(n + 1))
+    return indptr, arcs % n, int(np.searchsorted(g.ids, mm.arc_da.min()))
+
+
 def oracle_cross_color_average(m, hv, tv):
     """Per-vertex mean over the other colour's side neighbours, summed in
     the side set's iteration order."""
@@ -509,8 +542,7 @@ def oracle_render_svg(L, tiles, scale=400.0):
 def oracle_validate(m):
     """odmap.validate with its per-face loop and used-vertex set."""
     from orthotile import geom
-    from orthotile.odmap import (DUAL, PRIMAL, TOL_ORTH, ValidationReport, _quads_convex,
-                                 side_keys)
+    from orthotile.odmap import DUAL, PRIMAL, TOL_ORTH, ValidationReport, _quads_convex
     rep = ValidationReport()
     p = m.positions
     convex = _quads_convex(p[m.faces])
@@ -540,19 +572,16 @@ def oracle_validate(m):
     if len(used) != m.n_vertices:
         rep.add("unused-vertices", tuple(set(range(m.n_vertices)) - set(used)), 0.0,
                 "vertices not incident to any face")
-    sides, counts = m._sides()
-    euler = m.n_vertices - len(sides) + (m.n_faces + 1)
+    euler = m.n_vertices - len(oracle_side_set(m)) + (m.n_faces + 1)
     if euler != 2:
         rep.add("euler", (), float(euler),
                 f"V - E + F = {euler} != 2; map is not simply connected")
     cyc = np.array(m.boundary, dtype=np.int64)
     if len(np.unique(cyc)) != len(cyc):
         rep.add("boundary-not-simple", (), 0.0, "boundary cycle repeats a vertex")
-    once = counts == 1
-    mismatch = np.setxor1d(side_keys(cyc, np.roll(cyc, -1)),
-                           side_keys(sides[once, 0], sides[once, 1]))
-    if len(mismatch):
-        rep.add("boundary-mismatch", (), float(len(mismatch)),
+    mismatch = oracle_boundary_mismatch(m)
+    if mismatch:
+        rep.add("boundary-mismatch", (), float(mismatch),
                 "stored boundary cycle does not match the once-used face sides")
     else:
         ring = m.boundary_polyline()

@@ -205,6 +205,19 @@ def test_bad_probe_margin_is_a_usage_error(capsys, tmp_path, domain_file, margin
     assert json.loads(rp.read_text())["probe_margin"] == 0.0
 
 
+@pytest.mark.parametrize("levels", ["1", "0", "-1", "2.5", "abc"])
+def test_bad_levels_is_a_usage_error(capsys, tmp_path, domain_file, levels):
+    rp = tmp_path / "r.json"
+    argv = ["converge", "--domain", domain_file, "--mesh0", "0.25", "--report", str(rp)]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, f"--levels={levels}"])
+    assert exc.value.code == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "levels must be an integer >= 2" in err
+    assert not rp.exists()
+
+
 # one CLI command in a fresh interpreter; the last stdout line lists the
 # scipy modules it loaded
 FRESH_CLI = ("import sys\nfrom orthotile import cli\nrc = cli.main(sys.argv[1:])\n"
@@ -230,14 +243,21 @@ def test_no_process_loads_scipy_spatial():
 
 def test_only_sparse_solves_load_scipy(tmp_path, domain_file):
     # generate labels components and verify sweeps the tiling with numpy;
-    # the sparse solves and tree walk of tile and duality load scipy.sparse
-    # but no scipy.spatial, and the three artifacts keep their pinned bytes
+    # tile, duality and converge build their sparse matrices with
+    # scipy.sparse and load no other scipy subpackage (the CG loop and the
+    # conjugate's search are numpy), and the three artifacts keep their
+    # pinned bytes
     mp, tp, svg = (str(tmp_path / n) for n in ("map.json", "t.json", "t.svg"))
     assert run_fresh("generate", "--domain", domain_file, "--mesh", "0.25",
                      "--out", mp) == (0, [])
-    for argv in (["tile", "--map", mp, "--out", tp, "--svg", svg], ["duality", "--map", mp]):
+    for argv in (["tile", "--map", mp, "--out", tp, "--svg", svg], ["duality", "--map", mp],
+                 ["converge", "--domain", domain_file, "--mesh0", "0.25", "--levels", "2",
+                  "--report", str(tmp_path / "r.json")]):
         rc, mods = run_fresh(*argv)
-        assert rc == 0 and "scipy.sparse.linalg" in mods and "scipy.spatial" not in mods
+        assert rc == 0 and "scipy.sparse" in mods
+        assert not [m for m in mods for pkg in ("scipy.sparse.linalg", "scipy.linalg",
+                                                  "scipy.sparse.csgraph", "scipy.spatial")
+                    if m == pkg or m.startswith(pkg + ".")]
     assert run_fresh("verify", "--tiling", tp) == (0, [])
     digest = {n: hashlib.sha256((tmp_path / n).read_bytes()).hexdigest()
               for n in ("map.json", "t.json", "t.svg")}

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import (graph_from_edges, grid_graph, oracle_conjugate_values, oracle_flow_check,
-                      star_map)
+from conftest import (dual_arcs_csr, graph_from_edges, grid_graph, oracle_breadth_first,
+                      oracle_cg, oracle_conjugate_values, oracle_flow_check, star_map)
 from orthotile import extremal, gridgen, harmonic, odmap, tiling
 
 
@@ -90,6 +92,115 @@ def test_solver_errors():
         harmonic.solve_dirichlet(disconnected, {0: 0.0, 1: 1.0})
     with pytest.raises(harmonic.SolverError):
         harmonic.effective_resistance(g, [0, 1], [1, 2])  # overlap
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _cg_systems(maps):
+    """(name, graph, pinned) for the primal and dual unit-pinned systems of
+    each marked map, as build_tiling and extremal_length solve them."""
+    for name, mm in maps.items():
+        yield (name + " primal", mm.map.extract_primal(),
+               harmonic.unit_pins(mm.arc_ab, mm.arc_cd))
+        yield name + " dual", mm.map.extract_dual(), harmonic.unit_pins(mm.arc_bc, mm.arc_da)
+
+
+def _oracle_solve(g, pinned, tol=harmonic.DEFAULT_TOL):
+    """solve_dirichlet's values, with scipy's CG in place of harmonic._cg."""
+    keys, values, free_ids, A, b, diag = harmonic._reduced_system(g, pinned)
+    maxiter = max(int(20 * math.isqrt(len(free_ids)) + 1), 10_000)
+    x0 = np.full(len(free_ids), float(np.mean(values[keys])))
+    x, info = oracle_cg(A, b, x0, 1.0 / diag, tol, maxiter)
+    assert info == 0
+    values[free_ids] = x
+    return values
+
+
+@pytest.fixture(scope="module")
+def l_map64(l_spec):
+    return gridgen.grid_approximation(l_spec, 1 / 64)[0]
+
+
+def test_cg_matches_scipy_cg_bitwise(topology_maps, l_map64):
+    # the rectangle at 1/16 is topology_maps["rect16"]
+    for name, g, pinned in _cg_systems({**topology_maps, "L64": l_map64}):
+        h = harmonic.solve_dirichlet(g, pinned)
+        want = _oracle_solve(g, pinned)
+        assert np.array_equal(_bits(h.values[g.ids]), _bits(want[g.ids])), name
+
+
+def test_cg_zero_rhs_matches_scipy_cg(topology_maps):
+    # all pins 0: norm(b) == 0, and both return b itself
+    for name, g, pinned in _cg_systems(topology_maps):
+        zero = dict.fromkeys(pinned, 0.0)
+        h = harmonic.solve_dirichlet(g, zero)
+        want = _oracle_solve(g, zero)
+        assert np.array_equal(_bits(h.values[g.ids]), _bits(want[g.ids])), name
+        assert not h.values[g.ids].any()
+
+
+def test_cg_non_convergence_reports_scipy_residual(rect_map16):
+    mm = rect_map16[0]
+    g = mm.map.extract_primal()
+    keys, values, free_ids, A, b, diag = harmonic._reduced_system(
+        g, harmonic.unit_pins(mm.arc_ab, mm.arc_cd))
+    for maxiter in (1, 3, 10):
+        x0 = np.full(len(free_ids), 0.5)
+        x, info = oracle_cg(A, b, x0, 1.0 / diag, 1e-12, maxiter)
+        assert info == maxiter
+        with pytest.raises(harmonic.SolverError,
+                           match=f"^CG did not converge in {maxiter} iterations$") as exc:
+            harmonic._cg(A, b, x0.copy(), 1.0 / diag, 1e-12, maxiter)
+        want = float(np.linalg.norm(b - A @ x) / np.linalg.norm(b))
+        assert exc.value.residual == want
+
+
+def _check_bfs(indptr, indices, root):
+    """breadth_first_levels against csgraph; the levels are the depths of
+    the search tree.  Returns the number of vertices reached."""
+    levels, pred = harmonic.breadth_first_levels(indptr, indices, root)
+    order = np.concatenate(levels)
+    want_order, want_pred = oracle_breadth_first(indptr, indices, root)
+    assert np.array_equal(order, want_order) and np.array_equal(pred, want_pred)
+    depth = np.zeros(len(pred), dtype=np.int64)
+    for v in order[1:].tolist():
+        depth[v] = depth[pred[v]] + 1
+    for k, level in enumerate(levels):
+        assert level.size and (depth[level] == k).all()
+    return len(order)
+
+
+def test_breadth_first_levels_match_csgraph_on_dual_graphs(topology_maps, l_map64):
+    for name, mm in {**topology_maps, "L64": l_map64}.items():
+        indptr, indices, root = dual_arcs_csr(mm)
+        assert _check_bfs(indptr, indices, root) == len(indptr) - 1, name
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 24))
+def test_breadth_first_levels_match_csgraph_on_drawn_graphs(data, n):
+    # arcs among the first k vertices only, so the rest are isolated, and
+    # the drawn arcs often leave the graph disconnected
+    k = data.draw(st.integers(1, n))
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)),
+                               max_size=3 * k))
+    arcs = np.unique(np.array([u * n + v for u, v in pairs], dtype=np.int64))
+    indptr = np.searchsorted(arcs // n, np.arange(n + 1))
+    _check_bfs(indptr, arcs % n, data.draw(st.integers(0, n - 1)))
+
+
+def test_conjugate_of_disconnected_dual_graph_is_an_error():
+    # one more dual vertex, on no face: the search cannot reach it
+    mm = star_map()
+    m = mm.map
+    m2 = odmap.OrthodiagonalMap(np.vstack([m.positions, [[2.0, 2.0]]]),
+                                np.append(m.colors, odmap.DUAL), m.faces, m.boundary)
+    mm2 = odmap.MarkedRectangleMap(m2, mm.marked)
+    h = harmonic.solve_dirichlet(m2.extract_primal(), harmonic.unit_pins(mm2.arc_ab, mm2.arc_cd))
+    with pytest.raises(harmonic.ConjugacyError, match="^dual graph is not connected$"):
+        harmonic.harmonic_conjugate(mm2, h)
 
 
 def test_gradient_flow_path():

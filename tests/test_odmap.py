@@ -182,7 +182,8 @@ def test_validate_boundary_measure_matches_oracle(topology_maps):
             found = [v for v in odmap.validate(bad).violations if v.kind == "boundary-mismatch"]
             assert len(found) == 1
             assert found[0].measure == oracle_boundary_mismatch(bad) > 0
-        assert oracle_boundary_mismatch(m) == 0
+            assert odmap.boundary_mismatch(bad) == found[0].measure
+        assert oracle_boundary_mismatch(m) == odmap.boundary_mismatch(m) == 0
         assert odmap.validate(m).ok
 
 
