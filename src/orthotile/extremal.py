@@ -329,7 +329,8 @@ def el_rate_check(coarse: MarkedRectangleMap, fine: MarkedRectangleMap,
     -4K / log(d' / (delta v eps)) <= L_sub - L <= 8 K L^2 / log(d / (delta v eps)).
 
     delta is twice the max per-arc Hausdorff distance between the two
-    discrete boundaries; d, d' use the fine map's own arc-distance proxies.
+    discrete boundaries, each a certified upper bound (geom.hausdorff_distance
+    and its margin); d, d' use the fine map's own arc-distance proxies.
     Inconclusive when the threshold preconditions fail.
     """
     chains_c = coarse.arc_chains()

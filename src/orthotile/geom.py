@@ -19,9 +19,9 @@ OUTSIDE = "outside"
 
 #: default relative tolerance, scaled by the domain diameter at call sites
 DEFAULT_REL_TOL = 1e-9
-#: hausdorff_distance's uniform samples per direction and refinement rounds
-HAUSDORFF_SAMPLES = 1024
-HAUSDORFF_ROUNDS = 8
+#: hausdorff_distance's rounding margin relative to the largest coordinate
+#: magnitude; its points' and distances' rounding stays under 11 eps of it
+HAUSDORFF_MARGIN = 16 * 2.0 ** -52
 
 
 class GeometryError(ValueError):
@@ -196,21 +196,37 @@ def segment_distances(p, a, b) -> np.ndarray:
     return np.sqrt(_squared_distances(p[..., 0], p[..., 1], *_segment_planes(a, b)))
 
 
-def points_to_segments_distance(pts: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray) -> np.ndarray:
-    """Distances from each point to the nearest of the given segments.
-
-    pts: (n, 2); seg_a, seg_b: (m, 2).  Returns (n,).  segment_distances'
-    arithmetic on (rows, m) x and y planes, blocked over the points, so
-    temporaries stay bounded for any n and m.  The minimum is taken over
-    squared distances with one sqrt per point after it: sqrt is correctly
-    rounded and monotone, so this is bitwise the minimum of the distances.
-    """
-    out = np.empty(len(pts))
+def _squared_blocks(pts: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray):
+    """Row blocks of pts (n, 2) and their squared distances to the segments
+    (m, 2) on (rows, m) planes: temporaries stay bounded for any n and m."""
     px, py = pts[:, 0, None], pts[:, 1, None]
     planes = _segment_planes(seg_a, seg_b)
     for blk in _row_blocks(len(pts), len(seg_a)):
-        out[blk] = _squared_distances(px[blk], py[blk], *planes).min(axis=1)
+        yield blk, _squared_distances(px[blk], py[blk], *planes)
+
+
+def points_to_segments_distance(pts: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray) -> np.ndarray:
+    """Distances from each point to the nearest of the given segments.
+
+    pts: (n, 2); seg_a, seg_b: (m, 2).  Returns (n,).  The minimum is taken
+    over squared distances with one sqrt per point after it: sqrt is
+    correctly rounded and monotone, so this is bitwise the minimum of the
+    distances.
+    """
+    out = np.empty(len(pts))
+    for blk, sq in _squared_blocks(pts, seg_a, seg_b):
+        out[blk] = sq.min(axis=1)
     return np.sqrt(out)
+
+
+def _nearest_segments(pts: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray):
+    """points_to_segments_distance and the nearest segment's index, the
+    lowest on ties; a NaN distance may differ in sign, which min need not keep."""
+    d2, idx = np.empty(len(pts)), np.empty(len(pts), dtype=np.intp)
+    for blk, sq in _squared_blocks(pts, seg_a, seg_b):
+        idx[blk] = k = sq.argmin(axis=1)
+        d2[blk] = sq[np.arange(len(k)), k]
+    return np.sqrt(d2), idx
 
 
 def points_to_polyline_distance(pts: np.ndarray, polyline: np.ndarray) -> np.ndarray:
@@ -298,69 +314,58 @@ def _points_at(poly, seg, seg_len, cum, t: np.ndarray) -> np.ndarray:
     return np.stack([poly[:, k][idx] + frac * seg[:, k][idx] for k in (0, 1)], 1)
 
 
-def _sample_polyline(poly: np.ndarray, n_samples: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Uniform arclength samples plus all vertices.  Returns (points,
-    parameters, spacing)."""
-    if poly.shape[0] == 1:
-        return poly, np.zeros(1), 0.0
-    seg, seg_len, cum = _arclength(poly)
-    total = cum[-1]
-    if total == 0.0:
-        return poly[:1], np.zeros(1), 0.0
-    t = np.linspace(0.0, total, max(n_samples, 2))
-    t = np.unique(np.concatenate([t, cum]))
-    return _points_at(poly, seg, seg_len, cum, t), t, total / max(n_samples - 1, 1)
-
-
-def _linspace17(start: np.ndarray, stop: np.ndarray) -> np.ndarray:
-    """Row k equals np.linspace(start[k], stop[k], 17) bitwise: with 16
-    intervals the step is an exact division, so numpy's separate rule for
-    a zero step yields the same values."""
-    y = np.arange(17.0) * ((stop - start) / 16)[:, None] + start[:, None]
-    y[:, -1] = stop
-    return y
-
-
-def _directed_hausdorff(a: np.ndarray, b: np.ndarray) -> float:
-    """sup over points of a of the distance to b, by dense sampling with
-    local refinement around the sampled maximizers (dist(., b) is
-    1-Lipschitz along a).  Each round evaluates all candidates' 17-point
-    neighbourhoods at once."""
-    pts, params, spacing = _sample_polyline(a, HAUSDORFF_SAMPLES)
-    d = points_to_polyline_distance(pts, b)
-    if a.shape[0] == 1 or spacing == 0.0:
-        return float(d.max())
-
-    seg, seg_len, cum = _arclength(a)
-    best = float(d.max())
-    half = spacing / 2.0
-    # any unsampled point can exceed the sampled max by at most `half`
-    cand = params[d >= best - spacing]
-    for _ in range(HAUSDORFF_ROUNDS):
-        if half <= 0.0:
-            break
-        tt = np.unique(_linspace17(np.maximum(cand - half, 0.0),
-                                   np.minimum(cand + half, cum[-1])))
-        d = points_to_polyline_distance(_points_at(a, seg, seg_len, cum, tt), b)
-        best = max(best, float(d.max()))
-        half /= 8.0
-        cand = tt[d >= best - 2 * half]
-        if len(cand) > 64:
-            cand = cand[np.argsort(d[d >= best - 2 * half])[::-1][:64]]
-    return best
+def _directed_hausdorff(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[float, float]:
+    """Bounds lo <= sup over points of a of the distance to b <= hi, up to
+    rounding, with hi - lo <= tol (lo is the largest distance evaluated), by
+    branch-and-bound over parameter intervals of a's segments.  An interval
+    with end distances f0, f1 is bounded by the least of the 1-Lipschitz
+    bound (f0 + f1 + length) / 2 and, as the distance to one segment is
+    convex along a line, the larger end distance to the segment of b nearest
+    at either end: max(f0, f1), exact, when one segment is nearest at both
+    (a one-segment check, so ties need not agree under argmin).  It is
+    dropped, its bound folded into hi, once that is at most lo + tol, and
+    split into 16 otherwise."""
+    sa, sb = (b[:-1], b[1:]) if len(b) > 1 else (b, b)
+    f, j = _nearest_segments(a, sa, sb)
+    lo = hi = float(f.max())
+    seg_len = np.hypot(*(a[1:] - a[:-1]).T)
+    # (t, p, f, j): parameters, points, distances and nearest segments along
+    # segment i of a, one row each; consecutive columns bound an interval
+    i = np.arange(len(a) - 1)
+    t = np.broadcast_to([0.0, 1.0], (len(i), 2))
+    p, f, j = (np.stack([v[:-1], v[1:]], 1) for v in (a, f, j))
+    frac = np.arange(17) / 16
+    while True:
+        f0, f1 = f[:, :-1], f[:, 1:]
+        # each end's distance to the segment nearest at the other end
+        g = segment_distances(np.stack([p[:, 1:], p[:, :-1]]),
+                              *(s[np.stack([j[:, :-1], j[:, 1:]])] for s in (sa, sb)))
+        bound = np.minimum((f0 + f1 + (t[:, 1:] - t[:, :-1]) * seg_len[i, None]) / 2,
+                           np.maximum(np.stack([f0, f1]), g).min(axis=0))
+        split = bound > lo + tol
+        hi = max(hi, float(bound[~split].max(initial=lo)))
+        if not split.any():
+            return lo, hi
+        r, c = np.nonzero(split)
+        i, t0, t1 = i[r], t[r, c], t[r, c + 1]
+        t = t0[:, None] + (t1 - t0)[:, None] * frac
+        t[:, -1] = t1
+        q = a[i, None] * (1.0 - t[:, 1:-1, None]) + a[i + 1, None] * t[:, 1:-1, None]
+        fq, jq = (v.reshape(len(i), 15) for v in _nearest_segments(q.reshape(-1, 2), sa, sb))
+        lo = max(lo, float(fq.max(initial=lo)))
+        p, f, j = (np.concatenate([v[r, c, None], w, v[r, c + 1, None]], 1)
+                   for v, w in ((p, q), (f, fq), (j, jq)))
 
 
 def hausdorff_distance(a, b) -> float:
     """Symmetric Hausdorff distance between the point sets of two polylines,
-    as a sampled lower estimate.
-
-    Each direction samples HAUSDORFF_SAMPLES uniform arclength points plus
-    every vertex, with analytic point-to-segment minimization, then refines
-    locally around the sampled maximizers for HAUSDORFF_ROUNDS rounds, keeping at
-    most 64 candidates per round.  Up to rounding the result never exceeds
-    the true distance, but it is not a certified upper bound: a maximizer
-    missed by the sampling and the candidate cap is not recovered (see the
-    certified-bound item in ROADMAP.md).
-    """
+    as a certified upper bound: with s the largest coordinate magnitude,
+    each direction is bounded to within DEFAULT_REL_TOL * s, and the larger
+    upper bound plus the rounding margin HAUSDORFF_MARGIN * s is returned.
+    It is at least the true distance and at most (DEFAULT_REL_TOL +
+    HAUSDORFF_MARGIN) * s above it, for coordinates whose squares neither
+    overflow nor underflow."""
     pa, pb = _as_points(a), _as_points(b)
-    return max(_directed_hausdorff(pa, pb), _directed_hausdorff(pb, pa))
+    s = max(float(np.abs(pa).max()), float(np.abs(pb).max()))
+    return max(_directed_hausdorff(pa, pb, DEFAULT_REL_TOL * s)[1],
+               _directed_hausdorff(pb, pa, DEFAULT_REL_TOL * s)[1]) + HAUSDORFF_MARGIN * s

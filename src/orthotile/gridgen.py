@@ -80,10 +80,11 @@ def load_domain(path: str) -> DomainSpec:
 
 @dataclass(frozen=True)
 class ApproximationCertificate:
-    """Interior approximation certificate: mesh bound eps, the four
-    per-arc Hausdorff distances (discrete vs continuous arc, in the order
-    AB, BC, CD, DA) and the crosscut bound delta = 2 * max of them, valid
-    for interior approximations."""
+    """Interior approximation certificate: mesh bound eps, the four per-arc
+    Hausdorff distances (discrete vs continuous arc, in the order AB, BC,
+    CD, DA), certified upper bounds by geom.hausdorff_distance and its
+    margin, and the crosscut bound delta = 2 * max of them, valid for
+    interior approximations."""
 
     eps: float
     delta: float

@@ -622,6 +622,8 @@ class MarkedRectangleMap:
         w = self.walks = [ring[ends[i]:ends[i + 1] + 1] for i in range(4)]
         self.arc_ab, self.arc_cd = (w[i][m.colors[w[i]] == PRIMAL] for i in (0, 2))
         self.arc_bc, self.arc_da = (w[i][m.colors[w[i]] == DUAL] for i in (1, 3))
+        if not (len(self.arc_bc) and len(self.arc_da)):
+            raise MapError("the boundary has no dual vertex between B and C or between D and A")
 
     def arc_chains(self) -> list[np.ndarray]:
         """Boundary chains [A..B], [B..C], [C..D], [D..A] as polylines."""

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from orthotile import gridgen, odmap, tiling
+from orthotile import geom, gridgen, odmap, tiling
 
 
 def src_env():
@@ -688,23 +688,87 @@ def tiling_bits(t):
 # as the references they must match bit for bit.
 
 
-def oracle_segment_distances(p, a, b):
+def _oracle_squared_distances(p, a, b):
     ab = b - a
     denom = (ab ** 2).sum(-1)
     denom = np.where(denom == 0.0, 1.0, denom)
     t = np.clip(((p - a) * ab).sum(-1) / denom, 0.0, 1.0)
     proj = a + t[..., None] * ab
-    return np.sqrt(((p - proj) ** 2).sum(-1))
+    return ((p - proj) ** 2).sum(-1)
+
+
+def oracle_segment_distances(p, a, b):
+    return np.sqrt(_oracle_squared_distances(p, a, b))
 
 
 def oracle_points_to_segments_distance(pts, seg_a, seg_b):
     return oracle_segment_distances(pts[:, None, :], seg_a[None], seg_b[None]).min(axis=1)
 
 
+def oracle_nearest_segments(pts, seg_a, seg_b):
+    d2 = _oracle_squared_distances(pts[:, None, :], seg_a[None], seg_b[None])
+    k = d2.argmin(axis=1)
+    return np.sqrt(d2[np.arange(len(pts)), k]), k
+
+
 def oracle_points_at(poly, seg, seg_len, cum, t):
     idx = np.clip(np.searchsorted(cum, t, side="right") - 1, 0, len(seg_len) - 1)
     frac = (t - cum[idx]) / np.where(seg_len[idx] == 0.0, 1.0, seg_len[idx])
     return poly[idx] + frac[:, None] * seg[idx]
+
+
+# -- sampled Hausdorff estimate ----------------------------------------------------
+#
+# The sampled lower estimate that geom.hausdorff_distance's certified bound
+# replaced, in its scalar form: uniform arclength samples plus every vertex,
+# then 8 rounds of 17-point refinement around the sampled maximizers, at
+# most 64 candidates per round.  The bound must never fall below it, up to
+# rounding.
+
+
+def _sample_polyline(poly, n_samples):
+    """Uniform arclength samples plus all vertices.  Returns (points,
+    parameters, spacing)."""
+    if poly.shape[0] == 1:
+        return poly, np.zeros(1), 0.0
+    seg, seg_len, cum = geom._arclength(poly)
+    total = cum[-1]
+    if total == 0.0:
+        return poly[:1], np.zeros(1), 0.0
+    t = np.linspace(0.0, total, max(n_samples, 2))
+    t = np.unique(np.concatenate([t, cum]))
+    return geom._points_at(poly, seg, seg_len, cum, t), t, total / max(n_samples - 1, 1)
+
+
+def _oracle_point_on_polyline(poly, cum, seg, seg_len, t):
+    idx = int(np.clip(np.searchsorted(cum, t, side="right") - 1, 0, len(seg_len) - 1))
+    denom = seg_len[idx] if seg_len[idx] != 0.0 else 1.0
+    return poly[idx] + ((t - cum[idx]) / denom) * seg[idx]
+
+
+def oracle_sampled_hausdorff(a, b, n_samples=1024, rounds=8):
+    """The sampled estimate of sup over points of a of the distance to b."""
+    pts, params, spacing = _sample_polyline(a, n_samples)
+    d = geom.points_to_polyline_distance(pts, b)
+    if a.shape[0] == 1 or spacing == 0.0:
+        return float(d.max())
+    seg, seg_len, cum = geom._arclength(a)
+    best = float(d.max())
+    half = spacing / 2.0
+    cand = params[d >= best - spacing]
+    for _ in range(rounds):
+        if half <= 0.0:
+            break
+        tt = np.unique(np.concatenate([np.linspace(max(t - half, 0.0), min(t + half, cum[-1]), 17)
+                                       for t in cand]))
+        pts = np.array([_oracle_point_on_polyline(a, cum, seg, seg_len, t) for t in tt])
+        d = geom.points_to_polyline_distance(pts, b)
+        best = max(best, float(d.max()))
+        half /= 8.0
+        cand = tt[d >= best - 2 * half]
+        if len(cand) > 64:
+            cand = cand[np.argsort(d[d >= best - 2 * half])[::-1][:64]]
+    return best
 
 
 # -- k-d tree vertex matching ------------------------------------------------------

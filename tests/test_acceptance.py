@@ -113,7 +113,7 @@ def test_criterion_04_aspect_ratio(big):
         for tl in d["t"].tiles:
             if tl.degenerate:
                 continue
-            r = 1.0 / c[tl.face]
+            r = c[tl.face]          # height / width = |dual| / |primal|
             worst = max(worst, abs(tl.height / tl.width - r) / (1.0 + r))
     _report(4, worst <= 1e-8, f"max aspect deviation {worst:.2e}")
 

@@ -80,7 +80,9 @@ def test_bench_tracer_targets_exist_and_hooks_read(tmp_path):
 
 def test_one_solve_per_system_per_ladder_level(rect_spec):
     # each level solves the primal system once (in build_tiling, shared by
-    # the duality defect) and the dual system once
+    # the duality defect) and the dual system once; its certificate bounds
+    # the four arcs through the traced geom.hausdorff_distance, which keeps
+    # that kernel visible to the per-layer metrics
     layers = _load_layers()
     tracer = layers.Tracer(layers.TARGETS).install()
     try:
@@ -88,4 +90,6 @@ def test_one_solve_per_system_per_ladder_level(rect_spec):
     finally:
         tracer.uninstall()
     assert all(lv.error is None for lv in rep.levels)
-    assert tracer.table()["harmonic.solve_dirichlet"]["calls"] == 2 * len(rep.levels)
+    table = tracer.table()
+    assert table["harmonic.solve_dirichlet"]["calls"] == 2 * len(rep.levels)
+    assert table["geom.hausdorff_distance"]["calls"] == 4 * len(rep.levels)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (oracle_points_at, oracle_points_to_segments_distance,
+from conftest import (oracle_nearest_segments, oracle_points_at,
+                      oracle_points_to_segments_distance, oracle_sampled_hausdorff,
                       oracle_segment_distances)
 from orthotile import geom, gridgen
 
@@ -67,7 +68,9 @@ def test_polygon_contains_matches_winding_on_random_convex():
 
 def test_hausdorff_identity_and_translation():
     a = [[0, 0], [1, 0], [1, 1]]
-    assert geom.hausdorff_distance(a, a) == 0.0
+    # the bound is exact here; the result is the rounding margin alone
+    assert geom._directed_hausdorff(np.array(a, float), np.array(a, float), 0.0) == (0.0, 0.0)
+    assert geom.hausdorff_distance(a, a) == geom.HAUSDORFF_MARGIN * 1.0
     b = [[0, 1], [1, 1]]
     assert abs(geom.hausdorff_distance([[0, 0], [1, 0]], b) - 1.0) < 1e-12
 
@@ -120,6 +123,81 @@ def test_hausdorff_symmetry_and_triangle_inequality():
 def test_hausdorff_empty_input_errors():
     with pytest.raises(geom.GeometryError):
         geom.hausdorff_distance([], [[0, 0]])
+
+
+# (a, b, sup over a of the distance to b, and back): parallel segments, an
+# L-corner, a point against a segment, a zigzag against a subset of its own
+# vertices, two single points, zero-length segments and identical polylines.
+# The L-corner's and the zigzag's way back peak inside a segment, where two
+# segments of the other polyline are nearest.
+ZIGZAG = [[0, 0], [1, 1], [2, 0], [3, 1], [4, 0]]
+EXACT_HAUSDORFF = [
+    ([[0, 0], [3, 0]], [[1, 1], [2, 1]], math.sqrt(2), 1.0),
+    ([[0, 0], [1, 0], [1, 1]], [[0, 0], [1, 1]], math.sqrt(0.5), 0.5),
+    ([[0, 0], [1, 0]], [[0.5, 0.3]], math.sqrt(0.5 ** 2 + 0.3 ** 2), 0.3),
+    (ZIGZAG, ZIGZAG[::2], 1.0, math.sqrt(0.5)),
+    ([[3, 4]], [[0, 0]], 5.0, 5.0),
+    ([[0, 0], [0, 0], [2, 0], [2, 0]], [[0, 1], [2, 1], [2, 1]], 1.0, 1.0),
+    (ZIGZAG, ZIGZAG, 0.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("a,b,ab,ba", EXACT_HAUSDORFF)
+def test_hausdorff_bounds_bracket_exact_answers(a, b, ab, ba):
+    a, b = np.array(a, float), np.array(b, float)
+    s = max(np.abs(a).max(), np.abs(b).max())
+    for src, dst, truth in ((a, b, ab), (b, a, ba)):
+        lo, hi = geom._directed_hausdorff(src, dst, geom.DEFAULT_REL_TOL * s)
+        assert lo <= truth <= hi
+        assert hi - lo <= geom.DEFAULT_REL_TOL * s
+    d = geom.hausdorff_distance(a, b)
+    assert max(ab, ba) < d <= max(ab, ba) + (geom.DEFAULT_REL_TOL + geom.HAUSDORFF_MARGIN) * s
+
+
+def _dense(poly, n):
+    """n points per segment, ends included."""
+    if len(poly) == 1:
+        return poly
+    t = np.linspace(0.0, 1.0, n)[:, None, None]
+    return (poly[:-1] * (1.0 - t) + poly[1:] * t).reshape(-1, 2)
+
+
+@st.composite
+def polyline_pairs(draw):
+    """Two polylines of 1-8 vertices on half-integer and free coordinates,
+    one segment of each zero-length when drawn, scaled by 1e-3 ... 1e3."""
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    out = []
+    for _ in range(2):
+        pts = _xy(draw, draw(st.integers(1, 8)))
+        if len(pts) > 1 and draw(st.booleans()):
+            k = draw(st.integers(1, len(pts) - 1))
+            pts[k] = pts[k - 1]
+        out.append(pts * scale)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=polyline_pairs())
+def test_hausdorff_bound_is_sound_and_tight(case):
+    a, b = case
+    s = max(np.abs(a).max(), np.abs(b).max())
+    tol, few_ulps = geom.DEFAULT_REL_TOL * s, 4 * 2.0 ** -52 * s
+    samples = []
+    for src, dst in ((a, b), (b, a)):
+        got = []
+        for block_pairs in (1, 3, 1 << 16):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(geom, "_BLOCK_PAIRS", block_pairs)     # 1 and 3: many row blocks
+                got.append(geom._directed_hausdorff(src, dst, tol))
+        assert got[0] == got[1] == got[2]
+        lo, hi = got[0]
+        assert hi - lo <= tol
+        dense = float(geom.points_to_polyline_distance(_dense(src, 257), dst).max())
+        sampled = oracle_sampled_hausdorff(src, dst)
+        assert hi >= max(dense, sampled) - few_ulps
+        samples += [dense, sampled]
+    assert geom.hausdorff_distance(a, b) >= max(samples)
 
 
 def test_polyline_min_distance():
@@ -188,43 +266,6 @@ def _oracle_polygon_error(pts):
     return None
 
 
-def _oracle_point_on_polyline(poly, cum, seg, seg_len, t):
-    idx = int(np.clip(np.searchsorted(cum, t, side="right") - 1, 0, len(seg_len) - 1))
-    denom = seg_len[idx] if seg_len[idx] != 0.0 else 1.0
-    return poly[idx] + ((t - cum[idx]) / denom) * seg[idx]
-
-
-def _oracle_directed_hausdorff(a, b, n_samples=1024, rounds=8):
-    """Returns (estimate, whether the 64-candidate cap was applied)."""
-    pts, params, spacing = geom._sample_polyline(a, n_samples)
-    d = geom.points_to_polyline_distance(pts, b)
-    if a.shape[0] == 1 or spacing == 0.0:
-        return float(d.max()), False
-    seg = a[1:] - a[:-1]
-    seg_len = np.sqrt((seg ** 2).sum(-1))
-    cum = np.concatenate([[0.0], np.cumsum(seg_len)])
-    best = float(d.max())
-    half = spacing / 2.0
-    cand = params[d >= best - spacing]
-    capped = False
-    for _ in range(rounds):
-        if half <= 0.0:
-            break
-        new_params = []
-        for t in cand:
-            new_params.append(np.linspace(max(t - half, 0.0), min(t + half, cum[-1]), 17))
-        tt = np.unique(np.concatenate(new_params))
-        pts = np.array([_oracle_point_on_polyline(a, cum, seg, seg_len, t) for t in tt])
-        d = geom.points_to_polyline_distance(pts, b)
-        best = max(best, float(d.max()))
-        half /= 8.0
-        cand = tt[d >= best - 2 * half]
-        if len(cand) > 64:
-            capped = True
-            cand = cand[np.argsort(d[d >= best - 2 * half])[::-1][:64]]
-    return best, capped
-
-
 def _oracle_point_segment_distance(p, a, b) -> float:
     ab = b - a
     denom = float(ab @ ab)
@@ -241,28 +282,6 @@ def _random_polyline(rng, n, repeat=False):
         k = int(rng.integers(1, n))
         pts[k] = pts[k - 1]                       # a zero-length segment
     return pts
-
-
-def test_directed_hausdorff_matches_scalar_oracle(monkeypatch):
-    rng = np.random.default_rng(20)
-    capped_seen = 0
-    cases = [(_random_polyline(rng, int(rng.integers(2, 12)), repeat=k % 3 == 0),
-              _random_polyline(rng, int(rng.integers(1, 12))), 1024)
-             for k in range(24)]
-    # parallel and concentric inputs tie many samples, hitting the cap
-    x = np.linspace(0, 3, 7)
-    cases.append((np.stack([x, np.zeros(7)], 1), np.array([[0.0, 1.0], [3.0, 1.0]]), 1024))
-    ang = np.linspace(0, 2 * math.pi, 40)
-    cases.append((np.stack([np.cos(ang), np.sin(ang)], 1), np.array([[0.0, 0.0]]), 256))
-    for a, b, n in cases:
-        monkeypatch.setattr(geom, "HAUSDORFF_SAMPLES", n)
-        for src, dst in ((a, b), (b, a)):
-            want, capped = _oracle_directed_hausdorff(src, dst, n, 8)
-            assert geom._directed_hausdorff(src, dst) == want
-            capped_seen += capped
-        assert geom.hausdorff_distance(a, b) == max(_oracle_directed_hausdorff(a, b, n)[0],
-                                                         _oracle_directed_hausdorff(b, a, n)[0])
-    assert capped_seen >= 2
 
 
 def test_polyline_min_distance_matches_scalar_oracle():
@@ -337,19 +356,6 @@ def test_polygon_contains_many_labels():
     assert all(type(c) is str for c in got)
 
 
-def test_linspace17_matches_numpy_per_row():
-    rng = np.random.default_rng(25)
-    start = rng.uniform(0, 5, 300)
-    stop = start + rng.uniform(0, 1e-3, 300) * (rng.uniform(size=300) < 0.9)
-    stop[:3] = start[:3]                          # zero steps in the batch
-    # wide rows, where start + (stop - start) can round away from stop
-    start[3:100] = rng.uniform(0.3, 0.6, 97)
-    stop[3:100] = rng.uniform(0.9, 1.9, 97)
-    rows = geom._linspace17(start, stop)
-    for k in range(len(start)):
-        assert rows[k].tobytes() == np.linspace(start[k], stop[k], 17).tobytes()
-
-
 # -- coordinate-plane kernels against the (n, m, 2) oracles -----------------------
 
 SCALES = [1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150, 1e300]
@@ -390,7 +396,9 @@ def test_points_to_segments_distance_matches_oracle(case, block_pairs):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geom, "_BLOCK_PAIRS", block_pairs)     # 1 and 3: many row blocks
         got = geom.points_to_segments_distance(pts, a, b)
+        nearest = geom._nearest_segments(pts, a, b)
     assert got.tobytes() == want.tobytes()
+    assert [v.tobytes() for v in nearest] == [v.tobytes() for v in oracle_nearest_segments(pts, a, b)]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")     # overflow and NaN
@@ -426,6 +434,8 @@ def test_certificate_bits_match_oracle_kernels(rect_spec, l_spec, domain, eps):
     mm, cert = gridgen.grid_approximation(spec, eps)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geom, "points_to_segments_distance", oracle_points_to_segments_distance)
+        mp.setattr(geom, "_nearest_segments", oracle_nearest_segments)
+        mp.setattr(geom, "segment_distances", oracle_segment_distances)
         mp.setattr(geom, "_points_at", oracle_points_at)
         mm_o, cert_o = gridgen.grid_approximation(spec, eps)
     assert np.array_equal(mm.map.faces, mm_o.map.faces)

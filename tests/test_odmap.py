@@ -248,6 +248,19 @@ def test_marked_map_arcs_and_errors():
         odmap.MarkedRectangleMap(mm.map, [4, 3, 8, 5])       # interior vertex
 
 
+def test_marked_map_with_an_empty_dual_arc_is_an_error():
+    # the strip's boundary cut to its marks, then with the vertex after B:
+    # build_tiling's conjugate needs a dual vertex on B..C and on D..A
+    mm = strip_map()
+    b = mm.map.boundary.tolist()
+    after_b = b[(b.index(mm.marked[1]) + 1) % len(b)]
+    assert mm.map.colors[after_b] == odmap.DUAL
+    for cut in (list(mm.marked), [*mm.marked[:2], after_b, *mm.marked[2:]]):
+        m = odmap.OrthodiagonalMap(mm.map.positions, mm.map.colors, mm.map.faces, cut)
+        with pytest.raises(odmap.MapError, match="no dual vertex between B and C or between D and A"):
+            odmap.MarkedRectangleMap(m, mm.marked)
+
+
 def test_marked_arcs_match_list_oracle(topology_maps):
     for name, mm in topology_maps.items():
         for k in range(4):

@@ -169,22 +169,26 @@ def _marks_and_the_next_vertex(d):
     return [v for m in d["marked"] for v in (m, b[(b.index(m) + 1) % len(b)])]
 
 
-@pytest.mark.parametrize("cut", [_marks_only, _marks_and_the_next_vertex])
-def test_boundary_not_the_faces_boundary_exit_1(capsys, tmp_path, artifact_files, cut):
-    # the marking is well formed, but the cycle is not the faces' boundary
+# cut to the marks alone, the cycle also has no dual vertex between B and C
+# or between D and A, and the marking check reports that first
+@pytest.mark.parametrize("cut,err", [
+    (_marks_only, "bad marking in {}: the boundary has no dual vertex"),
+    (_marks_and_the_next_vertex, "bad map {}: stored boundary cycle")],
+    ids=["_marks_only", "_marks_and_the_next_vertex"])
+def test_boundary_not_the_faces_boundary_exit_1(capsys, tmp_path, artifact_files, cut, err):
+    # the cycle is not the faces' boundary
     mp, _ = artifact_files["strip"]
     d = json.loads(mp.read_text())
     d["boundary"] = cut(d)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(d))
-    m, marked = odmap.load_map(str(path))
-    odmap.MarkedRectangleMap(m, marked)
+    m, _ = odmap.load_map(str(path))
     assert "boundary-mismatch" in {v.kind for v in odmap.validate(m).violations}
     for argv in (["tile", "--map", str(path), "--out", str(tmp_path / "t.json")],
                  ["duality", "--map", str(path)]):
         capsys.readouterr()
         assert cli.main(argv) == 1
-        assert capsys.readouterr().err.startswith(f"bad map {path}: stored boundary cycle")
+        assert capsys.readouterr().err.startswith(err.format(path))
 
 
 def _read_peak(load, path) -> int:

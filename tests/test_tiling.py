@@ -7,7 +7,7 @@ import pytest
 from conftest import (OracleLocator, location_probes, oracle_cross_color_average,
                       oracle_render_svg, oracle_tiles_from_json_dict, oracle_tiling_bytes,
                       oracle_verify_tiling, star_map, strip_map)
-from orthotile import experiments, gridgen, tiling
+from orthotile import experiments, gridgen, odmap, tiling
 
 
 def test_star_tiling_hand_oracle():
@@ -58,14 +58,21 @@ def test_tile_coordinates_reused_bitwise(rect_map16):
 
 
 def test_aspect_ratio_identity(rect_map16):
+    # height / width = c, the face's conductance |dual| / |primal|; with x
+    # stretched by 2, c is 0.5 or 2, so the check tells c from 1 / c
     mm, _ = rect_map16
-    t, h, ht = tiling.build_tiling(mm)
-    c = mm.map.extract_primal().edge_c
-    for tl in t.tiles:
-        if tl.degenerate:
-            continue
-        r = 1.0 / c[tl.face]
-        assert abs(tl.height / tl.width - r) <= 1e-8 * (1.0 + r)
+    m = mm.map
+    stretched = odmap.OrthodiagonalMap(m.positions * [2.0, 1.0], m.colors, m.faces, m.boundary)
+    for mr in (mm, odmap.MarkedRectangleMap(stretched, mm.marked)):
+        t = tiling.build_tiling(mr)[0]
+        assert tiling.verify_tiling(t).ok
+        c = mr.map.extract_primal().edge_c
+        assert set(np.unique(c)) == ({1.0} if mr is mm else {0.5, 2.0})
+        for tl in t.tiles:
+            if tl.degenerate:
+                continue
+            r = c[tl.face]
+            assert abs(tl.height / tl.width - r) <= 1e-8 * (1.0 + r)
 
 
 def test_verify_tiling_passes_and_detects_faults():
