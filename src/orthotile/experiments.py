@@ -211,13 +211,18 @@ def rotation_color_swap_symmetric(m: MarkedRectangleMap) -> bool:
     primal Dirichlet arcs onto the dual arcs (which forces the extremal
     length to be exactly 1 by duality).  Rotated vertices match the nearest
     vertex within tol, ties to the lowest id: the only one if vertices lie
-    over 2 tol apart."""
+    over 2 tol apart.  A bounding box whose sides differ by more than 2 tol
+    answers False at once: a quarter turn carries a vertex on its longer
+    side more than tol outside the box, where no vertex lies."""
     mp = m.map
     pos = mp.positions
     lo = pos.min(axis=0)
     hi = pos.max(axis=0)
     c = (lo + hi) / 2.0
     tol = 1e-9 * max(float(np.hypot(*(hi - lo))), 1.0)
+    w, h = hi - lo
+    if abs(w - h) > 2.0 * tol:
+        return False
     for sgn in (1.0, -1.0):
         rel = pos - c
         rot = np.stack([-sgn * rel[:, 1], sgn * rel[:, 0]], 1) + c
@@ -314,8 +319,9 @@ def _run_level(spec: DomainSpec, eps: float, probes: np.ndarray,
     rec.area_defect = vrep.area_defect
     rec.overlap_count = len(vrep.overlaps)
     rec.containment_count = len(vrep.containment)
-    # t.L is the primal extremal length, so only the dual system is solved
-    rec.duality_defect = abs(t.L * extremal_length(mm, "dual", solver_tol).lam - 1.0)
+    # t.L is the primal extremal length, so only the dual system is solved,
+    # started from the normalized conjugate
+    rec.duality_defect = abs(t.L * extremal_length(mm, "dual", solver_tol, ht.values).lam - 1.0)
     F = holo.assemble(mm, h, ht)
     rec.cr_residual = F.max_cr_residual
     prof = modulus_profile(mm, h, ht)

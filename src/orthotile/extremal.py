@@ -53,12 +53,15 @@ class ELResult:
 
 
 def extremal_length(m: MarkedRectangleMap, pair: str = "primal",
-                    tol: float = harmonic.DEFAULT_TOL) -> ELResult:
+                    tol: float = harmonic.DEFAULT_TOL,
+                    start: Optional[np.ndarray] = None) -> ELResult:
     """Extremal length between opposite marked arcs, as the effective
     resistance of the corresponding graph; witnesses attached.
 
     pair="primal": [A..B] <-> [C..D] on the primal graph;
     pair="dual":   [B..C] <-> [D..A] on the dual graph.
+    start, values indexed by vertex id, starts the solve (see
+    harmonic.solve_dirichlet).
     """
     if pair == "primal":
         g = m.map.extract_primal()
@@ -68,7 +71,7 @@ def extremal_length(m: MarkedRectangleMap, pair: str = "primal",
         S, T = m.arc_bc, m.arc_da
     else:
         raise ValueError("pair must be 'primal' or 'dual'")
-    h = harmonic.solve_dirichlet(g, harmonic.unit_pins(S, T), tol)
+    h = harmonic.solve_dirichlet(g, harmonic.unit_pins(S, T), tol, start)
     lam = 1.0 / h.energy
     flow = harmonic.gradient_flow(h)
     unit = flow.scaled(1.0 / flow.strength)
@@ -77,9 +80,12 @@ def extremal_length(m: MarkedRectangleMap, pair: str = "primal",
 
 def duality_product(m: MarkedRectangleMap, tol: float = harmonic.DEFAULT_TOL
                     ) -> tuple[float, float, float]:
-    """(lambda_primal, lambda_dual, product) from two independent solves."""
-    lp = extremal_length(m, "primal", tol).lam
-    ld = extremal_length(m, "dual", tol).lam
+    """(lambda_primal, lambda_dual, product): the primal system solved, then
+    the dual system solved to its own residual, started from the conjugate
+    of the primal field (harmonic.conjugate_start)."""
+    primal = extremal_length(m, "primal", tol)
+    start = harmonic.conjugate_start(m, primal.witness_field)
+    lp, ld = primal.lam, extremal_length(m, "dual", tol, start).lam
     return lp, ld, lp * ld
 
 

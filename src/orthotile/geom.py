@@ -8,6 +8,7 @@ shape (n, 2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -363,9 +364,13 @@ def hausdorff_distance(a, b) -> float:
     each direction is bounded to within DEFAULT_REL_TOL * s, and the larger
     upper bound plus the rounding margin HAUSDORFF_MARGIN * s is returned.
     It is at least the true distance and at most (DEFAULT_REL_TOL +
-    HAUSDORFF_MARGIN) * s above it, for coordinates whose squares neither
-    overflow nor underflow."""
+    HAUSDORFF_MARGIN) * s above it.  The search runs on both polylines
+    scaled by 2^-e, e = frexp(s)[1], so that s lies in [1/2, 1) and tiny or
+    huge coordinates keep their squares in range; power-of-two scaling is
+    exact, so a result whose squares were in range keeps its bits."""
     pa, pb = _as_points(a), _as_points(b)
-    s = max(float(np.abs(pa).max()), float(np.abs(pb).max()))
-    return max(_directed_hausdorff(pa, pb, DEFAULT_REL_TOL * s)[1],
-               _directed_hausdorff(pb, pa, DEFAULT_REL_TOL * s)[1]) + HAUSDORFF_MARGIN * s
+    s, e = math.frexp(max(float(np.abs(pa).max()), float(np.abs(pb).max())))
+    pa, pb = np.ldexp(pa, -e), np.ldexp(pb, -e)
+    d = max(_directed_hausdorff(pa, pb, DEFAULT_REL_TOL * s)[1],
+            _directed_hausdorff(pb, pa, DEFAULT_REL_TOL * s)[1]) + HAUSDORFF_MARGIN * s
+    return math.ldexp(d, e)

@@ -2,11 +2,12 @@
 
 Dirichlet solves use conjugate gradient on the reduced SPD system (free
 vertices in ascending-id order, Jacobi preconditioner), so results are
-deterministic.  The CG loop is the package's own, with the arithmetic of
-scipy.sparse.linalg.cg step for step, and so is the conjugate's
-breadth-first search; scipy.sparse provides the matrix and its product.
-A dense direct solve is provided as an independent oracle, and a
-random-walk estimator gives a third route to the same values.
+deterministic.  Everything is numpy: the matrix (SlotMatrix) has scipy's
+CSR product bit for bit, the CG loop has scipy.sparse.linalg.cg's
+arithmetic step for step, and the conjugate's breadth-first search has
+scipy.sparse.csgraph's order, so no scipy module is imported.  A dense
+direct solve is provided as an independent oracle, and a random-walk
+estimator gives a third route to the same values.
 
 Solves take the pinned set as an {id: value} mapping; a solved field keeps
 the pinned ids as one int64 array and their values in its values array.
@@ -76,13 +77,16 @@ class HarmonicField:
     order, and values holds their pinned values.  residual is max
     |Laplacian| over free vertices, checked against tol at construction,
     and energy is sum_e c(e) (df(e))^2.  The maximum principle is enforced
-    up to tol * gap slack.
+    up to tol * gap slack.  iterations is the number of CG steps that
+    solved it (0 for a dense solve, no free vertices, or a field that no
+    solve produced).
     """
 
     graph: WeightedGraph
     values: np.ndarray
     boundary: np.ndarray
     tol: float
+    iterations: int = 0
     residual: float = field(init=False)
     energy: float = field(init=False)
 
@@ -112,13 +116,79 @@ class HarmonicField:
         return float(np.ptp(self.values[self.boundary]))
 
 
+class SlotMatrix:
+    """A square sparse matrix whose product is scipy's CSR product bit for
+    bit: each row's entries in ascending column order, summed left to right
+    from 0.0 (scipy's csr_matvec on a canonical CSR matrix).  A repeated
+    entry is kept as given, next to its twin.
+
+    The entries are stored slot-major: cols and vals are (width, n) tables
+    whose slot k holds each row's k-th entry.  The width is the largest
+    whose padding stays at most n / 2 entries.  A pad has column -1 and
+    value 0.0: it adds a zero, which leaves a row sum as it is (for finite x,
+    since the sum is never -0.0).  Rows longer than the width carry on
+    their sums in extra slots over those rows only: long_rows lists them
+    longest first, so extra slot k, a (cols, vals) pair, covers a prefix of
+    it.  All arrays together hold at most 2 nnz + 2 n entries.
+    """
+
+    def __init__(self, n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
+        order = np.argsort(rows * n + cols, kind="stable")
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        length = np.bincount(rows, minlength=n)
+        slot = np.arange(len(rows)) - (np.cumsum(length) - length)[rows]
+        # padding at width k is sum over j < k of #{rows of length <= j}
+        pad = np.cumsum(np.cumsum(np.bincount(length)))
+        width = int(np.count_nonzero(pad <= n / 2))
+        self.n = n
+        self.cols = np.full((width, n), -1, dtype=np.int64)
+        self.vals = np.zeros((width, n))
+        table = slot < width
+        self.cols[slot[table], rows[table]] = cols[table]
+        self.vals[slot[table], rows[table]] = vals[table]
+        long_rows = np.flatnonzero(length > width)
+        self.long_rows = long_rows[np.argsort(-length[long_rows], kind="stable")]
+        rank = np.empty(n, dtype=np.int64)
+        rank[self.long_rows] = np.arange(len(self.long_rows))
+        extra = ~table
+        order = np.lexsort((rank[rows[extra]], slot[extra]))
+        cols, vals = cols[extra][order], vals[extra][order]
+        ends = np.cumsum(np.bincount(slot[extra] - width))
+        self.extra = [(cols[a:b], vals[a:b]) for a, b in zip(np.r_[0, ends[:-1]], ends)]
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, vals) of the stored entries, row by row, columns
+        ascending."""
+        r, k = np.nonzero((self.cols >= 0).T)
+        rows = [r] + [self.long_rows[:len(c)] for c, _ in self.extra]
+        cols = [self.cols[k, r]] + [c for c, _ in self.extra]
+        vals = [self.vals[k, r]] + [v for _, v in self.extra]
+        rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+        order = np.lexsort((cols, rows))
+        return rows[order], cols[order], vals[order]
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros((self.n, self.n))
+        rows, cols, vals = self.entries()
+        np.add.at(out, (rows, cols), vals)
+        return out
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        terms = np.take(x, self.cols)
+        terms *= self.vals
+        y = np.zeros(self.n)
+        for t in terms:
+            y += t
+        for c, v in self.extra:
+            y[self.long_rows[:len(c)]] += v * x[c]
+        return y
+
+
 def _reduced_system(g: WeightedGraph, pinned: Mapping[int, float]):
     """Check the pinned set and restrict the Laplacian to the free vertices
     (ascending id).  Returns the pinned ids in the mapping's order, the
     values array (pinned values by vertex id, NaN elsewhere), the free ids,
-    the matrix, its rhs and its diagonal."""
-    import scipy.sparse as sp
-
+    the matrix (a SlotMatrix), its rhs and its diagonal."""
     if not pinned:
         raise SolverError("pinned set is empty")
     ids = g.ids
@@ -149,7 +219,7 @@ def _reduced_system(g: WeightedGraph, pinned: Mapping[int, float]):
     rows = np.concatenate([fidx[iu[both]], fidx[iv[both]], np.arange(nf)])
     cols = np.concatenate([fidx[iv[both]], fidx[iu[both]], np.arange(nf)])
     data = np.concatenate([-c[both], -c[both], diag[~pin_mask]])
-    A = sp.csr_matrix((data, (rows, cols)), shape=(nf, nf))
+    A = SlotMatrix(nf, rows, cols, data)
 
     b = np.zeros(nf)
     u_free = (~pin_mask[iu]) & pin_mask[iv]
@@ -169,20 +239,21 @@ def _check_connectivity(g: WeightedGraph, pidx: np.ndarray) -> None:
 
 
 def _cg(A, b: np.ndarray, x: np.ndarray, dinv: np.ndarray, tol: float,
-        maxiter: int) -> np.ndarray:
+        maxiter: int) -> tuple[np.ndarray, int]:
     """Jacobi-preconditioned conjugate gradient (Hestenes & Stiefel 1952)
     from x, in place, operation for operation as scipy 1.17's
     sparse.linalg.cg(A, b, x, rtol=tol, atol=0, maxiter, M=diags(dinv)), so
-    with its bits: b when norm(b) == 0, else x once norm(r) < tol norm(b).
-    SolverError with the relative residual after maxiter steps short of it."""
+    with its bits: b when norm(b) == 0, else x once norm(r) < tol norm(b);
+    each with the number of steps taken.  SolverError with the relative
+    residual after maxiter steps short of it."""
     bnrm2 = np.linalg.norm(b)
     if bnrm2 == 0:
-        return b
+        return b, 0
     atol = tol * float(bnrm2)
     r = b - A @ x if x.any() else b.copy()
     for it in range(maxiter):
         if np.linalg.norm(r) < atol:
-            return x
+            return x, it
         z = dinv * r
         rho = np.dot(r, z)
         if it:
@@ -200,27 +271,35 @@ def _cg(A, b: np.ndarray, x: np.ndarray, dinv: np.ndarray, tol: float,
 
 
 def solve_dirichlet(g: WeightedGraph, pinned: Mapping[int, float],
-                    tol: float = DEFAULT_TOL) -> HarmonicField:
+                    tol: float = DEFAULT_TOL,
+                    start: Optional[np.ndarray] = None) -> HarmonicField:
     """Solve the Dirichlet problem: pinned values on the given vertices,
     zero Laplacian everywhere else.
 
     Conjugate gradient with Jacobi preconditioning on the reduced system,
-    started from the mean pinned value, relative residual <= tol, at most
-    max(20 sqrt(free) + 1, 10^4) iterations.  The loop (_cg) is the
-    package's own and gives scipy.sparse.linalg.cg's bits; its dot products
-    and norms are still BLAS calls, so the last bits depend on the BLAS
-    thread count.  Raises SolverError for an empty pinned set, a free
-    component with no pinned neighbor, or non-convergence.
+    relative residual <= tol, at most max(20 sqrt(free) + 1, 10^4)
+    iterations.  It starts from start (finite values indexed by vertex id,
+    read only at the free vertices) when given, else from the mean pinned
+    value; the start changes the steps taken, not the residual reached.
+    The loop (_cg) is the package's own and gives scipy.sparse.linalg.cg's
+    bits; its dot products and norms are still BLAS calls, so the last bits
+    depend on the BLAS thread count.  Raises SolverError for an empty
+    pinned set, a free component with no pinned neighbor, or
+    non-convergence.
     """
     keys, values, free_ids, A, b, diag = _reduced_system(g, pinned)
+    steps = 0
     if len(free_ids):
         maxiter = max(int(20 * math.isqrt(len(free_ids)) + 1), 10_000)
-        x0 = np.full(len(free_ids), float(np.mean(values[keys])))
-        values[free_ids] = _cg(A, b, x0, 1.0 / diag, tol, maxiter)
+        if start is None:
+            x0 = np.full(len(free_ids), float(np.mean(values[keys])))
+        else:
+            x0 = np.asarray(start, dtype=float)[free_ids]
+        values[free_ids], steps = _cg(A, b, x0, 1.0 / diag, tol, maxiter)
     # the l2 residual bound controls the vertexwise Laplacian only up to a
     # norm factor; the field check keeps a safety margin
     field_tol = max(tol * 1e4, 1e-13)
-    return HarmonicField(g, values, keys, field_tol)
+    return HarmonicField(g, values, keys, field_tol, steps)
 
 
 def solve_dirichlet_dense(g: WeightedGraph, pinned: Mapping[int, float]) -> HarmonicField:
@@ -354,22 +433,19 @@ def breadth_first_levels(indptr: np.ndarray, indices: np.ndarray,
         levels.append(new)
 
 
-def harmonic_conjugate(m: MarkedRectangleMap, h: HarmonicField) -> tuple[HarmonicField, float]:
-    """Integrate the conjugate dual field of a primal tiling solution.
+def _integrate_conjugate(m: MarkedRectangleMap, h: HarmonicField):
+    """The conjugate increments of h integrated over a breadth-first
+    spanning tree of the dual graph; never raises.
 
     Across each face (v1, w1, v2, w2) the increment is
-    htilde(w2) - htilde(w1) = c(v1, v2) (h(v2) - h(v1)); integration runs
-    over a breadth-first spanning tree of the dual graph rooted at the
-    smallest-id vertex of the arc [D, A], and the result is shifted so the
-    minimum over that arc is 0.  The search visits neighbours in ascending
-    index order, and a tree edge crosses the lowest-id face between its two
-    ends.  The maximum leftover CR residual on non-tree dual edges is
-    checked against CYCLE_TOL_REL * max(gap, 1) and returned alongside the
-    field, whose pinned ids are arc_bc then arc_da.
-    """
+    htilde(w2) - htilde(w1) = c(v1, v2) (h(v2) - h(v1)).  The tree is rooted
+    at the smallest-id vertex of the arc [D, A], the search visits
+    neighbours in ascending index order, and a tree edge crosses the
+    lowest-id face between its two ends.  Returns the values indexed by
+    dual vertex id (0 at the root and wherever the search does not reach,
+    NaN at other ids), whether it reached every vertex, and the largest CR
+    residual on a non-tree face."""
     g_dual = m.map.extract_dual()
-    scale = max(h.gap(), 1.0)
-
     f = m.map.faces
     gp_c = m.map.extract_primal().edge_c
     inc = gp_c * (h.values[f[:, 2]] - h.values[f[:, 0]])
@@ -388,8 +464,6 @@ def harmonic_conjugate(m: MarkedRectangleMap, h: HarmonicField) -> tuple[Harmoni
     root = int(np.searchsorted(g_dual.ids, m.arc_da.min()))
     levels, pred = breadth_first_levels(indptr, arcs % n, root)
     child = np.concatenate(levels)[1:]
-    if len(child) != n - 1:
-        raise ConjugacyError("dual graph is not connected")
     arc = np.searchsorted(arcs, pred[child] * n + child)
     tree = arc_face[arc]
     tree_face = np.zeros(nf, dtype=bool)
@@ -401,15 +475,49 @@ def harmonic_conjugate(m: MarkedRectangleMap, h: HarmonicField) -> tuple[Harmoni
         vals[front] = vals[pred[front]] + step[front]
     res = np.abs(vals[w2] - vals[w1] - inc)
     max_res = float(res[~tree_face].max()) if (~tree_face).any() else 0.0
+    values = np.full(int(g_dual.ids[-1]) + 1, np.nan)
+    values[g_dual.ids] = vals
+    return values, len(child) == n - 1, max_res
+
+
+def normalize_conjugate(m: MarkedRectangleMap, values: np.ndarray) -> np.ndarray:
+    """Conjugate values (indexed by dual vertex id) put onto [0, 1] at the
+    boundary: shifted so the arc [B, C] has minimum 0 and scaled so the arc
+    [D, A] has maximum 1, or left unscaled when that span is not positive.
+    The scale differs from 1 by the accumulated cycle residual."""
+    shift = float(values[m.arc_bc].min())
+    span = float(values[m.arc_da].max()) - shift
+    return (values - shift) / (span if span > 0 else 1.0)
+
+
+def conjugate_start(m: MarkedRectangleMap, h: HarmonicField) -> np.ndarray:
+    """The normalized conjugate of the primal field h, indexed by dual
+    vertex id: on an orthodiagonal map it solves the dual Dirichlet problem
+    (0 on [B, C], 1 on [D, A]) up to h's residual, so it starts that solve.
+    It skips harmonic_conjugate's checks and never raises."""
+    return normalize_conjugate(m, _integrate_conjugate(m, h)[0])
+
+
+def harmonic_conjugate(m: MarkedRectangleMap, h: HarmonicField) -> tuple[HarmonicField, float]:
+    """Integrate the conjugate dual field of a primal tiling solution.
+
+    The increments are integrated over a breadth-first spanning tree of the
+    dual graph (_integrate_conjugate), and the result is shifted so the
+    minimum over the arc [D, A] is 0.  The maximum leftover CR residual on
+    non-tree dual edges is checked against CYCLE_TOL_REL * max(gap, 1) and
+    returned alongside the field, whose pinned ids are arc_bc then arc_da.
+    """
+    values, connected, max_res = _integrate_conjugate(m, h)
+    if not connected:
+        raise ConjugacyError("dual graph is not connected")
+    scale = max(h.gap(), 1.0)
     if max_res > CYCLE_TOL_REL * scale:
         raise ConjugacyError(
             f"max non-tree CR residual {max_res:.3e} exceeds {CYCLE_TOL_REL:.1e} * {scale:.3g}; "
             "the primal field is not harmonic enough")
 
-    vals -= vals[np.searchsorted(g_dual.ids, m.arc_da)].min()
-    values = np.full(int(g_dual.ids[-1]) + 1, np.nan)
-    values[g_dual.ids] = vals
-    conj = HarmonicField(g_dual, values, np.concatenate([m.arc_bc, m.arc_da]),
+    values -= values[m.arc_da].min()
+    conj = HarmonicField(m.map.extract_dual(), values, np.concatenate([m.arc_bc, m.arc_da]),
                          max(CYCLE_TOL_REL * 10.0, 1e-12))
     return conj, max_res
 

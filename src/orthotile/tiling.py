@@ -134,16 +134,11 @@ def build_tiling(m: MarkedRectangleMap, tol: float = harmonic.DEFAULT_TOL
     h01 = harmonic.solve_dirichlet(gp, harmonic.unit_pins(m.arc_ab, m.arc_cd), tol)
     L = 1.0 / h01.energy
     # L * 0.0 and L * 1.0 are the pinned values 0 and L exactly
-    h = harmonic.HarmonicField(gp, L * h01.values, h01.boundary, h01.tol * max(L, 1.0))
+    h = harmonic.HarmonicField(gp, L * h01.values, h01.boundary, h01.tol * max(L, 1.0),
+                               h01.iterations)
 
     conj, max_res = harmonic.harmonic_conjugate(m, h)
-    # normalize the conjugate's boundary values onto [0, 1] exactly: shift
-    # the low arc to 0 and scale the high arc's max to 1 (the scale differs
-    # from 1 by the accumulated cycle residual, well under all tolerances)
-    shift = float(conj.values[m.arc_bc].min())
-    span = float(conj.values[m.arc_da].max()) - shift
-    span = span if span > 0 else 1.0
-    h_tilde = harmonic.HarmonicField(conj.graph, (conj.values - shift) / span,
+    h_tilde = harmonic.HarmonicField(conj.graph, harmonic.normalize_conjugate(m, conj.values),
                                      conj.boundary, conj.tol)
 
     v1, w1, v2, w2 = m.map.faces.T

@@ -45,6 +45,17 @@ def grid_graph(a, b, c=1.0):
     return graph_from_edges(pos, edges)
 
 
+def fan_graph(k=70):
+    """A hub (id 0) joined to each vertex of a k-cycle: the hub's row of a
+    reduced Laplacian is far wider than the other rows."""
+    pos = {0: (0.0, 0.0)}
+    pos.update({i: (float(np.cos(2 * np.pi * i / k)), float(np.sin(2 * np.pi * i / k)))
+                for i in range(1, k + 1)})
+    edges = [(0, i, 1.0 + i / k) for i in range(1, k + 1)]
+    edges += [(i, i % k + 1, 0.5 + 1.0 / i) for i in range(1, k + 1)]
+    return graph_from_edges(pos, edges)
+
+
 def star_map():
     """Four diamonds around the center of the unit square; marked A, B, C, D
     at the four side midpoints.  Hand-solved: L = 1 and the tiling is the
@@ -394,12 +405,22 @@ def oracle_conjugate_values(mm, h):
     return np.array(vals), tree
 
 
+def oracle_csr(A):
+    """scipy's CSR matrix of the entries of the harmonic.SlotMatrix A: the
+    matrix harmonic._reduced_system built before, and its product the
+    reference for A's."""
+    import scipy.sparse as sp
+    rows, cols, vals = A.entries()
+    return sp.csr_matrix((vals, (rows, cols)), shape=(A.n, A.n))
+
+
 def oracle_cg(A, b, x0, dinv, tol, maxiter):
-    """scipy.sparse.linalg.cg with the Jacobi preconditioner diags(dinv), the
-    call harmonic._cg replaced: (x, info), x0 left as it is."""
+    """scipy.sparse.linalg.cg with the Jacobi preconditioner diags(dinv) on
+    oracle_csr(A), the call harmonic._cg replaced: (x, info), x0 left as
+    it is."""
     import scipy.sparse as sp
     from scipy.sparse.linalg import cg
-    return cg(A, b, x0=x0, rtol=tol, atol=0.0, maxiter=maxiter, M=sp.diags(dinv))
+    return cg(oracle_csr(A), b, x0=x0, rtol=tol, atol=0.0, maxiter=maxiter, M=sp.diags(dinv))
 
 
 def oracle_breadth_first(indptr, indices, root):

@@ -129,6 +129,36 @@ def test_symmetry_check_matches_kdtree_oracle(eps, rect_spec, square_spec, l_spe
                 == oracle_rotation_color_swap_symmetric(mm))
 
 
+def _stretched(mm, f):
+    """mm with x scaled by f about the bounding-box center."""
+    pos = mm.map.positions.copy()
+    c = (pos[:, 0].min() + pos[:, 0].max()) / 2
+    pos[:, 0] = c + (pos[:, 0] - c) * f
+    m = odmap.OrthodiagonalMap(pos, mm.map.colors, mm.map.faces, mm.map.boundary)
+    return odmap.MarkedRectangleMap(m, mm.marked)
+
+
+def test_symmetry_check_answers_non_square_boxes_at_once(rect_spec, square_spec, l_spec,
+                                                         monkeypatch):
+    # the plus map's box is 4 x 4 and its tol 1e-9 * 4 sqrt(2): stretched by
+    # one tol it is square within tol, by four it is not
+    tol = 1e-9 * 4 * math.sqrt(2)
+    square = [plus_map(), _stretched(plus_map(), 1 + tol / 4),
+              gridgen.grid_approximation(square_spec, 1 / 8)[0],
+              gridgen.grid_approximation(l_spec, 1 / 8)[0]]
+    oblong = [_stretched(plus_map(), 1 + tol), gridgen.grid_approximation(rect_spec, 1 / 8)[0]]
+    want = [oracle_rotation_color_swap_symmetric(mm) for mm in square + oblong]
+    assert want == [True, True, False, False, False, False]
+    got = [experiments.rotation_color_swap_symmetric(mm) for mm in square]
+
+    def no_match(*args):
+        raise AssertionError("an oblong box is matched vertex by vertex")
+
+    monkeypatch.setattr(experiments, "_nearest_vertex", no_match)
+    got += [experiments.rotation_color_swap_symmetric(mm) for mm in oblong]
+    assert got == want
+
+
 @settings(max_examples=150, deadline=None)
 @given(scale=st.sampled_from([1e-14, 1e-12, 1e-7, 1e-4, 1e-2]),
        seed=st.integers(0, 2 ** 32 - 1), frac=st.floats(0.0, 1.0))

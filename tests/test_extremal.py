@@ -30,6 +30,34 @@ def test_duality_product_on_fixtures_and_grids(rect_spec):
         assert abs(prod - 1.0) <= 1e-8
 
 
+@pytest.fixture(scope="module")
+def l_map64(l_spec):
+    return gridgen.grid_approximation(l_spec, 1 / 64)[0]
+
+
+def test_dual_started_from_the_conjugate_takes_few_steps(l_map64):
+    primal = extremal.extremal_length(l_map64, "primal")
+    start = harmonic.conjugate_start(l_map64, primal.witness_field)
+    started = extremal.extremal_length(l_map64, "dual", start=start)
+    cold = extremal.extremal_length(l_map64, "dual")
+    assert 0 < started.witness_field.iterations <= 0.1 * cold.witness_field.iterations
+    assert abs(started.lam / cold.lam - 1.0) <= 1e-12
+    # duality_product solves the dual this way
+    assert extremal.duality_product(l_map64) == (primal.lam, started.lam,
+                                                 primal.lam * started.lam)
+
+
+def test_a_bad_start_does_not_decide_the_dual_answer(l_map64):
+    # the dual stops on its own residual, so zeros or a noisy conjugate
+    # reach the cold lambda_dual
+    cold = extremal.extremal_length(l_map64, "dual").lam
+    primal = extremal.extremal_length(l_map64, "primal")
+    start = harmonic.conjugate_start(l_map64, primal.witness_field)
+    noisy = start + np.random.default_rng(3).normal(0.0, 0.1, len(start))
+    for bad in (np.zeros_like(start), noisy):
+        assert abs(extremal.extremal_length(l_map64, "dual", start=bad).lam / cold - 1.0) <= 1e-12
+
+
 def test_rectangle_el_against_dense_oracle(rect_spec):
     mm, _ = gridgen.grid_approximation(rect_spec, 1 / 4)
     gp = mm.map.extract_primal()

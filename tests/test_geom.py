@@ -441,3 +441,32 @@ def test_certificate_bits_match_oracle_kernels(rect_spec, l_spec, domain, eps):
     assert np.array_equal(mm.map.faces, mm_o.map.faces)
     bits = [np.array([c.delta, *c.per_arc_hausdorff]).tobytes() for c in (cert, cert_o)]
     assert bits[0] == bits[1]
+
+
+def test_hausdorff_bound_holds_below_and_above_the_square_range():
+    # at 1e-160 the squares are subnormal and at 1e160 they overflow; the
+    # search runs on polylines scaled into [1/2, 1), so the bound stays an
+    # upper bound, and a power-of-two scaling of the input scales the result
+    a, b = [[0.0, 0.0], [1.0, 0.0]], [[0.0, 1.0]]
+    unit = geom.hausdorff_distance(a, b)
+    for s in (1e-160, 1e160):
+        d = geom.hausdorff_distance(np.multiply(a, s), np.multiply(b, s))
+        assert math.hypot(s, s) <= d <= math.hypot(s, s) * (1 + 1e-8)
+    for e in (-600, -520, 520, 600):
+        assert geom.hausdorff_distance(np.ldexp(a, e), np.ldexp(b, e)) == math.ldexp(unit, e)
+
+
+def _unscaled_hausdorff(a, b):
+    """hausdorff_distance before it scaled its input."""
+    s = max(np.abs(a).max(), np.abs(b).max())
+    tol = geom.DEFAULT_REL_TOL * s
+    hi = max(geom._directed_hausdorff(a, b, tol)[1], geom._directed_hausdorff(b, a, tol)[1])
+    return hi + geom.HAUSDORFF_MARGIN * s
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=polyline_pairs())
+def test_hausdorff_scaling_keeps_in_range_bits(case):
+    a, b = case
+    assert geom.hausdorff_distance(a, b) == _unscaled_hausdorff(a, b)
+

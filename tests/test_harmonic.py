@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (dual_arcs_csr, graph_from_edges, grid_graph, oracle_breadth_first,
-                      oracle_cg, oracle_conjugate_values, oracle_flow_check, star_map)
+from conftest import (dual_arcs_csr, fan_graph, graph_from_edges, grid_graph,
+                      oracle_breadth_first, oracle_cg, oracle_conjugate_values, oracle_csr,
+                      oracle_flow_check, star_map)
 from orthotile import extremal, gridgen, harmonic, odmap, tiling
 
 
@@ -157,6 +158,97 @@ def test_cg_non_convergence_reports_scipy_residual(rect_map16):
         assert exc.value.residual == want
 
 
+def _slot_systems(maps):
+    """(name, graph, pinned) for each marked map's two unit-pinned systems,
+    and for the fan pinned at two rim vertices, its hub row 69 entries
+    wide."""
+    yield from _cg_systems(maps)
+    yield "fan", fan_graph(), {1: 0.0, 36: 1.0}
+
+
+def _dense_reduced(g, pinned):
+    """The reduced Laplacian as a dense array, built entry by entry."""
+    iu, iv = harmonic.edge_indices(g)
+    lap = np.zeros((g.n, g.n))
+    lap[iu, iv] = lap[iv, iu] = -g.edge_c
+    diag = np.zeros(g.n)
+    np.add.at(diag, iu, g.edge_c)
+    np.add.at(diag, iv, g.edge_c)
+    lap[np.arange(g.n), np.arange(g.n)] = diag
+    free = ~np.isin(g.ids, list(pinned))
+    return lap[free][:, free]
+
+
+def _held(A):
+    """The number of entries a SlotMatrix's arrays hold."""
+    return (A.cols.size + A.vals.size + A.long_rows.size
+            + sum(c.size + v.size for c, v in A.extra))
+
+
+@pytest.fixture(scope="module")
+def slot_systems(topology_maps):
+    return [(name, harmonic._reduced_system(g, pinned)[3], _dense_reduced(g, pinned))
+            for name, g, pinned in _slot_systems(topology_maps)]
+
+
+def test_slot_matrix_holds_the_reduced_laplacian_in_bounded_storage(slot_systems):
+    for name, A, dense in slot_systems:
+        assert np.array_equal(A.toarray(), dense), name
+        rows, cols, _ = A.entries()
+        nnz = len(rows)
+        assert nnz == np.count_nonzero(dense), name
+        assert _held(A) <= 2 * nnz + 2 * A.n, name
+    fan = dict((name, A) for name, A, _ in slot_systems)["fan"]
+    # the hub row (index 0) carries on past the common width, alone
+    assert fan.cols.shape[0] < 69 and fan.long_rows.tolist() == [0]
+    assert len(fan.extra) == 69 - fan.cols.shape[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e150]),
+       zeros=st.floats(0.0, 1.0))
+def test_slot_matrix_product_is_scipy_csr_product_bitwise(slot_systems, seed, scale, zeros):
+    # x has signed zeros in it, so a row sum started from -0.0 would show;
+    # the matrix built from its entries in any order has the same product
+    rng = np.random.default_rng(seed)
+    for name, A, _ in slot_systems:
+        x = rng.standard_normal(A.n) * scale
+        x[rng.random(A.n) < zeros] = 0.0
+        x[rng.random(A.n) < zeros / 2] = -0.0
+        want = _bits(oracle_csr(A) @ x)
+        assert np.array_equal(_bits(A @ x), want), name
+        rows, cols, vals = A.entries()
+        p = rng.permutation(len(rows))
+        assert np.array_equal(_bits(harmonic.SlotMatrix(A.n, rows[p], cols[p], vals[p]) @ x),
+                              want), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 30))
+def test_slot_matrix_on_drawn_patterns(data, n):
+    # rows of any lengths, empty ones included, in storage under the bound
+    # and with scipy's product bits
+    import scipy.sparse as sp
+    lengths = data.draw(st.lists(st.integers(0, n), min_size=n, max_size=n))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    rows = np.repeat(np.arange(n), lengths)
+    cols = np.concatenate([rng.permutation(n)[:k] for k in lengths] + [np.zeros(0, int)])
+    vals = rng.standard_normal(len(rows))
+    A = harmonic.SlotMatrix(n, rows, cols, vals)
+    assert _held(A) <= 2 * len(rows) + 2 * n
+    x = rng.standard_normal(n)
+    want = sp.csr_matrix((vals, (rows, cols)), shape=(n, n)) @ x
+    assert np.array_equal(_bits(A @ x), _bits(want))
+
+
+def test_slot_matrix_sums_repeated_entries():
+    A = harmonic.SlotMatrix(3, np.array([0, 2, 0, 1, 0]), np.array([1, 2, 0, 1, 1]),
+                            np.array([1.0, 4.0, 2.0, 3.0, 5.0]))
+    assert np.array_equal(A.toarray(), [[2.0, 6.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 4.0]])
+    assert np.array_equal(A @ np.array([1.0, 2.0, 3.0]), [14.0, 6.0, 12.0])
+
+
 def _check_bfs(indptr, indices, root):
     """breadth_first_levels against csgraph; the levels are the depths of
     the search tree.  Returns the number of vertices reached."""
@@ -201,6 +293,48 @@ def test_conjugate_of_disconnected_dual_graph_is_an_error():
     h = harmonic.solve_dirichlet(m2.extract_primal(), harmonic.unit_pins(mm2.arc_ab, mm2.arc_cd))
     with pytest.raises(harmonic.ConjugacyError, match="^dual graph is not connected$"):
         harmonic.harmonic_conjugate(mm2, h)
+
+
+def test_conjugate_start_never_raises(rect_map16):
+    # a disconnected dual graph and a field far from harmonic make
+    # harmonic_conjugate raise, but the start is still finite on the dual
+    # vertices and 0 .. 1 on the two dual arcs
+    mm = star_map()
+    m = mm.map
+    m2 = odmap.OrthodiagonalMap(np.vstack([m.positions, [[2.0, 2.0]]]),
+                                np.append(m.colors, odmap.DUAL), m.faces, m.boundary)
+    mm2 = odmap.MarkedRectangleMap(m2, mm.marked)
+    h2 = harmonic.solve_dirichlet(m2.extract_primal(), harmonic.unit_pins(mm2.arc_ab, mm2.arc_cd))
+    mm16 = rect_map16[0]
+    gp = mm16.map.extract_primal()
+    rough = harmonic.solve_dirichlet(gp, harmonic.unit_pins(mm16.arc_ab, mm16.arc_cd))
+    rough.values[gp.ids] += np.random.default_rng(0).normal(0.0, 1e-3, gp.n)
+    for mk, h in ((mm2, h2), (mm16, rough)):
+        with pytest.raises(harmonic.ConjugacyError):
+            harmonic.harmonic_conjugate(mk, h)
+        start = harmonic.conjugate_start(mk, h)
+        gd = mk.map.extract_dual()
+        assert np.isfinite(start[gd.ids]).all()
+        assert start[mk.arc_bc].min() == 0.0 and start[mk.arc_da].max() == 1.0
+
+
+def test_iterations_count_cg_steps(rect_map16):
+    mm = rect_map16[0]
+    g = mm.map.extract_primal()
+    pinned = harmonic.unit_pins(mm.arc_ab, mm.arc_cd)
+    h = harmonic.solve_dirichlet(g, pinned)
+    # after that many steps the residual is under tol; as in scipy's cg, the
+    # check comes before each step, so maxiter must leave room for it
+    keys, values, free_ids, A, b, diag = harmonic._reduced_system(g, pinned)
+    x0 = np.full(len(free_ids), 0.5)
+    assert harmonic._cg(A, b, x0.copy(), 1.0 / diag, harmonic.DEFAULT_TOL,
+                        h.iterations + 1)[1] == h.iterations > 0
+    with pytest.raises(harmonic.SolverError):
+        harmonic._cg(A, b, x0.copy(), 1.0 / diag, harmonic.DEFAULT_TOL, h.iterations)
+    assert harmonic.solve_dirichlet_dense(g, pinned).iterations == 0
+    every = dict.fromkeys(g.ids.tolist(), 0.0)
+    assert harmonic.solve_dirichlet(g, every).iterations == 0
+    assert harmonic.solve_dirichlet(g, dict.fromkeys(pinned, 0.0)).iterations == 0
 
 
 def test_gradient_flow_path():
