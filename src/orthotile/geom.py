@@ -266,11 +266,24 @@ def ray_parity(p, a, b) -> np.ndarray:
 def points_in_ring(pts: np.ndarray, ring: np.ndarray) -> np.ndarray:
     """Even-odd containment of each of pts (n, 2) in the closed ring
     through the vertices ring (m, 2), by ray_parity.  Blocked over the
-    points, so temporaries stay bounded for any n and m."""
+    points, so temporaries stay bounded for any n and m.
+
+    Only points in the ring's box, widened in x by a rounding margin, are
+    tested; the others have even parity exactly: outside the y-range a
+    point's ray meets no edge, past x_max it crosses none (a crossing's x
+    rounds less than the margin past the ring), and before x_min it
+    crosses every edge that straddles its y, of which a closed ring has an
+    even number."""
     nxt = np.roll(ring, -1, axis=0)
-    out = np.empty(len(pts), dtype=bool)
-    for blk in _row_blocks(len(pts), len(ring)):
-        out[blk] = ray_parity(pts[blk, None, :], ring[None], nxt[None])
+    lo, hi = ring.min(axis=0), ring.max(axis=0)
+    margin = 16 * 2.0 ** -52 * (float(np.abs(ring).max()) + float((hi - lo).max()))
+    x, y = pts[:, 0], pts[:, 1]
+    cand = np.flatnonzero((y >= lo[1]) & (y <= hi[1])
+                          & (x >= lo[0] - margin) & (x <= hi[0] + margin))
+    sub = pts[cand]
+    out = np.zeros(len(pts), dtype=bool)
+    for blk in _row_blocks(len(sub), len(ring)):
+        out[cand[blk]] = ray_parity(sub[blk, None, :], ring[None], nxt[None])
     return out
 
 

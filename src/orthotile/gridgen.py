@@ -153,10 +153,11 @@ def _kept_faces(poly: Polygon, eps: float, tol: float):
     nx = int(math.floor((x1 - x0) / h + 0.5)) + 1
     ny = int(math.floor((y1 - y0) / h + 0.5)) + 1
 
-    ii, jj = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1), indexing="ij")
-    ii, jj = ii.ravel(), jj.ravel()
+    # lattice (i, j) for i in -1..nx + 1, j in -1..ny + 1 sits at [i + 1, j + 1]
+    ii, jj = np.meshgrid(np.arange(-1, nx + 2), np.arange(-1, ny + 2), indexing="ij")
     odd = ((ii + jj) % 2) == 1
-    ci, cj = ii[odd], jj[odd]
+    inner = (ii >= 0) & (ii <= nx) & (jj >= 0) & (jj <= ny)
+    ci, cj = ii[odd & inner], jj[odd & inner]
     cx = x0 + ci * h
     cy = y0 + cj * h
 
@@ -164,10 +165,14 @@ def _kept_faces(poly: Polygon, eps: float, tol: float):
     on_boundary, inside = geom.polygon_masks(poly, np.stack([cx, cy], 1), tol)
     keep = inside & ~on_boundary
 
-    # all four corners inside or on the boundary
+    # all four corners inside or on the boundary: each even lattice vertex
+    # is tested once, at the position the map stores for it
+    corner_ok = np.zeros(ii.shape, dtype=bool)
+    on_boundary, inside = geom.polygon_masks(
+        poly, np.stack([x0 + ii[~odd] * h, y0 + jj[~odd] * h], 1), tol)
+    corner_ok[~odd] = on_boundary | inside
     for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        on_boundary, inside = geom.polygon_masks(poly, np.stack([cx + di * h, cy + dj * h], 1), tol)
-        keep &= on_boundary | inside
+        keep &= corner_ok[ci + 1 + di, cj + 1 + dj]
 
     # no polygon edge may penetrate the open diamond: clip each edge to the
     # diamond (a square in the rotated frame u = dx + dy, v = dx - dy with

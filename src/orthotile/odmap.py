@@ -428,6 +428,15 @@ class FaceLocator:
     the closed face contains the point within tol = 1e-12 max(1, mesh_eps),
     ordered by point and then face id.  locate(p) returns the lowest such
     face id or None.
+
+    Only the hashed pairs whose point lies in the face's widened box are
+    tested.  A convex face is tested as two triangles with each side moved
+    out by tol; such a triangle's corner A moves out by at most
+    2 tol |AB| |AC| / |det| <= 2 tol diag^2 / |det|, where diag is the
+    diagonal of the face's box and det is taken for each triangle with
+    det != 0 (a triangle with det 0 contains nothing).  So a convex face's
+    box is padded by that amount plus 2 tol, and another face's (within
+    tol of its sides, or inside by parity) by 2 tol.
     """
 
     def __init__(self, m: OrthodiagonalMap):
@@ -436,8 +445,9 @@ class FaceLocator:
         self.convex = _quads_convex(q)
         self.cell = max(m.mesh_eps * 2.0, 1e-12)
         self.tol = 1e-12 * max(1.0, m.mesh_eps)
-        lo = np.floor(q.min(axis=1) / self.cell).astype(np.int64)
-        hi = np.floor(q.max(axis=1) / self.cell).astype(np.int64)
+        qlo, qhi = q.min(axis=1), q.max(axis=1)
+        lo = np.floor(qlo / self.cell).astype(np.int64)
+        hi = np.floor(qhi / self.cell).astype(np.int64)
         self.origin = lo.min(axis=0)
         self.shape = hi.max(axis=0) - self.origin + 1
         # one (cell, face) entry per cell of each face's bounding box
@@ -451,10 +461,17 @@ class FaceLocator:
         self.cell_keys, start = np.unique(key[order], return_index=True)
         self.cell_start = np.append(start, len(key))
         self.cell_faces = face[order]
+        # each face's box, widened to hold its whole test region
+        diag2 = ((qhi - qlo) ** 2).sum(axis=1)
+        det = np.abs([geom._orient(q[:, 0], q[:, k], q[:, k + 1]) for k in (1, 2)])
+        det = np.where(det == 0.0, np.inf, det).min(axis=0)
+        pad = (2 * self.tol * (1.0 + np.where(self.convex, diag2 / det, 0.0)))[:, None]
+        self.box_lo, self.box_hi = qlo - pad, qhi + pad
 
     def _candidates(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(point index, face id) pairs for the faces hashed to each
-        point's cell, ordered by point and then face id."""
+        point's cell whose widened box holds the point, ordered by point
+        and then face id."""
         g = np.floor(pts / self.cell) - self.origin
         ok = np.all((g >= 0) & (g < self.shape), axis=1)
         key = np.where(ok, g[:, 0] * self.shape[1] + g[:, 1], -1).astype(np.int64)
@@ -463,7 +480,10 @@ class FaceLocator:
         start = self.cell_start[slot[hit]]
         count = self.cell_start[slot[hit] + 1] - start
         first = np.repeat(start - (np.cumsum(count) - count), count)
-        return np.repeat(hit, count), self.cell_faces[first + np.arange(len(first))]
+        pi, fi = np.repeat(hit, count), self.cell_faces[first + np.arange(len(first))]
+        p = pts[pi]
+        inbox = np.all((p >= self.box_lo[fi]) & (p <= self.box_hi[fi]), axis=1)
+        return pi[inbox], fi[inbox]
 
     def _contains(self, pts: np.ndarray, pi: np.ndarray, fi: np.ndarray) -> np.ndarray:
         """Whether face fi[k] contains point pts[pi[k]] within tol: two

@@ -229,7 +229,8 @@ class InterpolatedMap:
     The real part agrees with h at primal vertices and the imaginary part
     with htilde at dual vertices, exactly; the component the data does not
     pin at a vertex (Im at primal, Re at dual) is filled with the average
-    over the vertex's cross-color neighbors, which keeps the extension
+    over the vertex's cross-color neighbors (summed in the row order of
+    the map's side_edges()), which keeps the extension
     continuous and within one gradient step of the discrete data.  The
     fan midpoint carries (h(v1)+h(v2))/2 + i (ht(w1)+ht(w2))/2.
     Evaluation uses a uniform spatial hash; ties go to the lowest face id.
@@ -241,15 +242,12 @@ class InterpolatedMap:
         nv = m.map.n_vertices
         hv, tv = h.values, h_tilde.values
         # cross-color neighbor averages along quad sides, each vertex's terms
-        # summed in the iteration order of a set of the sides inserted in row
-        # order (summing in row order moves the averages by up to 4.4e-16)
-        sides = np.array(list({(a, b) for a, b in m.map.side_edges().tolist()}),
-                         dtype=np.int64)
+        # summed from 0.0 in the row order of side_edges()
+        sides = m.map.side_edges()
         primal_first = (m.map.colors[sides[:, 0]] == 0)[:, None]
         pa, da = np.where(primal_first, sides, sides[:, ::-1]).T
         to = np.stack([pa, da], axis=1).ravel()
-        acc = np.zeros(nv)
-        np.add.at(acc, to, np.stack([tv[da], hv[pa]], axis=1).ravel())
+        acc = np.bincount(to, np.stack([tv[da], hv[pa]], axis=1).ravel(), minlength=nv)
         cnt = np.bincount(to, minlength=nv).astype(float)
         avg = acc / np.where(cnt == 0, 1.0, cnt)
         re, im = avg.copy(), avg.copy()

@@ -1,5 +1,6 @@
 import collections
 import json
+import math
 import os
 
 import numpy as np
@@ -179,6 +180,68 @@ def topology_maps(rect_map16, l_spec):
     container oracles below."""
     return {"star": star_map(), "strip": strip_map(), "rect16": rect_map16[0],
             "L8": gridgen.grid_approximation(l_spec, 1 / 8)[0]}
+
+
+# -- generation oracle ---------------------------------------------------------------
+#
+# The keep-mask that tested each candidate diamond's four corners at its own
+# center plus and minus h (five polygon_masks calls, shared lattice vertices
+# tested up to four times), kept as the reference gridgen._kept_faces must
+# match.
+
+
+def oracle_kept_faces(poly, eps, tol):
+    h = eps / 2.0
+    v = poly.vertices
+    x0, y0 = float(v[:, 0].min()), float(v[:, 1].min())
+    x1, y1 = float(v[:, 0].max()), float(v[:, 1].max())
+    nx = int(math.floor((x1 - x0) / h + 0.5)) + 1
+    ny = int(math.floor((y1 - y0) / h + 0.5)) + 1
+
+    ii, jj = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1), indexing="ij")
+    ii, jj = ii.ravel(), jj.ravel()
+    odd = ((ii + jj) % 2) == 1
+    ci, cj = ii[odd], jj[odd]
+    cx = x0 + ci * h
+    cy = y0 + cj * h
+
+    on_boundary, inside = geom.polygon_masks(poly, np.stack([cx, cy], 1), tol)
+    keep = inside & ~on_boundary
+    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        on_boundary, inside = geom.polygon_masks(poly, np.stack([cx + di * h, cy + dj * h], 1), tol)
+        keep &= on_boundary | inside
+
+    edges = poly.edges()
+    idx = np.flatnonzero(keep)
+    if idx.size:
+        ccx, ccy = cx[idx], cy[idx]
+        pen = np.zeros(idx.size, dtype=bool)
+        for (p, q) in edges:
+            pu = (p[0] - ccx) + (p[1] - ccy)
+            pv = (p[0] - ccx) - (p[1] - ccy)
+            du = (q[0] - p[0]) + (q[1] - p[1])
+            dv = (q[0] - p[0]) - (q[1] - p[1])
+            t0 = np.zeros_like(ccx)
+            t1 = np.ones_like(ccx)
+            for u0, dd in ((pu, du), (pv, dv)):
+                if dd == 0.0:
+                    outside = np.abs(u0) >= h
+                    t0 = np.where(outside, 1.0, t0)
+                    t1 = np.where(outside, 0.0, t1)
+                else:
+                    ta = (-h - u0) / dd
+                    tb = (h - u0) / dd
+                    lo_, hi_ = np.minimum(ta, tb), np.maximum(ta, tb)
+                    t0 = np.maximum(t0, lo_)
+                    t1 = np.minimum(t1, hi_)
+            tm = (t0 + t1) / 2.0
+            um = pu + tm * du
+            vm = pv + tm * dv
+            slack = h - np.maximum(np.abs(um), np.abs(vm))
+            pen |= (t1 > t0) & (slack > tol)
+        keep[idx[pen]] = False
+
+    return h, (x0, y0), np.stack([ci[keep], cj[keep]], 1)
 
 
 # -- scalar point-location oracle ------------------------------------------------
@@ -450,10 +513,10 @@ def dual_arcs_csr(mm):
 
 def oracle_cross_color_average(m, hv, tv):
     """Per-vertex mean over the other colour's side neighbours, summed in
-    the side set's iteration order."""
+    the row order of side_edges()."""
     acc = np.zeros(m.n_vertices)
     cnt = np.zeros(m.n_vertices)
-    for a, b in oracle_side_set(m):
+    for a, b in m.side_edges().tolist():
         pa, da = (a, b) if m.colors[a] == 0 else (b, a)
         acc[pa] += tv[da]
         cnt[pa] += 1.0

@@ -427,6 +427,47 @@ def test_points_at_matches_oracle(n, repeat, scale, frac, data):
     assert got.tobytes() == oracle_points_at(poly, seg, seg_len, cum, t).tobytes()
 
 
+def _ulps_around(v, ks=(0, 1, 2, 16, 64)):
+    """v and the floats k ulps either side of it."""
+    out = []
+    for k in ks:
+        lo = hi = v
+        for _ in range(k):
+            lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return out
+
+
+@st.composite
+def ring_cases(draw):
+    """A closed ring of 3 to 9 vertices (not necessarily simple), scaled and
+    shifted up to 1e6, and points on a grid of x and y values: its box
+    edges, its vertices' coordinates, values 1 to 64 ulps either side of
+    them, free values and NaN."""
+    ring = (_xy(draw, draw(st.integers(3, 9))) * draw(st.sampled_from([1e-3, 1.0, 7.0]))
+            + np.array(draw(st.sampled_from([[0.0, 0.0], [1e6, -1e6], [-1e6, 3.25]]))))
+    axes = []
+    for k in (0, 1):
+        c = ring[:, k]
+        near = [c.min(), c.max(), draw(st.sampled_from(c.tolist()))]
+        free = draw(st.lists(st.floats(c.min() - 1.0, c.max() + 1.0), max_size=4))
+        axes.append(np.array([u for v in near for u in _ulps_around(v)] + free + [math.nan]))
+    x, y = np.meshgrid(*axes, indexing="ij")
+    return ring, np.stack([x.ravel(), y.ravel()], axis=1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=ring_cases(), block_pairs=st.sampled_from([1, 5, 1 << 16]))
+def test_points_in_ring_matches_unfiltered_parity(case, block_pairs):
+    # skipping the points outside the ring's widened box keeps every parity
+    ring, pts = case
+    want = geom.ray_parity(pts[:, None, :], ring[None], np.roll(ring, -1, axis=0)[None])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geom, "_BLOCK_PAIRS", block_pairs)
+        got = geom.points_in_ring(pts, ring)
+    assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("domain,eps", [("rect", 1 / 4), ("rect", 1 / 8), ("rect", 1 / 16),
                                         ("rect", 1 / 32), ("L", 2.0 ** -6)])
 def test_certificate_bits_match_oracle_kernels(rect_spec, l_spec, domain, eps):

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from conftest import SQUARE_MARKS, SQUARE_POLY
+from conftest import (L_MARKS, L_POLY, RECT_MARKS, RECT_POLY, SQUARE_MARKS, SQUARE_POLY,
+                      map_bits, oracle_kept_faces)
 from orthotile import geom, gridgen, odmap
 
 
@@ -122,3 +123,36 @@ def test_mesh_eps_is_side_length(square_spec):
     mm, cert = gridgen.grid_approximation(square_spec, 0.25)
     assert abs(mm.map.mesh_eps - 0.25 / np.sqrt(2)) < 1e-15
     assert mm.map.mesh_eps <= cert.eps
+
+
+SKEW_QUAD = [[0.1, 0.05], [1.9, 0.2], [1.3, 1.7], [0.2, 1.1]]
+# a rectangle whose origin and sides are not dyadic, so lattice positions
+# x0 + i h and center-plus-h positions round differently
+OFF_RECT = [[-0.37, 0.11], [1.33, 0.11], [1.33, 1.04], [-0.37, 1.04]]
+KEPT_DOMAINS = {"L": (L_POLY, L_MARKS), "rect": (RECT_POLY, RECT_MARKS),
+                "skew": (SKEW_QUAD, SKEW_QUAD), "off_rect": (OFF_RECT, OFF_RECT)}
+
+
+def _generated(spec, eps):
+    try:
+        mm, cert = gridgen.grid_approximation(spec, eps)
+    except gridgen.GenerationError as exc:
+        return str(exc)
+    return map_bits(mm.map, mm.marked), cert
+
+
+@pytest.mark.parametrize("domain", sorted(KEPT_DOMAINS))
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_kept_faces_match_corner_loop_oracle(domain, k, monkeypatch):
+    # one test per lattice vertex keeps the faces, maps and certificates
+    # of the five-call corner loop
+    spec = gridgen.DomainSpec(*KEPT_DOMAINS[domain])
+    eps = 2.0 ** -k
+    tol = geom.DEFAULT_REL_TOL * spec.boundary.diameter()
+    h, origin, centers = gridgen._kept_faces(spec.boundary, eps, tol)
+    h_o, origin_o, centers_o = oracle_kept_faces(spec.boundary, eps, tol)
+    assert (h, origin) == (h_o, origin_o)
+    assert np.array_equal(centers, centers_o) and len(centers) > 0
+    got = _generated(spec, eps)
+    monkeypatch.setattr(gridgen, "_kept_faces", oracle_kept_faces)
+    assert got == _generated(spec, eps)

@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (OracleLocator, location_probes, oracle_boundary_edge_set,
                       oracle_boundary_mismatch, oracle_map_bytes, oracle_marked_arcs,
@@ -381,6 +384,62 @@ def test_locate_matches_scalar_oracle(rect_map16, l_spec):
                 if oracle.face_contains(f, p)}
         assert got == full
         assert np.all(np.diff(pi) >= 0)
+
+
+@st.composite
+def located_quads(draw):
+    """One quad's corners: four points on an ellipse of aspect 1 ... 1e-12,
+    so that thin faces and sharp corners are common, or a dart (three of
+    them and a fourth corner inside their triangle), rotated, scaled and
+    shifted."""
+    turns = sorted(draw(st.lists(st.integers(0, 2 ** 20 - 1), min_size=4, max_size=4,
+                                 unique=True)))
+    angles = np.array(turns) * (2 * math.pi / 2 ** 20)
+    aspect = 10.0 ** -draw(st.integers(0, 12))
+    q = np.stack([np.cos(angles), aspect * np.sin(angles)], axis=1)
+    if draw(st.booleans()):
+        w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3)))
+        q[3] = (w / w.sum()) @ q[:3]
+    r = draw(st.floats(0.0, 2 * math.pi))
+    q = q @ np.array([[math.cos(r), math.sin(r)], [-math.sin(r), math.cos(r)]])
+    return q * draw(st.sampled_from([1e-3, 1.0, 37.0])) + draw(st.sampled_from([0.0, 0.3, 1e3, 3e7]))
+
+
+def _bisector_probes(q, tol):
+    """Points on the bisector of each corner of the quad and of its two
+    triangles (0, 1, 2) and (0, 2, 3), inward and outward, at k tol for
+    small k and around tol / sin(angle / 2), where a side-widened triangle's
+    corner sits."""
+    out = []
+    for tri in ([0, 1, 2, 3], [0, 1, 2], [0, 2, 3]):
+        c = q[tri]
+        for a, b, d in zip(c, np.roll(c, 1, axis=0), np.roll(c, -1, axis=0)):
+            e1, e2 = a - b, a - d
+            n1, n2 = np.hypot(*e1), np.hypot(*e2)
+            if not (n1 > 0 and n2 > 0):
+                continue
+            u = e1 / n1 + e2 / n2
+            nu = np.hypot(*u)
+            if not nu > 0:
+                continue
+            # sin(angle / 2) = sqrt((1 - cos(angle)) / 2)
+            crit = 1.0 / max(math.sqrt(max(1.0 - float(e1 @ e2) / (n1 * n2), 0.0) / 2.0), 1e-300)
+            for k in [0.0, 0.5, 1.0, 1.5, 2.0, 3.0] + [crit * (1 + r) for r in (-1e-3, -1e-9, 0, 1e-9, 1e-3)]:
+                out += [a + sign * k * tol * u / nu for sign in (1.0, -1.0)]
+    return np.array(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=located_quads())
+def test_containing_matches_scalar_oracle_near_corners(q):
+    # the widened-box prefilter drops no pair the containment test keeps
+    m = odmap.OrthodiagonalMap(q, [0, 1, 0, 1], [[0, 1, 2, 3]], [0, 1, 2, 3])
+    loc, oracle = odmap.FaceLocator(m), OracleLocator(m)
+    probes = _bisector_probes(m.positions, loc.tol)
+    pi, fi = loc.containing(probes)
+    want = [(k, f) for k, p in enumerate(probes) for f in oracle.bucket(p)
+            if oracle.face_contains(f, p)]
+    assert list(zip(pi.tolist(), fi.tolist())) == want
 
 
 def test_locate_batches_agree(rect_map16, monkeypatch):
