@@ -79,11 +79,10 @@ def probe_points(spec: DomainSpec, margin: Optional[float] = None) -> np.ndarray
     ys = np.arange(y0 + pitch / 2, y1, pitch)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     pts = np.stack([gx.ravel(), gy.ravel()], 1)
-    cls = geom.polygon_contains_many(spec.boundary, pts, 1e-12 * diam)
-    inside = np.array([c == geom.INSIDE for c in cls])
+    on_boundary, inside = geom.polygon_masks(spec.boundary, pts, 1e-12 * diam)
     ring = np.vstack([v, v[:1]])
     d = geom.points_to_segments_distance(pts, ring[:-1], ring[1:])
-    return pts[inside & (d >= margin)]
+    return pts[inside & ~on_boundary & (d >= margin)]
 
 
 # -- gradient statistics ----------------------------------------------------------
@@ -231,10 +230,10 @@ def rotation_color_swap_symmetric(m: MarkedRectangleMap) -> bool:
             continue
         if not np.all(mp.colors[idx] == 1 - mp.colors):
             continue
-        img_ab, img_cd, bc, da = (set(a.tolist()) for a in (idx[m.arc_ab], idx[m.arc_cd],
-                                                            m.arc_bc, m.arc_da))
-        if (img_ab == bc and img_cd == da) or (img_ab == da and img_cd == bc):
-            return True
+        img_ab, img_cd = np.unique(idx[m.arc_ab]), np.unique(idx[m.arc_cd])
+        for x, y in ((m.arc_bc, m.arc_da), (m.arc_da, m.arc_bc)):
+            if np.array_equal(img_ab, np.unique(x)) and np.array_equal(img_cd, np.unique(y)):
+                return True
     return False
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import geom, harmonic
 from .gridgen import ApproximationCertificate, DomainSpec
 from .odmap import (DUAL, PRIMAL, ContourError, FaceLocator, MarkedRectangleMap,
-                    OrthodiagonalMap, WeightedGraph)
+                    OrthodiagonalMap, WeightedGraph, component_labels, side_keys)
 
 
 @dataclass(frozen=True)
@@ -93,40 +93,37 @@ def duality_product(m: MarkedRectangleMap, tol: float = harmonic.DEFAULT_TOL
 
 
 def _dijkstra(g: WeightedGraph, weights: np.ndarray, sources: Iterable[int],
-              targets: Iterable[int], allowed: Optional[set[int]] = None
+              targets: Iterable[int], allowed: Optional[np.ndarray] = None
               ) -> tuple[float, list[int]]:
-    """Shortest path by edge weights from any source to any target;
-    deterministic via (distance, vertex id) heap ordering.  Returns
-    (distance, vertex path); (inf, []) when unreachable."""
-    targets = set(int(t) for t in targets)
-    adj: dict[int, list[tuple[int, float]]] = {int(v): [] for v in g.ids}
-    for u, v, w in zip(g.edge_u, g.edge_v, weights):
-        u, v = int(u), int(v)
-        if allowed is not None and (u not in allowed or v not in allowed):
-            continue
-        adj[u].append((v, float(w)))
-        adj[v].append((u, float(w)))
-    for lst in adj.values():
-        lst.sort()
-    dist: dict[int, float] = {}
-    prev: dict[int, int] = {}
-    heap = []
-    for s in sorted(set(int(x) for x in sources)):
-        if allowed is None or s in allowed:
-            dist[s] = 0.0
-            heapq.heappush(heap, (0.0, s))
+    """Shortest path by edge weights from any source to any target, within
+    the vertices allowed (a mask over g.ids) if given; deterministic via
+    (distance, vertex id) heap ordering.  Returns (distance, vertex path);
+    (inf, []) when unreachable.  A source that is not a vertex raises
+    KeyError; a target that is not one matches nothing."""
+    sources = list(sources)
+    if not np.isin(sources, g.ids).all():
+        raise KeyError("a source is not a vertex")
+    ok = np.ones(g.n, dtype=bool) if allowed is None else np.asarray(allowed, dtype=bool)
+    start = np.isin(g.ids, sources) & ok
+    indptr, nbr, edge = g.adjacency()
+    # an arc into a vertex not allowed weighs inf, so it is never relaxed
+    w = np.where(ok[nbr], np.asarray(weights, dtype=float)[edge], math.inf).tolist()
+    ptr, nbr, is_target = indptr.tolist(), nbr.tolist(), np.isin(g.ids, list(targets)).tolist()
+    dist, prev = np.where(start, 0.0, math.inf).tolist(), [-1] * g.n
+    heap = [(0.0, s) for s in np.flatnonzero(start).tolist()]   # ascending, so a heap
     while heap:
         d, u = heapq.heappop(heap)
-        if d > dist.get(u, math.inf):
+        if d > dist[u]:
             continue
-        if u in targets:
+        if is_target[u]:
             path = [u]
-            while path[-1] in prev:
+            while prev[path[-1]] >= 0:
                 path.append(prev[path[-1]])
-            return d, path[::-1]
-        for v, w in adj[u]:
-            nd = d + w
-            if nd < dist.get(v, math.inf):
+            return d, g.ids[path[::-1]].tolist()
+        for k in range(ptr[u], ptr[u + 1]):
+            v = nbr[k]
+            nd = d + w[k]
+            if nd < dist[v]:
                 dist[v] = nd
                 prev[v] = u
                 heapq.heappush(heap, (nd, v))
@@ -163,8 +160,13 @@ class CutPathResult:
     message: str = ""
 
 
-def _edge_key(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u <= v else (v, u)
+def _faces_of(g: WeightedGraph, a, b) -> np.ndarray:
+    """For each k, the highest face whose diagonal in g joins a[k] and b[k], or -1."""
+    keys, want = side_keys(g.edge_u, g.edge_v), side_keys(a, b)
+    order = np.argsort(keys, kind="stable")
+    pos = np.searchsorted(keys, want, side="right", sorter=order) - 1
+    face = order[pos]
+    return np.where((pos >= 0) & (keys[face] == want), face, -1)
 
 
 def min_cut_dual_path(m: MarkedRectangleMap, cut) -> CutPathResult:
@@ -174,83 +176,67 @@ def min_cut_dual_path(m: MarkedRectangleMap, cut) -> CutPathResult:
     cut: iterable of primal edges as (u, v) id pairs, or of face ids.
     """
     gp = m.map.extract_primal()
-    pair_to_face: dict[tuple[int, int], int] = {}
-    for fi, (u, v) in enumerate(zip(gp.edge_u, gp.edge_v)):
-        pair_to_face[_edge_key(int(u), int(v))] = fi
-    faces = []
-    for item in cut:
-        if isinstance(item, (tuple, list)):
-            key = _edge_key(int(item[0]), int(item[1]))
-            if key not in pair_to_face:
-                return CutPathResult("mismatch", message=f"no primal edge {key}")
-            faces.append(pair_to_face[key])
-        else:
-            faces.append(int(item))
-    faces = sorted(set(faces))
-    cut_keys = {_edge_key(int(gp.edge_u[f]), int(gp.edge_v[f])) for f in faces}
-
-    def separates(keys: set[tuple[int, int]]) -> tuple[bool, list[int]]:
-        mask = np.array([_edge_key(int(u), int(v)) not in keys
-                         for u, v in zip(gp.edge_u, gp.edge_v)])
-        sub = WeightedGraph(gp.ids, gp.positions, gp.edge_u[mask], gp.edge_v[mask],
-                            gp.edge_c[mask], gp.edge_len[mask], gp.edge_face[mask])
-        d, path = _dijkstra(sub, np.ones(sub.m), m.arc_ab, m.arc_cd)
-        return (not math.isfinite(d)), path
-
-    if not faces:
+    cut = list(cut)
+    pairs = np.array([item for item in cut if isinstance(item, (tuple, list))],
+                     dtype=np.int64).reshape(-1, 2)
+    paired = _faces_of(gp, pairs[:, 0], pairs[:, 1])
+    if (paired < 0).any():
+        u, v = sorted(pairs[np.argmax(paired < 0)].tolist())
+        return CutPathResult("mismatch", message=f"no primal edge {(u, v)}")
+    faces = np.union1d(paired, [int(item) for item in cut
+                                if not isinstance(item, (tuple, list))]).astype(np.int64)
+    if not faces.size:
         return CutPathResult("non-separating", message="empty cut")
-    sep, path = separates(cut_keys)
-    if not sep:
-        return CutPathResult("non-separating", witness=path,
-                             message="a primal path avoids the cut")
-    for key in sorted(cut_keys):
-        if separates(cut_keys - {key})[0]:
+    keys = side_keys(gp.edge_u, gp.edge_v)
+    cut_keys, first = np.unique(keys[faces], return_index=True)
+    in_cut = np.isin(keys, cut_keys)
+    iu, iv = harmonic.edge_indices(gp)
+    ab, cd = np.isin(gp.ids, m.arc_ab), np.isin(gp.ids, m.arc_cd)
+
+    def separates(removed: np.ndarray) -> bool:
+        lab = component_labels(gp.n, iu[~removed], iv[~removed])
+        return not np.isin(lab[ab], lab[cd]).any()
+
+    if not separates(in_cut):
+        path = _dijkstra(gp, np.where(in_cut, math.inf, 1.0), m.arc_ab, m.arc_cd)[1]
+        return CutPathResult("non-separating", witness=path, message="a primal path avoids the cut")
+    for k, f in enumerate(faces[first]):
+        if separates(in_cut & (keys != cut_keys[k])):
+            key = tuple(sorted((int(gp.edge_u[f]), int(gp.edge_v[f]))))
             return CutPathResult("non-minimal", witness=key,
                                  message=f"edge {key} is removable")
 
     # the dual edges of the cut faces must chain into a simple path from
-    # [B..C] to [D..A]
+    # [B..C] to [D..A]; a search from its [B..C] end lists it in order
     gd = m.map.extract_dual()
-    adj: dict[int, list[int]] = {}
-    for f in faces:
-        w1, w2 = int(gd.edge_u[f]), int(gd.edge_v[f])
-        adj.setdefault(w1, []).append(w2)
-        adj.setdefault(w2, []).append(w1)
-    ends = sorted(v for v, nb in adj.items() if len(nb) == 1)
-    if len(ends) != 2 or any(len(nb) > 2 for nb in adj.values()):
+    w1, w2 = gd.edge_u[faces], gd.edge_v[faces]
+    w, deg = np.unique(np.concatenate([w1, w2]), return_counts=True)
+    ends = w[deg == 1]
+    if len(ends) != 2 or (deg > 2).any():
         return CutPathResult("mismatch", message="cut faces' dual edges do not chain")
-    bc, da = set(m.arc_bc.tolist()), set(m.arc_da.tolist())
-    start = next((e for e in ends if e in bc), None)
-    stop = next((e for e in ends if e in da), None)
-    if start is None or stop is None:
-        return CutPathResult("mismatch",
-                             message="dual chain endpoints miss the dual arcs")
-    path = [start]
-    seen = {start}
-    while path[-1] != stop:
-        nxt = [v for v in adj[path[-1]] if v not in seen]
-        if not nxt:
-            return CutPathResult("mismatch", message="dual chain is not simple")
-        path.append(nxt[0])
-        seen.add(nxt[0])
-    if len(path) != len(faces) + 1:
+    start = ends[np.isin(ends, m.arc_bc)]
+    if not start.size or not np.isin(ends, m.arc_da).any():
+        return CutPathResult("mismatch", message="dual chain endpoints miss the dual arcs")
+    chain = WeightedGraph(gd.ids, gd.positions, w1, w2, gd.edge_c[faces],
+                          gd.edge_len[faces], faces)
+    indptr, nbr, _ = chain.adjacency()
+    levels = harmonic.breadth_first_levels(indptr, nbr, np.searchsorted(gd.ids, start[0]))[0]
+    if len(levels) != len(faces) + 1:
         return CutPathResult("mismatch", message="dual chain has a detached loop")
-    return CutPathResult("ok", dual_path=path)
+    return CutPathResult("ok", dual_path=gd.ids[np.concatenate(levels)].tolist())
 
 
 def dual_path_to_cut(m: MarkedRectangleMap, path: Sequence[int]) -> list[tuple[int, int]]:
     """Inverse correspondence: consecutive dual path vertices name faces,
     and their primal diagonals form the cut."""
-    gd = m.map.extract_dual()
+    p = np.asarray(path, dtype=np.int64)
+    fi = _faces_of(m.map.extract_dual(), p[:-1], p[1:])
+    if (fi < 0).any():
+        k = int(np.argmax(fi < 0))
+        raise KeyError((int(p[k]), int(p[k + 1])))
     gp = m.map.extract_primal()
-    by_pair: dict[tuple[int, int], int] = {}
-    for fi, (u, v) in enumerate(zip(gd.edge_u, gd.edge_v)):
-        by_pair[_edge_key(int(u), int(v))] = fi
-    out = []
-    for a, b in zip(path[:-1], path[1:]):
-        fi = by_pair[_edge_key(int(a), int(b))]
-        out.append(_edge_key(int(gp.edge_u[fi]), int(gp.edge_v[fi])))
-    return out
+    u, v = gp.edge_u[fi], gp.edge_v[fi]
+    return list(zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist()))
 
 
 # -- comparability and rate -----------------------------------------------------
@@ -382,6 +368,8 @@ def find_short_contour(m: OrthodiagonalMap, seg, delta: float, color: str = "pri
     segment (verified by sampling face coverage).  A missing path after
     the preconditions hold is surfaced as an error.
     """
+    if color not in ("primal", "dual"):
+        raise ValueError("color must be 'primal' or 'dual'")
     a = np.asarray(seg[0], dtype=float)
     b = np.asarray(seg[1], dtype=float)
     eps = m.mesh_eps
@@ -409,17 +397,13 @@ def find_short_contour(m: OrthodiagonalMap, seg, delta: float, color: str = "pri
         raise ContourError(
             f"delta-neighborhood leaves the map support near {tuple(p[missing[0]])}")
 
-    which = PRIMAL if color == "primal" else DUAL
-    g = m.extract(which)
+    g = m.extract(PRIMAL if color == "primal" else DUAL)
     pos = g.positions
-    d_seg = geom.points_to_segments_distance(pos, a[None, :], b[None, :])
-    slack = 1e-12 * max(1.0, delta)
-    admissible = {int(v) for v, d in zip(g.ids, d_seg) if d <= delta + slack}
-    d_a = np.sqrt(((pos - a) ** 2).sum(-1))
-    d_b = np.sqrt(((pos - b) ** 2).sum(-1))
-    sources = [int(v) for v, d in zip(g.ids, d_a) if d <= delta + slack and int(v) in admissible]
-    targets = [int(v) for v, d in zip(g.ids, d_b) if d <= delta + slack and int(v) in admissible]
-    if not sources or not targets:
+    near = delta + 1e-12 * max(1.0, delta)
+    admissible = geom.points_to_segments_distance(pos, a[None, :], b[None, :]) <= near
+    sources = g.ids[admissible & (np.sqrt(((pos - a) ** 2).sum(-1)) <= near)]
+    targets = g.ids[admissible & (np.sqrt(((pos - b) ** 2).sum(-1)) <= near)]
+    if not sources.size or not targets.size:
         raise ContourError("no admissible endpoint vertices despite preconditions")
     dist, path = _dijkstra(g, g.edge_len, sources, targets, allowed=admissible)
     if not path:

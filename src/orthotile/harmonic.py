@@ -5,7 +5,8 @@ vertices in ascending-id order, Jacobi preconditioner), so results are
 deterministic.  Everything is numpy: the matrix (SlotMatrix) has scipy's
 CSR product bit for bit, the CG loop has scipy.sparse.linalg.cg's
 arithmetic step for step, and the conjugate's breadth-first search has
-scipy.sparse.csgraph's order, so no scipy module is imported.  A dense
+scipy.sparse.csgraph's order, so no scipy module is imported.  The search
+and the random walk read WeightedGraph.adjacency's arrays.  A dense
 direct solve is provided as an independent oracle, and a random-walk
 estimator gives a third route to the same values.
 
@@ -400,16 +401,17 @@ def effective_resistance(g: WeightedGraph, S, T, tol: float = DEFAULT_TOL) -> fl
 
 
 def breadth_first_levels(indptr: np.ndarray, indices: np.ndarray,
-                         root: int) -> tuple[list[np.ndarray], np.ndarray]:
+                         root: int) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """Breadth-first search from root along the arcs u -> indices[indptr[u]:
     indptr[u + 1]], each row ascending, one level at a time: the frontier in
     queue order, each vertex's targets in row order, the first discovery
     wins.  That is the FIFO order and tree of
     scipy.sparse.csgraph.breadth_first_order(..., directed=True).  Returns
-    the levels, root's first, and each vertex's predecessor (-1 at the root
-    and at unreached vertices)."""
+    the levels, root's first, and each vertex's predecessor and the arc (its
+    index into indices) that discovered it, both -1 at the root and at
+    unreached vertices."""
     degs = np.diff(indptr)
-    pred = np.full(len(degs), -1, dtype=np.int64)
+    pred, arc = np.full((2, len(degs)), -1, dtype=np.int64)
     unseen = np.ones(len(degs), dtype=bool)
     unseen[root] = False
     # a vertex's first position among the candidates of the level that
@@ -420,15 +422,17 @@ def breadth_first_levels(indptr: np.ndarray, indices: np.ndarray,
         front = levels[-1]
         deg = degs[front]
         ends = deg.cumsum()
-        cand = indices[np.arange(ends[-1]) + (indptr[front] - ends + deg).repeat(deg)]
+        pos = np.arange(ends[-1]) + (indptr[front] - ends + deg).repeat(deg)
+        cand = indices[pos]
         at = unseen[cand].nonzero()[0]
         new = cand[at]
         np.minimum.at(first, new, at)
         keep = first[new] == at
         if not keep.any():
-            return levels, pred
+            return levels, pred, arc
         new, at = new[keep], at[keep]
         pred[new] = front[ends.searchsorted(at, side="right")]
+        arc[new] = pos[at]
         unseen[new] = False
         levels.append(new)
 
@@ -452,24 +456,18 @@ def _integrate_conjugate(m: MarkedRectangleMap, h: HarmonicField):
     w1 = np.searchsorted(g_dual.ids, f[:, 1])
     w2 = np.searchsorted(g_dual.ids, f[:, 3])
 
-    # one arc per ordered (w, w') pair, carrying its lowest face id and the
-    # sign of that face's increment along the arc
+    # the tree edge into a child is the arc that discovered it, the first to
+    # it in its parent's row: the lowest face between the two
     n, nf = g_dual.n, len(f)
-    arcs, first = np.unique(np.stack([w1 * n + w2, w2 * n + w1], axis=1),
-                            return_index=True)
-    arc_face = first // 2
-    arc_sign = np.where(first % 2 == 0, 1.0, -1.0)
-    indptr = np.searchsorted(arcs // n, np.arange(n + 1))
-
+    indptr, nbr, edge = g_dual.adjacency()
     root = int(np.searchsorted(g_dual.ids, m.arc_da.min()))
-    levels, pred = breadth_first_levels(indptr, arcs % n, root)
+    levels, pred, arc = breadth_first_levels(indptr, nbr, root)
     child = np.concatenate(levels)[1:]
-    arc = np.searchsorted(arcs, pred[child] * n + child)
-    tree = arc_face[arc]
+    tree = edge[arc[child]]
     tree_face = np.zeros(nf, dtype=bool)
     tree_face[tree] = True
     step = np.zeros(n)
-    step[child] = arc_sign[arc] * inc[tree]
+    step[child] = np.where(w1[tree] == pred[child], 1.0, -1.0) * inc[tree]
     vals = np.zeros(n)
     for front in levels[1:]:
         vals[front] = vals[pred[front]] + step[front]
@@ -528,30 +526,28 @@ def random_walk_oracle(g: WeightedGraph, pinned: Mapping[int, float], v: int,
     value at the first hit of the pinned set, walking with transition
     probabilities c(x, y) / pi_x.  Deterministic for a fixed seed."""
     pinned = {int(k): float(val) for k, val in pinned.items()}
-    v = int(v)
-    if v in pinned:
+    if int(v) in pinned:
         raise SolverError("probe vertex is pinned")
     if n_walks < 100:
         raise SolverError("need at least 100 walks")
-    adj = g.adjacency()
-    neigh: dict[int, np.ndarray] = {}
-    cdf: dict[int, np.ndarray] = {}
-    for u, lst in adj.items():
-        neigh[u] = np.array([x for x, _ in lst], dtype=np.int64)
-        ws = np.array([c for _, c in lst])
-        cdf[u] = np.cumsum(ws) / ws.sum()
+    ids = g.ids.tolist()
+    start = ids.index(int(v))
+    at = {i: pinned[k] for i, k in enumerate(ids) if k in pinned}
+    indptr, nbr, edge = g.adjacency()
+    neigh = np.split(nbr, indptr[1:-1])
+    cdf = [np.cumsum(ws) / ws.sum() for ws in np.split(g.edge_c[edge], indptr[1:-1])]
     rng = np.random.default_rng(seed)
     hits = np.empty(n_walks)
     total = 0
     for k in range(n_walks):
-        cur = v
-        while cur not in pinned:
+        cur = start
+        while cur not in at:
             r = rng.random()
             cur = int(neigh[cur][np.searchsorted(cdf[cur], r)])
             total += 1
             if total > MAX_WALK_STEPS:
                 raise SolverError(f"random walk exceeded {MAX_WALK_STEPS} total steps")
-        hits[k] = pinned[cur]
+        hits[k] = at[cur]
     est = float(hits.mean())
     stderr = float(hits.std(ddof=1) / math.sqrt(n_walks)) if n_walks > 1 else 0.0
     return est, stderr

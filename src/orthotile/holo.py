@@ -173,12 +173,10 @@ def green_residual(F: DiscreteHolomorphic, outer: Sequence[int],
         raise ContourError("outer walk must be counterclockwise")
     if geom.signed_area(F.m.positions[np.array(wi)]) <= 0:
         raise ContourError("inner walk must be counterclockwise")
-    fo = set(_check_admissible(F.m, wo).tolist())
-    fi_ = set(_check_admissible(F.m, wi).tolist())
-    if not fi_ <= fo:
+    fo, fi_ = _check_admissible(F.m, wo), _check_admissible(F.m, wi)
+    if not np.isin(fi_, fo).all():
         raise ContourError("inner walk is not nested inside the outer walk")
-    annulus = sorted(fo - fi_)
-    f = F.m.faces[np.array(annulus, dtype=np.int64)] if annulus else np.zeros((0, 4), dtype=np.int64)
+    f = F.m.faces[np.setdiff1d(fo, fi_)]
     dF_p = F.values[f[:, 2]].real - F.values[f[:, 0]].real
     dz_d = F.z[f[:, 3]] - F.z[f[:, 1]]
     face_sum = complex(np.sum(dF_p * dz_d))

@@ -73,7 +73,8 @@ class ValidationReport:
 class WeightedGraph:
     """Finite network: vertex ids with positions, edges with conductance,
     resistance, Euclidean length and (for graphs extracted from a map) the
-    id of the face each edge is the diagonal of."""
+    id of the face each edge is the diagonal of.  Every walk over the graph
+    reads the index arrays of adjacency()."""
 
     ids: np.ndarray          # (n,) int64, sorted ascending
     positions: np.ndarray    # (n, 2)
@@ -95,14 +96,16 @@ class WeightedGraph:
     def m(self) -> int:
         return len(self.edge_u)
 
-    def adjacency(self) -> dict[int, list[tuple[int, float]]]:
-        adj: dict[int, list[tuple[int, float]]] = {int(v): [] for v in self.ids}
-        for u, v, c in zip(self.edge_u, self.edge_v, self.edge_c):
-            adj[int(u)].append((int(v), float(c)))
-            adj[int(v)].append((int(u), float(c)))
-        for k in adj:
-            adj[k].sort()
-        return adj
+    def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The arcs out of each vertex as arrays (indptr, nbr, edge), built
+        on each call: row i, the slice indptr[i]:indptr[i + 1], lists the
+        arcs out of ids[i], with the neighbour's index in nbr, ascending,
+        parallel arcs in edge order, and the arc's edge index in edge."""
+        arc = np.searchsorted(self.ids, np.stack([self.edge_u, self.edge_v], axis=1))
+        src, nbr = arc.ravel(), arc[:, ::-1].ravel()
+        order = np.argsort(src * self.n + nbr, kind="stable")
+        indptr = np.searchsorted(src[order], np.arange(self.n + 1))
+        return indptr, nbr[order], order // 2
 
 
 def component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -445,7 +448,7 @@ class FaceLocator:
         self.convex = _quads_convex(q)
         self.cell = max(m.mesh_eps * 2.0, 1e-12)
         self.tol = 1e-12 * max(1.0, m.mesh_eps)
-        qlo, qhi = q.min(axis=1), q.max(axis=1)
+        qlo, qhi = (f(f(q[:, 0], q[:, 1]), f(q[:, 2], q[:, 3])) for f in (np.minimum, np.maximum))
         lo = np.floor(qlo / self.cell).astype(np.int64)
         hi = np.floor(qhi / self.cell).astype(np.int64)
         self.origin = lo.min(axis=0)

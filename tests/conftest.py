@@ -468,6 +468,55 @@ def oracle_conjugate_values(mm, h):
     return np.array(vals), tree
 
 
+def oracle_adjacency(g):
+    """WeightedGraph.adjacency as per-vertex dicts, before it returned index
+    arrays: {id: [(neighbour id, conductance), ...]}, each list sorted."""
+    adj = {int(v): [] for v in g.ids}
+    for u, v, c in zip(g.edge_u, g.edge_v, g.edge_c):
+        adj[int(u)].append((int(v), float(c)))
+        adj[int(v)].append((int(u), float(c)))
+    for k in adj:
+        adj[k].sort()
+    return adj
+
+
+def oracle_dijkstra(g, weights, sources, targets, allowed=None):
+    """extremal._dijkstra over a dict adjacency rebuilt on every call, with
+    allowed a set of ids: (distance, id path), (inf, []) when unreachable."""
+    import heapq
+    targets = set(int(t) for t in targets)
+    adj = {int(v): [] for v in g.ids}
+    for u, v, w in zip(g.edge_u, g.edge_v, weights):
+        u, v = int(u), int(v)
+        if allowed is not None and (u not in allowed or v not in allowed):
+            continue
+        adj[u].append((v, float(w)))
+        adj[v].append((u, float(w)))
+    for lst in adj.values():
+        lst.sort()
+    dist, prev, heap = {}, {}, []
+    for s in sorted(set(int(x) for x in sources)):
+        if allowed is None or s in allowed:
+            dist[s] = 0.0
+            heapq.heappush(heap, (0.0, s))
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist.get(u, math.inf):
+            continue
+        if u in targets:
+            path = [u]
+            while path[-1] in prev:
+                path.append(prev[path[-1]])
+            return d, path[::-1]
+        for v, w in adj[u]:
+            nd = d + w
+            if nd < dist.get(v, math.inf):
+                dist[v] = nd
+                prev[v] = u
+                heapq.heappush(heap, (nd, v))
+    return math.inf, []
+
+
 def oracle_csr(A):
     """scipy's CSR matrix of the entries of the harmonic.SlotMatrix A: the
     matrix harmonic._reduced_system built before, and its product the

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import OracleLocator, graph_from_edges, grid_graph, star_map, strip_map
+from conftest import (OracleLocator, graph_from_edges, grid_graph, oracle_adjacency,
+                      oracle_dijkstra, star_map, strip_map)
 from orthotile import extremal, geom, gridgen, harmonic, odmap
 
 
@@ -132,6 +135,47 @@ def _column_cut(mm, x_lo, x_hi):
     return cut
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_adjacency_rows_and_dijkstra_match_dict_oracles(data):
+    # a multigraph on spread-out ids: edges among the first k vertices only,
+    # so the rest are isolated, with parallel edges, loops, or no edge at all
+    n = data.draw(st.integers(1, 12))
+    ids = sorted(data.draw(st.sets(st.integers(0, 60), min_size=n, max_size=n)))
+    k = data.draw(st.integers(1, n))
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)),
+                               max_size=3 * k))
+    cond = st.sampled_from([0.5, 1.0, 2.0])
+    g = graph_from_edges({v: (float(v), 0.0) for v in ids},
+                         [(ids[a], ids[b], data.draw(cond)) for a, b in pairs])
+    indptr, nbr, edge = g.adjacency()
+    want = oracle_adjacency(g)
+    assert indptr[0] == 0 and indptr[-1] == 2 * g.m
+    assert np.array_equal(np.bincount(edge, minlength=g.m), np.full(g.m, 2))
+    for i, v in enumerate(ids):
+        row = slice(indptr[i], indptr[i + 1])
+        assert g.ids[nbr[row]].tolist() == [w for w, _ in want[v]]
+        ends = np.sort(np.stack([g.edge_u[edge[row]], g.edge_v[edge[row]]], 1), axis=1)
+        assert np.array_equal(ends, np.sort(np.stack([np.full(len(ends), v),
+                                                      g.ids[nbr[row]]], 1), axis=1))
+        # parallel arcs in edge order
+        assert np.array_equal(np.lexsort((edge[row], nbr[row])), np.arange(len(ends)))
+
+    # ties are common with weights drawn from few values; targets may be
+    # absent ids, which match nothing
+    weights = np.array([data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])) for _ in pairs])
+    sources = data.draw(st.lists(st.sampled_from(ids), max_size=3))
+    targets = data.draw(st.lists(st.integers(-1, 61), max_size=3))
+    mask = data.draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n))
+    allowed = None if mask is None else np.array(mask)
+    got = extremal._dijkstra(g, weights, sources, targets, allowed)
+    assert got == oracle_dijkstra(g, weights, sources, targets,
+                                  None if mask is None else set(g.ids[allowed].tolist()))
+    missing = data.draw(st.integers(-1, 61).filter(lambda x: x not in ids))
+    with pytest.raises(KeyError):
+        extremal._dijkstra(g, weights, sources + [missing], ids, allowed)
+
+
 def test_min_cut_dual_path_roundtrip(rect_spec):
     mm, _ = gridgen.grid_approximation(rect_spec, 1 / 4)
     cut = _column_cut(mm, 0.8, 0.95)
@@ -150,9 +194,19 @@ def test_min_cut_reports():
     cut = _column_cut(mm, 0.8, 0.95)
     gp = mm.map.extract_primal()
     extra = cut + [(int(gp.edge_u[0]), int(gp.edge_v[0]))]
-    assert extremal.min_cut_dual_path(mm, extra).status == "non-minimal"
+    res = extremal.min_cut_dual_path(mm, extra)
+    assert res.status == "non-minimal"
+    keys = {(min(u, v), max(u, v)) for u, v in extra}
+    assert res.witness in keys
     assert extremal.min_cut_dual_path(mm, []).status == "non-separating"
-    assert extremal.min_cut_dual_path(mm, cut[:-1]).status == "non-separating"
+    res = extremal.min_cut_dual_path(mm, cut[:-1])
+    assert res.status == "non-separating"
+    # the witness is a primal path from [A..B] to [C..D] that avoids the cut
+    path = res.witness
+    assert path[0] in mm.arc_ab and path[-1] in mm.arc_cd
+    steps = {(min(u, v), max(u, v)) for u, v in zip(path[:-1], path[1:])}
+    edges = {(min(u, v), max(u, v)) for u, v in zip(gp.edge_u.tolist(), gp.edge_v.tolist())}
+    assert steps <= edges and not steps & {(min(u, v), max(u, v)) for u, v in cut[:-1]}
 
 
 def test_randomized_minimal_cuts_bijection(rect_spec, square_spec):
@@ -162,7 +216,8 @@ def test_randomized_minimal_cuts_bijection(rect_spec, square_spec):
     for spec, eps, want in ((rect_spec, 1 / 4, 50), (square_spec, 1 / 8, 50)):
         mm, _ = gridgen.grid_approximation(spec, eps)
         gd = mm.map.extract_dual()
-        adj = gd.adjacency()
+        indptr, nbr, _ = gd.adjacency()
+        rows = np.split(gd.ids[nbr], indptr[1:-1])
         bc, da = set(mm.arc_bc), set(mm.arc_da)
         boundary_duals = {v for v in mm.map.boundary
                           if mm.map.colors[v] == odmap.DUAL}
@@ -176,7 +231,7 @@ def test_randomized_minimal_cuts_bijection(rect_spec, square_spec):
             seen = {cur}
             ok = False
             for _ in range(400):
-                nbrs = [w for w, _ in adj[cur]
+                nbrs = [w for w in rows[np.searchsorted(gd.ids, cur)].tolist()
                         if w not in seen and (w not in boundary_duals or w in da)]
                 if not nbrs:
                     break
@@ -338,6 +393,14 @@ def test_find_short_contour_formula_at_minimal_params():
     # bound value at the lemma's corner: delta = 4 eps, L = 8 eps
     eps = 0.125
     assert abs(2 * (8 * eps) * (1 + 4 * eps / (4 * eps)) - 32 * eps) < 1e-15
+
+
+def test_find_short_contour_rejects_unknown_color(rect_spec):
+    mm, _ = gridgen.grid_approximation(rect_spec, 1 / 8)
+    eps = mm.map.mesh_eps
+    for color in ("Primal", "both", ""):
+        with pytest.raises(ValueError, match="color must be"):
+            extremal.find_short_contour(mm.map, ((0.3, 0.5), (1.7, 0.5)), 4 * eps, color)
 
 
 def test_find_short_contour_precondition_errors(rect_spec):

@@ -251,11 +251,16 @@ def test_slot_matrix_sums_repeated_entries():
 
 def _check_bfs(indptr, indices, root):
     """breadth_first_levels against csgraph; the levels are the depths of
-    the search tree.  Returns the number of vertices reached."""
-    levels, pred = harmonic.breadth_first_levels(indptr, indices, root)
+    the search tree, and each vertex was discovered by the first arc to it
+    in its predecessor's row.  Returns the number of vertices reached."""
+    levels, pred, arc = harmonic.breadth_first_levels(indptr, indices, root)
     order = np.concatenate(levels)
     want_order, want_pred = oracle_breadth_first(indptr, indices, root)
     assert np.array_equal(order, want_order) and np.array_equal(pred, want_pred)
+    assert np.array_equal(arc < 0, pred < 0)
+    for v in order[1:].tolist():
+        row = indices[indptr[pred[v]]:indptr[pred[v] + 1]].tolist()
+        assert arc[v] == indptr[pred[v]] + row.index(v)
     depth = np.zeros(len(pred), dtype=np.int64)
     for v in order[1:].tolist():
         depth[v] = depth[pred[v]] + 1
@@ -567,6 +572,13 @@ def test_random_walk_matches_solver_5x5():
     h = harmonic.solve_dirichlet(g, pinned, tol=1e-12)
     est, se = harmonic.random_walk_oracle(g, pinned, 12, 10_000, seed=42)
     assert abs(est - h.values[12]) <= 3 * se
+
+
+def test_random_walk_oracle_pinned_bits():
+    # one estimate on a graph without parallel edges, whose hub row is wider
+    # than eight, equal to the walk over sorted per-vertex adjacency lists
+    est, se = harmonic.random_walk_oracle(fan_graph(12), {3: 0.0, 9: 1.0}, 6, 500, seed=9)
+    assert (est.hex(), se.hex()) == ("0x1.1374bc6a7ef9ep-1", "0x1.6da9e514dbc68p-6")
 
 
 def test_random_walk_determinism_and_preconditions():
