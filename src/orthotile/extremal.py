@@ -173,7 +173,8 @@ def min_cut_dual_path(m: MarkedRectangleMap, cut) -> CutPathResult:
     """Map a minimal [A..B]-[C..D] cut in the primal graph to its dual
     path from [B..C] to [D..A]; report-style on bad input.
 
-    cut: iterable of primal edges as (u, v) id pairs, or of face ids.
+    cut: iterable of primal edges as (u, v) id pairs, or of face ids in
+    [0, n_faces).
     """
     gp = m.map.extract_primal()
     cut = list(cut)
@@ -183,8 +184,11 @@ def min_cut_dual_path(m: MarkedRectangleMap, cut) -> CutPathResult:
     if (paired < 0).any():
         u, v = sorted(pairs[np.argmax(paired < 0)].tolist())
         return CutPathResult("mismatch", message=f"no primal edge {(u, v)}")
-    faces = np.union1d(paired, [int(item) for item in cut
-                                if not isinstance(item, (tuple, list))]).astype(np.int64)
+    ids = np.array([item for item in cut if not isinstance(item, (tuple, list))], dtype=np.int64)
+    bad = ids[(ids < 0) | (ids >= m.map.n_faces)]
+    if bad.size:
+        return CutPathResult("mismatch", message=f"no face {bad[0]}")
+    faces = np.union1d(paired, ids)
     if not faces.size:
         return CutPathResult("non-separating", message="empty cut")
     keys = side_keys(gp.edge_u, gp.edge_v)

@@ -1,14 +1,14 @@
 """Discrete potential theory on weighted graphs.
 
 Dirichlet solves use conjugate gradient on the reduced SPD system (free
-vertices in ascending-id order, Jacobi preconditioner), so results are
-deterministic.  Everything is numpy: the matrix (SlotMatrix) has scipy's
-CSR product bit for bit, the CG loop has scipy.sparse.linalg.cg's
-arithmetic step for step, and the conjugate's breadth-first search has
-scipy.sparse.csgraph's order, so no scipy module is imported.  The search
-and the random walk read WeightedGraph.adjacency's arrays.  A dense
-direct solve is provided as an independent oracle, and a random-walk
-estimator gives a third route to the same values.
+vertices in ascending-id order), preconditioned by an aggregation-multigrid
+V-cycle.  No solve step calls BLAS or LAPACK (products go through
+SlotMatrix, sums through np.add.reduce), so a solve's bits do not depend
+on the BLAS thread count.  The conjugate's breadth-first search has
+scipy.sparse.csgraph's order; no scipy module is imported.  The search and
+the random walk read WeightedGraph.adjacency's arrays.  A dense direct
+solve is an independent oracle, and a random-walk estimator gives a third
+route to the same values.
 
 Solves take the pinned set as an {id: value} mapping; a solved field keeps
 the pinned ids as one int64 array and their values in its values array.
@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from functools import partial
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -30,6 +31,11 @@ DEFAULT_TOL = 1e-12
 CYCLE_TOL_REL = 1e-8
 #: random_walk_oracle's bound on the steps of all its walks together
 MAX_WALK_STEPS = 10 ** 8
+#: the CG step cap; the L-shape's primal solve takes 59 steps at eps 2^-7
+MAX_STEPS = 1000
+#: _multigrid's damped-Jacobi weight, its finest level's over-correction,
+#: in (1, 2), and the most unknowns of a level it inverts directly
+OMEGA, ALPHA, COARSEST = 2.0 / 3.0, 1.8, 64
 
 
 class SolverError(RuntimeError):
@@ -44,22 +50,12 @@ class ConjugacyError(RuntimeError):
     """Cycle residuals of the integrated conjugate exceed tolerance."""
 
 
-def _graph_cache(g: WeightedGraph) -> dict:
-    cache = getattr(g, "_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(g, "_cache", cache)
-    return cache
-
-
 def edge_indices(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Edge endpoints as indices into g.ids (which is sorted)."""
-    cache = _graph_cache(g)
-    if "eidx" not in cache:
-        iu = np.searchsorted(g.ids, g.edge_u)
-        iv = np.searchsorted(g.ids, g.edge_v)
-        cache["eidx"] = (iu, iv)
-    return cache["eidx"]
+    """Edge endpoints as indices into g.ids (which is sorted), cached on g."""
+    if "_eidx" not in vars(g):
+        object.__setattr__(g, "_eidx", (np.searchsorted(g.ids, g.edge_u),
+                                        np.searchsorted(g.ids, g.edge_v)))
+    return g._eidx
 
 
 def dirichlet_energy(g: WeightedGraph, values: np.ndarray) -> float:
@@ -79,8 +75,8 @@ class HarmonicField:
     |Laplacian| over free vertices, checked against tol at construction,
     and energy is sum_e c(e) (df(e))^2.  The maximum principle is enforced
     up to tol * gap slack.  iterations is the number of CG steps that
-    solved it (0 for a dense solve, no free vertices, or a field that no
-    solve produced).
+    solved it (0 for a dense solve, no free vertices, a start that met tol,
+    or a field that no solve produced).
     """
 
     graph: WeightedGraph
@@ -118,10 +114,9 @@ class HarmonicField:
 
 
 class SlotMatrix:
-    """A square sparse matrix whose product is scipy's CSR product bit for
-    bit: each row's entries in ascending column order, summed left to right
-    from 0.0 (scipy's csr_matvec on a canonical CSR matrix).  A repeated
-    entry is kept as given, next to its twin.
+    """A square sparse matrix whose product sums each row's entries in
+    ascending column order from 0.0, as scipy's csr_matvec does, with no
+    BLAS call.  A repeated entry is kept as given, next to its twin.
 
     The entries are stored slot-major: cols and vals are (width, n) tables
     whose slot k holds each row's k-th entry.  The width is the largest
@@ -189,7 +184,7 @@ def _reduced_system(g: WeightedGraph, pinned: Mapping[int, float]):
     """Check the pinned set and restrict the Laplacian to the free vertices
     (ascending id).  Returns the pinned ids in the mapping's order, the
     values array (pinned values by vertex id, NaN elsewhere), the free ids,
-    the matrix (a SlotMatrix), its rhs and its diagonal."""
+    the matrix entries (rows, cols, vals), the rhs and the diagonal."""
     if not pinned:
         raise SolverError("pinned set is empty")
     ids = g.ids
@@ -220,14 +215,13 @@ def _reduced_system(g: WeightedGraph, pinned: Mapping[int, float]):
     rows = np.concatenate([fidx[iu[both]], fidx[iv[both]], np.arange(nf)])
     cols = np.concatenate([fidx[iv[both]], fidx[iu[both]], np.arange(nf)])
     data = np.concatenate([-c[both], -c[both], diag[~pin_mask]])
-    A = SlotMatrix(nf, rows, cols, data)
 
     b = np.zeros(nf)
     u_free = (~pin_mask[iu]) & pin_mask[iv]
     v_free = pin_mask[iu] & (~pin_mask[iv])
     np.add.at(b, fidx[iu[u_free]], c[u_free] * pin_val[iv[u_free]])
     np.add.at(b, fidx[iv[v_free]], c[v_free] * pin_val[iu[v_free]])
-    return keys, values, free_ids, A, b, diag[~pin_mask]
+    return keys, values, free_ids, (rows, cols, data), b, diag[~pin_mask]
 
 
 def _check_connectivity(g: WeightedGraph, pidx: np.ndarray) -> None:
@@ -239,36 +233,112 @@ def _check_connectivity(g: WeightedGraph, pidx: np.ndarray) -> None:
                           f"(first: {int(g.ids[bad[0]])})")
 
 
-def _cg(A, b: np.ndarray, x: np.ndarray, dinv: np.ndarray, tol: float,
-        maxiter: int) -> tuple[np.ndarray, int]:
-    """Jacobi-preconditioned conjugate gradient (Hestenes & Stiefel 1952)
-    from x, in place, operation for operation as scipy 1.17's
-    sparse.linalg.cg(A, b, x, rtol=tol, atol=0, maxiter, M=diags(dinv)), so
-    with its bits: b when norm(b) == 0, else x once norm(r) < tol norm(b);
-    each with the number of steps taken.  SolverError with the relative
-    residual after maxiter steps short of it."""
-    bnrm2 = np.linalg.norm(b)
-    if bnrm2 == 0:
-        return b, 0
-    atol = tol * float(bnrm2)
-    r = b - A @ x if x.any() else b.copy()
-    for it in range(maxiter):
-        if np.linalg.norm(r) < atol:
-            return x, it
-        z = dinv * r
-        rho = np.dot(r, z)
-        if it:
-            p *= rho / rho_prev
-            p += z
-        else:
-            p = z.copy()
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b by numpy's pairwise sum, which, unlike np.dot, calls no BLAS."""
+    return float(np.add.reduce(a * b))
+
+
+def _gauss_jordan_inverse(n: int, rows, cols, vals) -> np.ndarray:
+    """The inverse of the n x n SPD matrix of the entries (rows, cols, vals),
+    by Gauss-Jordan elimination without pivoting, in ufuncs: LAPACK's inv
+    and cholesky round differently at different BLAS thread counts."""
+    a = np.zeros((n, n))
+    np.add.at(a, (rows, cols), vals)
+    for k in range(n):
+        t, f = 1.0 / a[k, k], a[:, k].copy()
+        f[k] = a[:, k] = 0.0
+        a[k, k] = 1.0
+        a[k] *= t
+        a -= np.multiply.outer(f, a[k])
+    return a
+
+
+def _multigrid(g: WeightedGraph, free_ids: np.ndarray, A: SlotMatrix, entries,
+               diag: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The preconditioner r -> z of _pcg for the reduced system A of g's
+    free vertices free_ids (entries and diagonal from _reduced_system): one
+    V-cycle of plain-aggregation multigrid with over-correction (Braess
+    1995, Computing 55).  Aggregates bin the vertices by position into
+    squares of side twice g's median edge length, doubling per level (if
+    that merges nothing, there is no level) down to at most COARSEST
+    unknowns, which are inverted.  A coarse matrix is P^T A P for the
+    piecewise constant P, its entries relabelled by aggregate and summed
+    after one sort; P^T r is np.bincount(agg, r), P e is e[agg].  A Jacobi
+    sweep damped by OMEGA goes on each side of the coarse correction, which
+    the finest level scales by ALPHA.
+
+    SPD: each level is a weakly diagonally dominant M-matrix, so D^-1 A has
+    eigenvalues in (0, 2], and a sweep's error operator M has A-norm below
+    1.  The cycle's error operator is E = M (I - a P B_c P^T A) M for the
+    coarse cycle B_c and scale a.  If B_c A_c has eigenvalues in (0, 1], the
+    middle factor's lie in [1 - a, 1]: in [0, 1] for a = 1, so B A's lie in
+    (0, 1] again, the induction from the exact coarsest level; in (-1, 1]
+    for a = ALPHA, so E's A-norm is below 1 and B is SPD.  Over-correcting
+    every level would break the induction."""
+    pos = g.positions[np.searchsorted(g.ids, free_ids)]
+    side = 2.0 * float(np.median(g.edge_len)) or 1.0
+    cell = ((pos - pos.min(axis=0)) / side).astype(np.int64)
+    rows, cols, vals = entries
+    mat, levels = A, []
+    while len(diag) > COARSEST:
+        cells, first, agg = np.unique(cell[:, 0] * (cell[:, 1].max() + 1) + cell[:, 1],
+                                      return_index=True, return_inverse=True)
+        if len(cells) < len(diag):
+            nc = len(cells)
+            levels.append((mat, OMEGA / diag, agg))
+            pairs, at = np.unique(agg[rows] * nc + agg[cols], return_inverse=True)
+            rows, cols, vals = pairs // nc, pairs % nc, np.bincount(at, vals)
+            diag, cell = vals[rows == cols], cell[first]
+            mat = SlotMatrix(nc, rows, cols, vals) if nc > COARSEST else None
+        cell >>= 1
+    return partial(_vcycle, levels, _gauss_jordan_inverse(len(diag), rows, cols, vals))
+
+
+def _vcycle(levels: list, inverse: np.ndarray, r: np.ndarray, level: int = 0) -> np.ndarray:
+    """The V-cycle of _multigrid on r from the given level down."""
+    if level == len(levels):
+        return np.add.reduce(inverse * r, axis=1)
+    mat, sweep, agg = levels[level]
+    x = sweep * r
+    e = _vcycle(levels, inverse, np.bincount(agg, r - mat @ x), level + 1)
+    x += (ALPHA if level == 0 else 1.0) * e[agg]
+    x += sweep * (r - mat @ x)
+    return x
+
+
+def _pcg(A: SlotMatrix, b: np.ndarray, x: np.ndarray, tol: float,
+         setup: Callable[[], Callable[[np.ndarray], np.ndarray]]) -> tuple[np.ndarray, int]:
+    """Preconditioned conjugate gradient (Hestenes & Stiefel 1952) from x,
+    in place, until |r| < tol |b|: zeros when b is 0, else x, and the steps
+    taken.  setup() builds the preconditioner once x misses tol.  SolverError,
+    with x's relative residual, when r . z <= 0 or after MAX_STEPS steps."""
+    bnorm = math.sqrt(_dot(b, b))
+    if bnorm == 0:
+        return np.zeros_like(b), 0
+    atol = tol * bnorm
+    r = b - A @ x
+    if math.sqrt(_dot(r, r)) < atol:
+        return x, 0
+    precondition = setup()
+    message = f"CG did not converge in {MAX_STEPS} steps"
+    for step in range(1, MAX_STEPS + 1):
+        z = precondition(r)
+        rho = _dot(r, z)
+        if not rho > 0:
+            message = f"CG step {step} has r.z = {rho:.3e}, not positive"
+            break
+        if step > 1:
+            z += (rho / rho_prev) * p
+        p = z
         q = A @ p
-        alpha = rho / np.dot(p, q)
+        alpha = rho / _dot(p, q)
         x += alpha * p
         r -= alpha * q
         rho_prev = rho
-    res = float(np.linalg.norm(b - A @ x) / max(np.linalg.norm(b), 1e-300))
-    raise SolverError(f"CG did not converge in {maxiter} iterations", residual=res)
+        if math.sqrt(_dot(r, r)) < atol:
+            return x, step
+    res = b - A @ x
+    raise SolverError(message, residual=math.sqrt(_dot(res, res)) / bnorm)
 
 
 def solve_dirichlet(g: WeightedGraph, pinned: Mapping[int, float],
@@ -277,26 +347,22 @@ def solve_dirichlet(g: WeightedGraph, pinned: Mapping[int, float],
     """Solve the Dirichlet problem: pinned values on the given vertices,
     zero Laplacian everywhere else.
 
-    Conjugate gradient with Jacobi preconditioning on the reduced system,
-    relative residual <= tol, at most max(20 sqrt(free) + 1, 10^4)
-    iterations.  It starts from start (finite values indexed by vertex id,
-    read only at the free vertices) when given, else from the mean pinned
-    value; the start changes the steps taken, not the residual reached.
-    The loop (_cg) is the package's own and gives scipy.sparse.linalg.cg's
-    bits; its dot products and norms are still BLAS calls, so the last bits
-    depend on the BLAS thread count.  Raises SolverError for an empty
-    pinned set, a free component with no pinned neighbor, or
-    non-convergence.
+    Conjugate gradient on the reduced system (_pcg), preconditioned by a
+    multigrid V-cycle (_multigrid), to relative residual < tol, with no BLAS
+    call.  It starts from start (finite values indexed by vertex id, read
+    only at the free vertices) when given, else from the mean pinned value;
+    the start changes the steps taken, not the residual reached.  Raises
+    SolverError for an empty pinned set, a free component with no pinned
+    neighbor, or non-convergence.
     """
-    keys, values, free_ids, A, b, diag = _reduced_system(g, pinned)
+    keys, values, free_ids, entries, b, diag = _reduced_system(g, pinned)
     steps = 0
     if len(free_ids):
-        maxiter = max(int(20 * math.isqrt(len(free_ids)) + 1), 10_000)
-        if start is None:
-            x0 = np.full(len(free_ids), float(np.mean(values[keys])))
-        else:
-            x0 = np.asarray(start, dtype=float)[free_ids]
-        values[free_ids], steps = _cg(A, b, x0, 1.0 / diag, tol, maxiter)
+        A = SlotMatrix(len(free_ids), *entries)
+        x0 = (np.full(len(free_ids), float(np.mean(values[keys]))) if start is None
+              else np.asarray(start, dtype=float)[free_ids])
+        values[free_ids], steps = _pcg(A, b, x0, tol,
+                                       lambda: _multigrid(g, free_ids, A, entries, diag))
     # the l2 residual bound controls the vertexwise Laplacian only up to a
     # norm factor; the field check keeps a safety margin
     field_tol = max(tol * 1e4, 1e-13)
@@ -305,9 +371,9 @@ def solve_dirichlet(g: WeightedGraph, pinned: Mapping[int, float],
 
 def solve_dirichlet_dense(g: WeightedGraph, pinned: Mapping[int, float]) -> HarmonicField:
     """Independent oracle: direct dense solve of the reduced system."""
-    keys, values, free_ids, A, b, _ = _reduced_system(g, pinned)
+    keys, values, free_ids, entries, b, _ = _reduced_system(g, pinned)
     if len(free_ids):
-        values[free_ids] = np.linalg.solve(A.toarray(), b)
+        values[free_ids] = np.linalg.solve(SlotMatrix(len(free_ids), *entries).toarray(), b)
     return HarmonicField(g, values, keys, 1e-8)
 
 

@@ -528,11 +528,40 @@ def oracle_csr(A):
 
 def oracle_cg(A, b, x0, dinv, tol, maxiter):
     """scipy.sparse.linalg.cg with the Jacobi preconditioner diags(dinv) on
-    oracle_csr(A), the call harmonic._cg replaced: (x, info), x0 left as
-    it is."""
+    oracle_csr(A), the call oracle_jacobi_cg replaced: (x, info), x0 left
+    as it is."""
     import scipy.sparse as sp
     from scipy.sparse.linalg import cg
     return cg(oracle_csr(A), b, x0=x0, rtol=tol, atol=0.0, maxiter=maxiter, M=sp.diags(dinv))
+
+
+def oracle_jacobi_cg(A, b, x, dinv, tol, maxiter):
+    """The Jacobi-preconditioned CG loop that harmonic._pcg replaced: from
+    x, in place, operation for operation as oracle_cg, so with its bits
+    (np.dot and np.linalg.norm are BLAS calls, so the bits hold at one BLAS
+    thread count): b when norm(b) == 0, else x once norm(r) < tol norm(b);
+    each with the number of steps taken.  (x, maxiter) short of it."""
+    bnrm2 = np.linalg.norm(b)
+    if bnrm2 == 0:
+        return b, 0
+    atol = tol * float(bnrm2)
+    r = b - A @ x if x.any() else b.copy()
+    for it in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, it
+        z = dinv * r
+        rho = np.dot(r, z)
+        if it:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = A @ p
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, maxiter
 
 
 def oracle_breadth_first(indptr, indices, root):

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from conftest import RECT_MARKS, RECT_POLY, src_env, strip_map
+from conftest import L_MARKS, L_POLY, RECT_MARKS, RECT_POLY, src_env, strip_map
 from orthotile import cli, odmap
 
 
@@ -225,9 +225,9 @@ FRESH_CLI = ("import sys\nfrom orthotile import cli\nrc = cli.main(sys.argv[1:])
              "sys.exit(rc)")
 
 
-def run_fresh(*args):
+def run_fresh(*args, **env):
     r = subprocess.run([sys.executable, "-c", FRESH_CLI, *args], capture_output=True,
-                       text=True, env=src_env())
+                       text=True, env={**src_env(), **env})
     return r.returncode, ast.literal_eval(r.stdout.splitlines()[-1])
 
 
@@ -243,9 +243,9 @@ def test_no_process_loads_scipy_spatial():
 
 def test_no_command_loads_scipy(tmp_path, domain_file):
     # generate labels components, tile, duality and converge solve with the
-    # package's own numpy matrix, CG loop and search, and verify sweeps the
-    # tiling with numpy, so no command loads any scipy module; the three
-    # artifacts keep their pinned bytes
+    # package's own numpy matrix, multigrid CG loop and search, and verify
+    # sweeps the tiling with numpy, so no command loads any scipy module;
+    # the three artifacts keep their pinned bytes
     mp, tp, svg = (str(tmp_path / n) for n in ("map.json", "t.json", "t.svg"))
     for argv in (["generate", "--domain", domain_file, "--mesh", "0.25", "--out", mp],
                  ["tile", "--map", mp, "--out", tp, "--svg", svg], ["duality", "--map", mp],
@@ -257,8 +257,25 @@ def test_no_command_loads_scipy(tmp_path, domain_file):
               for n in ("map.json", "t.json", "t.svg")}
     assert digest == {
         "map.json": "6a8450201551500961ea55307c0d051e765ccebc3695d3d8793e53cd4099f58e",
-        "t.json": "81f567d361bddf307d56f4d8f21edda3b14daa2b9e8e1173b1519246a10e543e",
+        "t.json": "14ddc713a8cfb38e360360ad2760c1d34a008ce0e19ff11bd424b096b67b0545",
         "t.svg": "47f5b47605c10314c3d6e97cb0511d3d4eac58a522f2e2f12d899822499fe45b"}
+
+
+def test_tile_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # no solve step calls BLAS, so tile writes the same tiling and SVG on
+    # the L-shape at 2^-6 with one and with two BLAS threads
+    dom = tmp_path / "L.json"
+    dom.write_text(json.dumps({"polygon": L_POLY, "marked": L_MARKS}))
+    mp = str(tmp_path / "map.json")
+    assert run_fresh("generate", "--domain", str(dom), "--mesh", str(2.0 ** -6),
+                     "--out", mp) == (0, [])
+    written = []
+    for threads in ("1", "2"):
+        tp, sp = tmp_path / f"t{threads}.json", tmp_path / f"t{threads}.svg"
+        assert run_fresh("tile", "--map", mp, "--out", str(tp), "--svg", str(sp),
+                         OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads) == (0, [])
+        written.append((tp.read_bytes(), sp.read_bytes()))
+    assert written[0] == written[1]
 
 
 def test_help_available():

@@ -187,6 +187,19 @@ def test_min_cut_dual_path_roundtrip(rect_spec):
     assert sorted(back) == sorted((min(u, v), max(u, v)) for u, v in cut)
 
 
+def test_min_cut_dual_path_rejects_face_ids_out_of_range(rect_spec):
+    # -1 would index the last face and n_faces past the end; both are
+    # reported like a pair that names no edge, whatever else the cut holds
+    mm, _ = gridgen.grid_approximation(rect_spec, 1 / 4)
+    cut = _column_cut(mm, 0.8, 0.95)
+    n = mm.map.n_faces
+    for bad in (-1, n):
+        for items in ([bad], cut + [bad], [0, bad, n + 5]):
+            res = extremal.min_cut_dual_path(mm, items)
+            assert (res.status, res.message) == ("mismatch", f"no face {bad}")
+    assert extremal.min_cut_dual_path(mm, [n - 1]).status != "mismatch"
+
+
 def test_min_cut_reports():
     mm, _ = gridgen.grid_approximation(
         gridgen.DomainSpec([[0, 0], [2, 0], [2, 1], [0, 1]],

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (dual_arcs_csr, fan_graph, graph_from_edges, grid_graph,
                       oracle_breadth_first, oracle_cg, oracle_conjugate_values, oracle_csr,
-                      oracle_flow_check, star_map)
+                      oracle_flow_check, oracle_jacobi_cg, star_map)
 from orthotile import extremal, gridgen, harmonic, odmap, tiling
 
 
@@ -108,15 +108,58 @@ def _cg_systems(maps):
         yield name + " dual", mm.map.extract_dual(), harmonic.unit_pins(mm.arc_bc, mm.arc_da)
 
 
-def _oracle_solve(g, pinned, tol=harmonic.DEFAULT_TOL):
-    """solve_dirichlet's values, with scipy's CG in place of harmonic._cg."""
-    keys, values, free_ids, A, b, diag = harmonic._reduced_system(g, pinned)
+def _jacobi_solve(g, pinned, tol=harmonic.DEFAULT_TOL):
+    """The reduced system's free values by the Jacobi-preconditioned CG
+    that solve_dirichlet ran before, from the mean pinned value with its
+    step cap: scipy's (oracle_cg) and the package's old loop
+    (oracle_jacobi_cg), which must agree bit for bit."""
+    keys, values, free_ids, entries, b, diag = harmonic._reduced_system(g, pinned)
+    A = harmonic.SlotMatrix(len(free_ids), *entries)
     maxiter = max(int(20 * math.isqrt(len(free_ids)) + 1), 10_000)
     x0 = np.full(len(free_ids), float(np.mean(values[keys])))
     x, info = oracle_cg(A, b, x0, 1.0 / diag, tol, maxiter)
     assert info == 0
-    values[free_ids] = x
-    return values
+    own, steps = oracle_jacobi_cg(A, b, x0.copy(), 1.0 / diag, tol, maxiter)
+    assert np.array_equal(_bits(own), _bits(x)) and steps < maxiter
+    return x
+
+
+def _system(g, pinned):
+    """solve_dirichlet's reduced system: the matrix, rhs, free ids, the
+    mean-pinned start, and the preconditioner set-up that _pcg takes."""
+    keys, values, free_ids, entries, b, diag = harmonic._reduced_system(g, pinned)
+    A = harmonic.SlotMatrix(len(free_ids), *entries)
+    x0 = np.full(len(free_ids), float(np.mean(values[keys])))
+    return A, b, free_ids, x0, lambda: harmonic._multigrid(g, free_ids, A, entries, diag)
+
+
+def _no_setup():
+    raise AssertionError("the preconditioner was built")
+
+
+def _residual_bound(A, b, x):
+    """An upper bound on |b - A x|_inf in exact arithmetic: the computed
+    residual plus its rounding error, at most gamma_{k+1} (|A||x| + |b|)
+    componentwise for rows of k entries (Higham, Accuracy and Stability of
+    Numerical Algorithms, 3.5)."""
+    csr = oracle_csr(A)
+    k = int(np.diff(csr.indptr).max())
+    gamma = (k + 1) * 2.0 ** -53 / (1 - (k + 1) * 2.0 ** -53)
+    absA = csr.copy()
+    absA.data = np.abs(absA.data)
+    return float(np.abs(b - csr @ x).max() + gamma * (absA @ np.abs(x) + np.abs(b)).max())
+
+
+def _inverse_norm_bound(A):
+    """An upper bound on |A^-1|_inf for the reduced Laplacian A, an
+    M-matrix: A^-1 >= 0 entrywise, so |A^-1|_inf = |A^-1 1|_inf, and w with
+    |A w - 1|_inf <= eta < 1 gives A^-1 1 <= w / (1 - eta) (Varga, Matrix
+    Iterative Analysis, ch. 3)."""
+    from scipy.sparse.linalg import spsolve
+    w = spsolve(oracle_csr(A).tocsc(), np.ones(A.n))
+    eta = _residual_bound(A, np.ones(A.n), w)
+    assert eta < 0.5
+    return float(np.abs(w).max() / (1 - eta))
 
 
 @pytest.fixture(scope="module")
@@ -124,38 +167,81 @@ def l_map64(l_spec):
     return gridgen.grid_approximation(l_spec, 1 / 64)[0]
 
 
-def test_cg_matches_scipy_cg_bitwise(topology_maps, l_map64):
-    # the rectangle at 1/16 is topology_maps["rect16"]
-    for name, g, pinned in _cg_systems({**topology_maps, "L64": l_map64}):
+def test_pcg_agrees_with_dense_and_jacobi_oracles(topology_maps, l_map64):
+    # Two solutions x1, x2 of A x = b with exact residuals r1, r2 differ by
+    # A^-1 (r2 - r1), so |x1 - x2|_inf <= |A^-1|_inf (|r1|_inf + |r2|_inf).
+    # Both factors are bounded from above in floating point, so the bound
+    # is rigorous up to the rounding of its own few operations, which the
+    # factor 1 + 2^-30 covers.  Each solver stops at |r|_2 < tol |b|_2, so
+    # the bound is about 2 tol |b|_2 |A^-1|_inf.  The dense solve is left
+    # out at 1/64, whose 12,221 unknowns make a 1.2 GB matrix.
+    mm = topology_maps["rect16"]
+    m = mm.map
+    stretched = odmap.MarkedRectangleMap(
+        odmap.OrthodiagonalMap(m.positions * [2.0, 1.0], m.colors, m.faces, m.boundary),
+        mm.marked)
+    assert set(np.unique(stretched.map.extract_primal().edge_c)) == {0.5, 2.0}
+    maps = {**topology_maps, "stretched": stretched, "L64": l_map64}
+    for name, g, pinned in _cg_systems(maps):
         h = harmonic.solve_dirichlet(g, pinned)
-        want = _oracle_solve(g, pinned)
-        assert np.array_equal(_bits(h.values[g.ids]), _bits(want[g.ids])), name
+        A, b, free_ids, _, _ = _system(g, pinned)
+        x = h.values[free_ids]
+        oracles = [_jacobi_solve(g, pinned)]
+        if A.n < 2000:
+            oracles.append(harmonic.solve_dirichlet_dense(g, pinned).values[free_ids])
+        inv = _inverse_norm_bound(A)
+        for y in oracles:
+            bound = inv * (_residual_bound(A, b, x) + _residual_bound(A, b, y))
+            assert np.abs(x - y).max() <= bound * (1 + 2.0 ** -30), name
+            assert bound <= 4 * harmonic.DEFAULT_TOL * np.linalg.norm(b) * inv, name
 
 
-def test_cg_zero_rhs_matches_scipy_cg(topology_maps):
-    # all pins 0: norm(b) == 0, and both return b itself
+def test_pcg_zero_rhs_returns_zeros_after_no_steps(topology_maps):
+    # all pins 0: b == 0, and the loop returns zeros from any start without
+    # stepping or building the preconditioner
     for name, g, pinned in _cg_systems(topology_maps):
         zero = dict.fromkeys(pinned, 0.0)
         h = harmonic.solve_dirichlet(g, zero)
-        want = _oracle_solve(g, zero)
-        assert np.array_equal(_bits(h.values[g.ids]), _bits(want[g.ids])), name
-        assert not h.values[g.ids].any()
+        assert h.iterations == 0 and not h.values[g.ids].any(), name
+        A, b, _, x0, _ = _system(g, zero)
+        x, steps = harmonic._pcg(A, b, x0 + 3.0, harmonic.DEFAULT_TOL, _no_setup)
+        assert steps == 0 and not x.any() and not b.any(), name
 
 
-def test_cg_non_convergence_reports_scipy_residual(rect_map16):
+def test_pcg_step_cap_reports_true_residual(rect_map16, monkeypatch):
     mm = rect_map16[0]
     g = mm.map.extract_primal()
-    keys, values, free_ids, A, b, diag = harmonic._reduced_system(
-        g, harmonic.unit_pins(mm.arc_ab, mm.arc_cd))
-    for maxiter in (1, 3, 10):
-        x0 = np.full(len(free_ids), 0.5)
-        x, info = oracle_cg(A, b, x0, 1.0 / diag, 1e-12, maxiter)
-        assert info == maxiter
+    A, b, _, x0, setup = _system(g, harmonic.unit_pins(mm.arc_ab, mm.arc_cd))
+    seen = []
+    for cap in (1, 3, 10):
+        monkeypatch.setattr(harmonic, "MAX_STEPS", cap)
+        x = x0.copy()
         with pytest.raises(harmonic.SolverError,
-                           match=f"^CG did not converge in {maxiter} iterations$") as exc:
-            harmonic._cg(A, b, x0.copy(), 1.0 / diag, 1e-12, maxiter)
-        want = float(np.linalg.norm(b - A @ x) / np.linalg.norm(b))
-        assert exc.value.residual == want
+                           match=f"^CG did not converge in {cap} steps$") as exc:
+            harmonic._pcg(A, b, x, harmonic.DEFAULT_TOL, setup)
+        # x holds the last iterate, in place, and the error its relative residual
+        want = np.linalg.norm(b - oracle_csr(A) @ x) / np.linalg.norm(b)
+        assert exc.value.residual == pytest.approx(want, rel=1e-9)
+        seen.append(exc.value.residual)
+    assert seen[0] > seen[1] > seen[2] > harmonic.DEFAULT_TOL
+    # a preconditioner that is not positive definite stops the first step
+    with pytest.raises(harmonic.SolverError, match=r"^CG step 1 has r\.z = -.*not positive$") as exc:
+        harmonic._pcg(A, b, x0.copy(), harmonic.DEFAULT_TOL, lambda: np.negative)
+    assert exc.value.residual == pytest.approx(
+        np.linalg.norm(b - oracle_csr(A) @ x0) / np.linalg.norm(b), rel=1e-9)
+
+
+def test_pcg_steps_stop_doubling_as_eps_halves(l_spec):
+    # the Jacobi-preconditioned loop took 71, 143, 279, 550 and 1,083 steps
+    # on the L-shape's primal system at 2^-3 ... 2^-7; the multigrid one
+    # takes 20, 23, 30, 42 and 59
+    steps = []
+    for k in range(3, 8):
+        mm = gridgen.grid_approximation(l_spec, 2.0 ** -k)[0]
+        g = mm.map.extract_primal()
+        steps.append(harmonic.solve_dirichlet(g, harmonic.unit_pins(mm.arc_ab, mm.arc_cd))
+                     .iterations)
+    assert max(steps) <= 80, steps
 
 
 def _slot_systems(maps):
@@ -187,8 +273,12 @@ def _held(A):
 
 @pytest.fixture(scope="module")
 def slot_systems(topology_maps):
-    return [(name, harmonic._reduced_system(g, pinned)[3], _dense_reduced(g, pinned))
-            for name, g, pinned in _slot_systems(topology_maps)]
+    systems = []
+    for name, g, pinned in _slot_systems(topology_maps):
+        dense = _dense_reduced(g, pinned)
+        A = harmonic.SlotMatrix(len(dense), *harmonic._reduced_system(g, pinned)[3])
+        systems.append((name, A, dense))
+    return systems
 
 
 def test_slot_matrix_holds_the_reduced_laplacian_in_bounded_storage(slot_systems):
@@ -323,19 +413,25 @@ def test_conjugate_start_never_raises(rect_map16):
         assert start[mk.arc_bc].min() == 0.0 and start[mk.arc_da].max() == 1.0
 
 
-def test_iterations_count_cg_steps(rect_map16):
+def test_iterations_count_cg_steps(rect_map16, monkeypatch):
     mm = rect_map16[0]
     g = mm.map.extract_primal()
     pinned = harmonic.unit_pins(mm.arc_ab, mm.arc_cd)
     h = harmonic.solve_dirichlet(g, pinned)
-    # after that many steps the residual is under tol; as in scipy's cg, the
-    # check comes before each step, so maxiter must leave room for it
-    keys, values, free_ids, A, b, diag = harmonic._reduced_system(g, pinned)
-    x0 = np.full(len(free_ids), 0.5)
-    assert harmonic._cg(A, b, x0.copy(), 1.0 / diag, harmonic.DEFAULT_TOL,
-                        h.iterations + 1)[1] == h.iterations > 0
+    # the residual is checked after each step, so a cap of that many steps
+    # gives the same field, and one fewer step falls short
+    monkeypatch.setattr(harmonic, "MAX_STEPS", h.iterations)
+    assert h.iterations > 0
+    assert np.array_equal(_bits(harmonic.solve_dirichlet(g, pinned).values[g.ids]),
+                          _bits(h.values[g.ids]))
+    monkeypatch.setattr(harmonic, "MAX_STEPS", h.iterations - 1)
     with pytest.raises(harmonic.SolverError):
-        harmonic._cg(A, b, x0.copy(), 1.0 / diag, harmonic.DEFAULT_TOL, h.iterations)
+        harmonic.solve_dirichlet(g, pinned)
+    # a start that meets tol takes no step and builds no preconditioner
+    A, b, free_ids, _, _ = _system(g, pinned)
+    assert harmonic._pcg(A, b, h.values[free_ids].copy(), harmonic.DEFAULT_TOL,
+                         _no_setup)[1] == 0
+    assert harmonic.solve_dirichlet(g, pinned, start=h.values).iterations == 0
     assert harmonic.solve_dirichlet_dense(g, pinned).iterations == 0
     every = dict.fromkeys(g.ids.tolist(), 0.0)
     assert harmonic.solve_dirichlet(g, every).iterations == 0
