@@ -3,8 +3,8 @@
 Exit codes: 0 ok, 1 input error, 2 generation error, 3 solver error,
 4 verification failure, 64 usage.  All numeric output is printed with
 12 significant digits and commands are idempotent: identical inputs give
-byte-identical artifacts at a fixed BLAS thread count (the solver's last
-bits depend on it).
+byte-identical artifacts, at any BLAS thread count (no solve step calls
+BLAS).
 """
 
 from __future__ import annotations

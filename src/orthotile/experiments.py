@@ -29,8 +29,9 @@ PROBE_PITCH = 1 / 64       # probe lattice pitch, relative to the domain diamete
 
 def reference_map(spec: DomainSpec) -> Optional[tuple[Callable[[complex], complex], float]]:
     """Exact conformal reference for rectangle domains whose four marks are
-    the four corners: the affine map z -> i (z - B) / (A - B), which sends
-    B to 0, A to i and C to L = |CB| / |AB|.  None otherwise."""
+    the four corners (a right angle at B and D = A + C - B, within tol):
+    the affine map z -> i (z - B) / (A - B), which sends B to 0, A to i
+    and C to L = |CB| / |AB|.  None otherwise."""
     poly = spec.boundary.vertices
     if len(poly) != 4:
         return None
@@ -48,10 +49,9 @@ def reference_map(spec: DomainSpec) -> Optional[tuple[Callable[[complex], comple
     va, vb, vc, vd = (poly[k] for k in perm)
     ab = vb - va
     bc = vc - vb
-    cd = vd - vc
     if abs(float(ab @ bc)) > tol * np.hypot(*ab) * np.hypot(*bc):
         return None
-    if abs(np.hypot(*cd) - np.hypot(*ab)) > tol:
+    if np.hypot(*(vd - (va + vc - vb))) > tol:
         return None
     A = complex(*va)
     B = complex(*vb)
@@ -158,8 +158,7 @@ def modulus_pointwise_check(m: MarkedRectangleMap, h: harmonic.HarmonicField,
             continue
         px, py = pos[x], pos[y]
         r = float(np.hypot(*(px - py)))
-        dx = geom.points_to_polyline_distance(np.array([px]), ring)[0]
-        dy = geom.points_to_polyline_distance(np.array([py]), ring)[0]
+        dx, dy = geom.points_to_segments_distance(np.array([px, py]), ring[:-1], ring[1:])
         if r > min(dx, dy):
             rep.skipped.append((x, y, "not in the bulk"))
             continue

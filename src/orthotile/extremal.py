@@ -194,7 +194,7 @@ def min_cut_dual_path(m: MarkedRectangleMap, cut) -> CutPathResult:
     keys = side_keys(gp.edge_u, gp.edge_v)
     cut_keys, first = np.unique(keys[faces], return_index=True)
     in_cut = np.isin(keys, cut_keys)
-    iu, iv = harmonic.edge_indices(gp)
+    iu, iv = gp.edge_index
     ab, cd = np.isin(gp.ids, m.arc_ab), np.isin(gp.ids, m.arc_cd)
 
     def separates(removed: np.ndarray) -> bool:

@@ -230,21 +230,12 @@ def _nearest_segments(pts: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray):
     return np.sqrt(d2), idx
 
 
-def points_to_polyline_distance(pts: np.ndarray, polyline: np.ndarray) -> np.ndarray:
-    poly = _as_points(polyline)
-    if poly.shape[0] == 1:
-        return np.sqrt(((pts - poly[0]) ** 2).sum(-1))
-    return points_to_segments_distance(pts, poly[:-1], poly[1:])
-
-
 def polyline_min_distance(a, b) -> float:
     """Minimum Euclidean distance between two polylines (point sets): 0 when
-    two segments cross properly, otherwise attained at a vertex of one."""
+    two segments cross properly, otherwise attained at a vertex of one.  A
+    one-vertex polyline is one zero-length segment."""
     pa, pb = _as_points(a), _as_points(b)
-    if pa.shape[0] == 1 or pb.shape[0] == 1:
-        return float(min(points_to_polyline_distance(pa, pb).min(),
-                         points_to_polyline_distance(pb, pa).min()))
-    ea, eb = np.stack([pa[:-1], pa[1:]], 1), np.stack([pb[:-1], pb[1:]], 1)
+    ea, eb = (np.stack([p[:-1], p[1:]] if len(p) > 1 else [p, p], 1) for p in (pa, pb))
     if _crossing_rows(ea, eb).any():
         return 0.0
     return float(min(points_to_segments_distance(pa, eb[:, 0], eb[:, 1]).min(),

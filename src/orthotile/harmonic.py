@@ -50,14 +50,6 @@ class ConjugacyError(RuntimeError):
     """Cycle residuals of the integrated conjugate exceed tolerance."""
 
 
-def edge_indices(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Edge endpoints as indices into g.ids (which is sorted), cached on g."""
-    if "_eidx" not in vars(g):
-        object.__setattr__(g, "_eidx", (np.searchsorted(g.ids, g.edge_u),
-                                        np.searchsorted(g.ids, g.edge_v)))
-    return g._eidx
-
-
 def dirichlet_energy(g: WeightedGraph, values: np.ndarray) -> float:
     """sum over edges of c(e) (f(e+) - f(e-))^2, for values indexed by
     vertex id."""
@@ -90,7 +82,7 @@ class HarmonicField:
     def __post_init__(self):
         g = self.graph
         self.boundary = np.asarray(self.boundary, dtype=np.int64)
-        iu, iv = edge_indices(g)
+        iu, iv = g.edge_index
         flux = g.edge_c * (self.values[g.edge_v] - self.values[g.edge_u])
         lap = np.zeros(g.n)
         np.add.at(lap, iu, flux)
@@ -205,7 +197,7 @@ def _reduced_system(g: WeightedGraph, pinned: Mapping[int, float]):
     fidx[~pin_mask] = np.arange(len(free_ids))
     nf = len(free_ids)
 
-    iu, iv = edge_indices(g)
+    iu, iv = g.edge_index
     c = g.edge_c
     diag = np.zeros(g.n)
     np.add.at(diag, iu, c)
@@ -226,7 +218,7 @@ def _reduced_system(g: WeightedGraph, pinned: Mapping[int, float]):
 
 def _check_connectivity(g: WeightedGraph, pidx: np.ndarray) -> None:
     """Every vertex must share a component with a pinned index."""
-    labels = component_labels(g.n, *edge_indices(g))
+    labels = component_labels(g.n, *g.edge_index)
     bad = np.flatnonzero(~np.isin(labels, labels[pidx]))
     if bad.size:
         raise SolverError(f"{bad.size} free vertices unreachable from the pinned set "

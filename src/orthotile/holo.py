@@ -111,26 +111,28 @@ def _check_admissible(m: OrthodiagonalMap, walk: list[int]) -> np.ndarray:
     return inside
 
 
+def _closed_sum(F: DiscreteHolomorphic, walk: Sequence[int]) -> complex:
+    """sum (F(e-) + F(e+)) (z(e+) - z(e-)) over the steps e of the closed
+    walk through the vertex ids walk."""
+    idx = np.append(walk, walk[0])
+    fv = F.values[idx]
+    zv = F.z[idx]
+    return complex(np.sum((fv[:-1] + fv[1:]) * (zv[1:] - zv[:-1])))
+
+
 def contour_integral(F: DiscreteHolomorphic, contour: Sequence[int]) -> complex:
     """Discrete contour integral sum (F(e-) + F(e+)) (z(e+) - z(e-)) over
     the directed walk; vanishes for discrete holomorphic F on admissible
     contours."""
     w = _normalize_walk(F.m, contour)
     _check_admissible(F.m, w)
-    idx = np.array(w + [w[0]], dtype=np.int64)
-    fv = F.values[idx]
-    zv = F.z[idx]
-    return complex(np.sum((fv[:-1] + fv[1:]) * (zv[1:] - zv[:-1])))
+    return _closed_sum(F, w)
 
 
 def face_integral(F: DiscreteHolomorphic, fi: int) -> complex:
     """Single-face contour integral; equals
     (dF_primal)(dz_dual) - (dF_dual)(dz_primal), i.e. the CR defect."""
-    f = F.m.faces[fi]
-    idx = np.array(list(f) + [f[0]], dtype=np.int64)
-    fv = F.values[idx]
-    zv = F.z[idx]
-    return complex(np.sum((fv[:-1] + fv[1:]) * (zv[1:] - zv[:-1])))
+    return _closed_sum(F, F.m.faces[fi])
 
 
 def sidewalks(m: OrthodiagonalMap, walk: Sequence[int]) -> tuple[list[int], list[int]]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -74,7 +75,7 @@ class WeightedGraph:
     """Finite network: vertex ids with positions, edges with conductance,
     resistance, Euclidean length and (for graphs extracted from a map) the
     id of the face each edge is the diagonal of.  Every walk over the graph
-    reads the index arrays of adjacency()."""
+    reads the index arrays of adjacency(), built from edge_index."""
 
     ids: np.ndarray          # (n,) int64, sorted ascending
     positions: np.ndarray    # (n, 2)
@@ -96,12 +97,17 @@ class WeightedGraph:
     def m(self) -> int:
         return len(self.edge_u)
 
+    @cached_property
+    def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Edge endpoints (iu, iv) as indices into ids (which is sorted)."""
+        return np.searchsorted(self.ids, self.edge_u), np.searchsorted(self.ids, self.edge_v)
+
     def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The arcs out of each vertex as arrays (indptr, nbr, edge), built
         on each call: row i, the slice indptr[i]:indptr[i + 1], lists the
         arcs out of ids[i], with the neighbour's index in nbr, ascending,
         parallel arcs in edge order, and the arc's edge index in edge."""
-        arc = np.searchsorted(self.ids, np.stack([self.edge_u, self.edge_v], axis=1))
+        arc = np.stack(self.edge_index, axis=1)
         src, nbr = arc.ravel(), arc[:, ::-1].ravel()
         order = np.argsort(src * self.n + nbr, kind="stable")
         indptr = np.searchsorted(src[order], np.arange(self.n + 1))
@@ -398,17 +404,6 @@ def barycentric(a, b, c, p) -> tuple[np.ndarray, ...]:
         return det, l1, l2, 1.0 - l1 - l2
 
 
-def _triangles_contain(a, b, c, p, tol: float) -> np.ndarray:
-    """Elementwise over rows: is p in the closed triangle abc, with each
-    side moved out by tol?  Degenerate triangles contain nothing."""
-    det, l1, l2, l3 = barycentric(a, b, c, p)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # a negative coordinate l_i means distance |l_i| |det| / |opposite
-        # side| outside that side; convert tol to per-coordinate slack
-        s1, s2, s3 = (tol * np.hypot(*(v - u).T) / np.abs(det) for u, v in ((b, c), (c, a), (a, b)))
-    return (det != 0.0) & (l1 >= -s1) & (l2 >= -s2) & (l3 >= -s3)
-
-
 #: points per batch in FaceLocator.containing, bounding its pair temporaries
 _BATCH_POINTS = 8192
 
@@ -432,20 +427,16 @@ class FaceLocator:
     ordered by point and then face id.  locate(p) returns the lowest such
     face id or None.
 
-    Only the hashed pairs whose point lies in the face's widened box are
-    tested.  A convex face is tested as two triangles with each side moved
-    out by tol; such a triangle's corner A moves out by at most
-    2 tol |AB| |AC| / |det| <= 2 tol diag^2 / |det|, where diag is the
-    diagonal of the face's box and det is taken for each triangle with
-    det != 0 (a triangle with det 0 contains nothing).  So a convex face's
-    box is padded by that amount plus 2 tol, and another face's (within
-    tol of its sides, or inside by parity) by 2 tol.
+    Every face is tested by geom's polygon rule: it contains a point within
+    tol of one of its sides, or inside it by crossing-number parity.  Every
+    such point lies within tol of the face's bounding box, so only the
+    hashed pairs whose point lies in the face's box padded by 2 tol (tol
+    spared for rounding) are tested.
     """
 
     def __init__(self, m: OrthodiagonalMap):
         self.m = m
         q = m.positions[m.faces]
-        self.convex = _quads_convex(q)
         self.cell = max(m.mesh_eps * 2.0, 1e-12)
         self.tol = 1e-12 * max(1.0, m.mesh_eps)
         qlo, qhi = (f(f(q[:, 0], q[:, 1]), f(q[:, 2], q[:, 3])) for f in (np.minimum, np.maximum))
@@ -464,12 +455,7 @@ class FaceLocator:
         self.cell_keys, start = np.unique(key[order], return_index=True)
         self.cell_start = np.append(start, len(key))
         self.cell_faces = face[order]
-        # each face's box, widened to hold its whole test region
-        diag2 = ((qhi - qlo) ** 2).sum(axis=1)
-        det = np.abs([geom._orient(q[:, 0], q[:, k], q[:, k + 1]) for k in (1, 2)])
-        det = np.where(det == 0.0, np.inf, det).min(axis=0)
-        pad = (2 * self.tol * (1.0 + np.where(self.convex, diag2 / det, 0.0)))[:, None]
-        self.box_lo, self.box_hi = qlo - pad, qhi + pad
+        self.box_lo, self.box_hi = qlo - 2 * self.tol, qhi + 2 * self.tol
 
     def _candidates(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(point index, face id) pairs for the faces hashed to each
@@ -489,20 +475,12 @@ class FaceLocator:
         return pi[inbox], fi[inbox]
 
     def _contains(self, pts: np.ndarray, pi: np.ndarray, fi: np.ndarray) -> np.ndarray:
-        """Whether face fi[k] contains point pts[pi[k]] within tol: two
-        triangles for convex faces, crossing number for the others."""
+        """Whether face fi[k] contains point pts[pi[k]]: within tol of a
+        side, or inside by crossing number."""
         c = self.m.positions[self.m.faces[fi]]
-        p = pts[pi]
-        out = np.empty(len(fi), dtype=bool)
-        cv = self.convex[fi]
-        cc, pc = c[cv], p[cv]
-        out[cv] = (_triangles_contain(cc[:, 0], cc[:, 1], cc[:, 2], pc, self.tol)
-                   | _triangles_contain(cc[:, 0], cc[:, 2], cc[:, 3], pc, self.tol))
-        cn, pn = c[~cv], p[~cv][:, None, :]
-        nxt = np.roll(cn, -1, axis=1)
-        out[~cv] = ((geom.segment_distances(pn, cn, nxt).min(axis=1) <= self.tol)
-                    | geom.ray_parity(pn, cn, nxt))
-        return out
+        p, nxt = pts[pi][:, None, :], np.roll(c, -1, axis=1)
+        return ((geom.segment_distances(p, c, nxt).min(axis=1) <= self.tol)
+                | geom.ray_parity(p, c, nxt))
 
     def containing(self, pts) -> tuple[np.ndarray, np.ndarray]:
         """All (point index, face id) pairs where the closed face contains

@@ -250,20 +250,6 @@ def oracle_kept_faces(poly, eps, tol):
 # reference its batched kernel must match exactly.
 
 
-def _oracle_triangle_contains(a, b, c, p, tol: float) -> bool:
-    det = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    if det == 0.0:
-        return False
-    l1 = ((b[0] - p[0]) * (c[1] - p[1]) - (b[1] - p[1]) * (c[0] - p[0])) / det
-    l2 = ((c[0] - p[0]) * (a[1] - p[1]) - (c[1] - p[1]) * (a[0] - p[0])) / det
-    l3 = 1.0 - l1 - l2
-    adet = abs(det)
-    s1 = tol * np.hypot(c[0] - b[0], c[1] - b[1]) / adet
-    s2 = tol * np.hypot(a[0] - c[0], a[1] - c[1]) / adet
-    s3 = tol * np.hypot(b[0] - a[0], b[1] - a[1]) / adet
-    return l1 >= -s1 and l2 >= -s2 and l3 >= -s3
-
-
 def _oracle_simple_polygon_contains(corners, p, tol: float) -> bool:
     ring = np.vstack([corners, corners[:1]])
     d = oracle_points_to_segments_distance(np.asarray([p], dtype=float),
@@ -312,11 +298,7 @@ class OracleLocator:
         self.buckets = buckets
 
     def face_contains(self, fi, p) -> bool:
-        corners = self.m.positions[self.m.faces[fi]]
-        if oracle_quad_is_convex(corners):
-            return (_oracle_triangle_contains(corners[0], corners[1], corners[2], p, self.tol)
-                    or _oracle_triangle_contains(corners[0], corners[2], corners[3], p, self.tol))
-        return _oracle_simple_polygon_contains(corners, p, self.tol)
+        return _oracle_simple_polygon_contains(self.m.positions[self.m.faces[fi]], p, self.tol)
 
     def bucket(self, p):
         gx = int(self.math.floor(p[0] / self.cell))
@@ -908,10 +890,17 @@ def _oracle_point_on_polyline(poly, cum, seg, seg_len, t):
     return poly[idx] + ((t - cum[idx]) / denom) * seg[idx]
 
 
+def polyline_distances(pts, poly):
+    """Distance from each point to the polyline poly, a one-vertex polyline
+    being one zero-length segment."""
+    sa, sb = (poly[:-1], poly[1:]) if len(poly) > 1 else (poly, poly)
+    return geom.points_to_segments_distance(pts, sa, sb)
+
+
 def oracle_sampled_hausdorff(a, b, n_samples=1024, rounds=8):
     """The sampled estimate of sup over points of a of the distance to b."""
     pts, params, spacing = _sample_polyline(a, n_samples)
-    d = geom.points_to_polyline_distance(pts, b)
+    d = polyline_distances(pts, b)
     if a.shape[0] == 1 or spacing == 0.0:
         return float(d.max())
     seg, seg_len, cum = geom._arclength(a)
@@ -924,7 +913,7 @@ def oracle_sampled_hausdorff(a, b, n_samples=1024, rounds=8):
         tt = np.unique(np.concatenate([np.linspace(max(t - half, 0.0), min(t + half, cum[-1]), 17)
                                        for t in cand]))
         pts = np.array([_oracle_point_on_polyline(a, cum, seg, seg_len, t) for t in tt])
-        d = geom.points_to_polyline_distance(pts, b)
+        d = polyline_distances(pts, b)
         best = max(best, float(d.max()))
         half /= 8.0
         cand = tt[d >= best - 2 * half]

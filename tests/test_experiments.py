@@ -36,6 +36,13 @@ def test_reference_map_rotated_rectangle():
     assert abs(phi(z) - 1j) < 1e-12
 
 
+def test_reference_map_needs_the_fourth_corner():
+    # a right angle at B and |CD| = |AB|, but D != A + C - B: the discrete
+    # lengths (1.95, 1.88, 1.85 at eps 1/8 ... 1/32) are not the affine L = 2
+    quad = [[0, 1], [0, 0], [2, 0], [1.4, 0.8]]
+    assert experiments.reference_map(gridgen.DomainSpec(quad, quad)) is None
+
+
 def test_probe_points_margin(rect_spec):
     pts = experiments.probe_points(rect_spec)
     assert len(pts) > 100

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (oracle_nearest_segments, oracle_points_at,
                       oracle_points_to_segments_distance, oracle_sampled_hausdorff,
-                      oracle_segment_distances)
+                      oracle_segment_distances, polyline_distances)
 from orthotile import geom, gridgen
 
 
@@ -98,8 +98,8 @@ def test_hausdorff_brute_force_oracle():
             return poly[idx] + frac[:, None] * seg[idx]
 
         pa, pb = sample(a), sample(b)
-        directed_ab = geom.points_to_polyline_distance(pa, b).max()
-        directed_ba = geom.points_to_polyline_distance(pb, a).max()
+        directed_ab = geom.points_to_segments_distance(pa, b[:-1], b[1:]).max()
+        directed_ba = geom.points_to_segments_distance(pb, a[:-1], a[1:]).max()
         brute = max(directed_ab, directed_ba)
         exact = geom.hausdorff_distance(a, b)
         assert exact >= brute - 1e-12
@@ -193,7 +193,7 @@ def test_hausdorff_bound_is_sound_and_tight(case):
         assert got[0] == got[1] == got[2]
         lo, hi = got[0]
         assert hi - lo <= tol
-        dense = float(geom.points_to_polyline_distance(_dense(src, 257), dst).max())
+        dense = float(polyline_distances(_dense(src, 257), dst).max())
         sampled = oracle_sampled_hausdorff(src, dst)
         assert hi >= max(dense, sampled) - few_ulps
         samples += [dense, sampled]
@@ -241,6 +241,14 @@ def _oracle_any_segment_crossing(a1, a2, segs) -> bool:
 
 def _oracle_polyline_min_distance(a, b) -> float:
     pa, pb = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if len(pa) == 1 or len(pb) == 1:
+        # a one-vertex polyline is its point p: the least of the distances
+        # from p to the other's segments and from the other's vertices to p
+        (p,), q = (pa, pb) if len(pa) == 1 else (pb, pa)
+        best = min(math.sqrt((x - p[0]) * (x - p[0]) + (y - p[1]) * (y - p[1])) for x, y in q)
+        if len(q) == 1:
+            return best
+        return min(best, float(oracle_points_to_segments_distance(p[None], q[:-1], q[1:])[0]))
     best = math.inf
     ea, eb = np.stack([pa[:-1], pa[1:]], 1), np.stack([pb[:-1], pb[1:]], 1)
     for a1, a2 in ea:
@@ -288,8 +296,8 @@ def test_polyline_min_distance_matches_scalar_oracle():
     rng = np.random.default_rng(21)
     crossings = 0
     for k in range(200):
-        a = _random_polyline(rng, int(rng.integers(2, 9)), repeat=k % 5 == 0)
-        b = _random_polyline(rng, int(rng.integers(2, 9)))
+        a = _random_polyline(rng, int(rng.integers(1, 9)), repeat=k % 5 == 0)
+        b = _random_polyline(rng, int(rng.integers(1, 9)))
         want = _oracle_polyline_min_distance(a, b)
         assert geom.polyline_min_distance(a, b) == want
         crossings += want == 0.0

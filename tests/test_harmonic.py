@@ -254,7 +254,7 @@ def _slot_systems(maps):
 
 def _dense_reduced(g, pinned):
     """The reduced Laplacian as a dense array, built entry by entry."""
-    iu, iv = harmonic.edge_indices(g)
+    iu, iv = g.edge_index
     lap = np.zeros((g.n, g.n))
     lap[iu, iv] = lap[iv, iu] = -g.edge_c
     diag = np.zeros(g.n)

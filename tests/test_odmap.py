@@ -408,8 +408,8 @@ def located_quads(draw):
 def _bisector_probes(q, tol):
     """Points on the bisector of each corner of the quad and of its two
     triangles (0, 1, 2) and (0, 2, 3), inward and outward, at k tol for
-    small k and around tol / sin(angle / 2), where a side-widened triangle's
-    corner sits."""
+    small k and around tol / sin(angle / 2), where both side lines of the
+    corner are tol away."""
     out = []
     for tri in ([0, 1, 2, 3], [0, 1, 2], [0, 2, 3]):
         c = q[tri]
@@ -451,17 +451,17 @@ def test_locate_batches_agree(rect_map16, monkeypatch):
 
 
 def test_locate_and_containment_agree_past_the_bounding_box():
-    # just past the diamond's right corner the two side lines are both
-    # within tol, so the closed face contains the point although it lies
-    # beyond the face's bounding box plus tol: locate() and containing()
-    # (the evaluation path) both keep it
+    # past the diamond's right corner both side lines stay within tol up to
+    # about 1.41 tol, but the closed face is within tol only up to tol:
+    # containing() (the evaluation path) and locate() keep the point at
+    # 0.9 tol and drop it at 1.1 tol
     m = odmap.OrthodiagonalMap([(1, 0), (2, 1), (1, 2), (0, 1)], [0, 1, 0, 1],
                                [[0, 1, 2, 3]], [0, 1, 2, 3])
-    loc = odmap.FaceLocator(m)
-    p = np.array([2.0 + 1.2 * loc.tol, 1.0])
-    assert p[0] > m.positions[:, 0].max() + loc.tol
-    assert OracleLocator(m).face_contains(0, p)
-    pi, fi = loc.containing(p)
+    loc, oracle = odmap.FaceLocator(m), OracleLocator(m)
+    near, far = np.array([[2.0 + 0.9 * loc.tol, 1.0], [2.0 + 1.1 * loc.tol, 1.0]])
+    assert oracle.face_contains(0, near) and not oracle.face_contains(0, far)
+    pi, fi = loc.containing(np.array([near, far]))
     assert pi.tolist() == [0] and fi.tolist() == [0]
-    assert OracleLocator(m).locate(p) == loc.locate(p) == 0
-    assert loc.locate_many(np.array([p, [2.0 + 3 * loc.tol, 1.0]])).tolist() == [0, -1]
+    assert oracle.locate(near) == loc.locate(near) == 0
+    assert oracle.locate(far) is loc.locate(far) is None
+    assert loc.locate_many(np.array([near, far])).tolist() == [0, -1]
