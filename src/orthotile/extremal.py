@@ -46,10 +46,16 @@ class EdgeMetric:
 
 @dataclass
 class ELResult:
+    """lam = 1 / E(h) for the solved unit-gap field h, its witness from
+    below; the unit current flow, its witness from above, is read from h."""
+
     lam: float
-    energy: float
     witness_field: harmonic.HarmonicField
-    witness_flow: harmonic.Flow
+
+    @property
+    def witness_flow(self) -> harmonic.Flow:
+        flow = harmonic.gradient_flow(self.witness_field)
+        return flow.scaled(1.0 / flow.strength)
 
 
 def extremal_length(m: MarkedRectangleMap, pair: str = "primal",
@@ -71,11 +77,8 @@ def extremal_length(m: MarkedRectangleMap, pair: str = "primal",
         S, T = m.arc_bc, m.arc_da
     else:
         raise ValueError("pair must be 'primal' or 'dual'")
-    h = harmonic.solve_dirichlet(g, harmonic.unit_pins(S, T), tol, start)
-    lam = 1.0 / h.energy
-    flow = harmonic.gradient_flow(h)
-    unit = flow.scaled(1.0 / flow.strength)
-    return ELResult(lam, h.energy, h, unit)
+    h = harmonic.solve_dirichlet(g, *harmonic.unit_pins(S, T), tol, start)
+    return ELResult(1.0 / h.energy, h)
 
 
 def duality_product(m: MarkedRectangleMap, tol: float = harmonic.DEFAULT_TOL
@@ -221,8 +224,7 @@ def min_cut_dual_path(m: MarkedRectangleMap, cut) -> CutPathResult:
     start = ends[np.isin(ends, m.arc_bc)]
     if not start.size or not np.isin(ends, m.arc_da).any():
         return CutPathResult("mismatch", message="dual chain endpoints miss the dual arcs")
-    chain = WeightedGraph(gd.ids, gd.positions, w1, w2, gd.edge_c[faces],
-                          gd.edge_len[faces], faces)
+    chain = WeightedGraph(gd.ids, gd.positions, w1, w2, gd.edge_c[faces], gd.edge_len[faces])
     indptr, nbr, _ = chain.adjacency()
     levels = harmonic.breadth_first_levels(indptr, nbr, np.searchsorted(gd.ids, start[0]))[0]
     if len(levels) != len(faces) + 1:

@@ -249,7 +249,7 @@ def ray_parity(p, a, b) -> np.ndarray:
     x, y = p[..., 0], p[..., 1]
     x1, y1, x2, y2 = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
     cond = (y1 > y) != (y2 > y)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         xint = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
     return (np.sum(cond & (x < xint), axis=-1) % 2) == 1
 

@@ -10,8 +10,8 @@ the random walk read WeightedGraph.adjacency's arrays.  A dense direct
 solve is an independent oracle, and a random-walk estimator gives a third
 route to the same values.
 
-Solves take the pinned set as an {id: value} mapping; a solved field keeps
-the pinned ids as one int64 array and their values in its values array.
+Solves take the pinned set as parallel arrays of ids and values; a solved
+field keeps the ids in that order, and a flow its ends, as int64 arrays.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Mapping, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -172,27 +172,28 @@ class SlotMatrix:
         return y
 
 
-def _reduced_system(g: WeightedGraph, pinned: Mapping[int, float]):
-    """Check the pinned set and restrict the Laplacian to the free vertices
-    (ascending id).  Returns the pinned ids in the mapping's order, the
-    values array (pinned values by vertex id, NaN elsewhere), the free ids,
-    the matrix entries (rows, cols, vals), the rhs and the diagonal."""
-    if not pinned:
+def _reduced_system(g: WeightedGraph, ids, values):
+    """Check the pinned ids, each pinned once, and restrict the Laplacian to
+    the free vertices (ascending id).  Returns the pinned ids in the given
+    order, the values array (pinned values by vertex id, NaN elsewhere), the
+    free ids, the matrix entries (rows, cols, vals), the rhs and the diagonal."""
+    keys = np.asarray(ids, dtype=np.int64)
+    if not keys.size:
         raise SolverError("pinned set is empty")
-    ids = g.ids
-    keys = np.fromiter(pinned, dtype=np.int64, count=len(pinned))
-    pidx = np.minimum(np.searchsorted(ids, keys), g.n - 1)
-    if np.any(ids[pidx] != keys):
+    pidx = np.minimum(np.searchsorted(g.ids, keys), g.n - 1)
+    if np.any(g.ids[pidx] != keys):
         raise SolverError("a pinned vertex is not in the graph")
-    _check_connectivity(g, pidx)
     pin_mask = np.zeros(g.n, dtype=bool)
     pin_mask[pidx] = True
+    if np.count_nonzero(pin_mask) != len(keys):
+        raise SolverError("a vertex is pinned twice")
+    _check_connectivity(g, pidx)
     pin_val = np.zeros(g.n)
-    pin_val[pidx] = np.fromiter(pinned.values(), dtype=float, count=len(pinned))
-    values = np.full(int(ids[-1]) + 1, np.nan)
-    values[keys] = pin_val[pidx]
+    pin_val[pidx] = values
+    field_values = np.full(int(g.ids[-1]) + 1, np.nan)
+    field_values[keys] = pin_val[pidx]
 
-    free_ids = ids[~pin_mask]
+    free_ids = g.ids[~pin_mask]
     fidx = np.full(g.n, -1, dtype=np.int64)
     fidx[~pin_mask] = np.arange(len(free_ids))
     nf = len(free_ids)
@@ -213,7 +214,7 @@ def _reduced_system(g: WeightedGraph, pinned: Mapping[int, float]):
     v_free = pin_mask[iu] & (~pin_mask[iv])
     np.add.at(b, fidx[iu[u_free]], c[u_free] * pin_val[iv[u_free]])
     np.add.at(b, fidx[iv[v_free]], c[v_free] * pin_val[iu[v_free]])
-    return keys, values, free_ids, (rows, cols, data), b, diag[~pin_mask]
+    return keys, field_values, free_ids, (rows, cols, data), b, diag[~pin_mask]
 
 
 def _check_connectivity(g: WeightedGraph, pidx: np.ndarray) -> None:
@@ -333,21 +334,20 @@ def _pcg(A: SlotMatrix, b: np.ndarray, x: np.ndarray, tol: float,
     raise SolverError(message, residual=math.sqrt(_dot(res, res)) / bnorm)
 
 
-def solve_dirichlet(g: WeightedGraph, pinned: Mapping[int, float],
-                    tol: float = DEFAULT_TOL,
+def solve_dirichlet(g: WeightedGraph, ids, values, tol: float = DEFAULT_TOL,
                     start: Optional[np.ndarray] = None) -> HarmonicField:
-    """Solve the Dirichlet problem: pinned values on the given vertices,
-    zero Laplacian everywhere else.
+    """Solve the Dirichlet problem: values[k] at vertex ids[k], zero
+    Laplacian everywhere else.
 
     Conjugate gradient on the reduced system (_pcg), preconditioned by a
     multigrid V-cycle (_multigrid), to relative residual < tol, with no BLAS
     call.  It starts from start (finite values indexed by vertex id, read
     only at the free vertices) when given, else from the mean pinned value;
     the start changes the steps taken, not the residual reached.  Raises
-    SolverError for an empty pinned set, a free component with no pinned
-    neighbor, or non-convergence.
+    SolverError for an empty pinned set, a repeated pinned id, a free
+    component with no pinned neighbor, or non-convergence.
     """
-    keys, values, free_ids, entries, b, diag = _reduced_system(g, pinned)
+    keys, values, free_ids, entries, b, diag = _reduced_system(g, ids, values)
     steps = 0
     if len(free_ids):
         A = SlotMatrix(len(free_ids), *entries)
@@ -361,9 +361,9 @@ def solve_dirichlet(g: WeightedGraph, pinned: Mapping[int, float],
     return HarmonicField(g, values, keys, field_tol, steps)
 
 
-def solve_dirichlet_dense(g: WeightedGraph, pinned: Mapping[int, float]) -> HarmonicField:
+def solve_dirichlet_dense(g: WeightedGraph, ids, values) -> HarmonicField:
     """Independent oracle: direct dense solve of the reduced system."""
-    keys, values, free_ids, entries, b, _ = _reduced_system(g, pinned)
+    keys, values, free_ids, entries, b, _ = _reduced_system(g, ids, values)
     if len(free_ids):
         values[free_ids] = np.linalg.solve(SlotMatrix(len(free_ids), *entries).toarray(), b)
     return HarmonicField(g, values, keys, 1e-8)
@@ -372,13 +372,13 @@ def solve_dirichlet_dense(g: WeightedGraph, pinned: Mapping[int, float]) -> Harm
 @dataclass
 class Flow:
     """Antisymmetric edge function, stored once per undirected edge in the
-    graph's edge order, oriented edge_u -> edge_v.  tol, check()'s default,
-    is the solved field's tol for a gradient flow."""
+    graph's edge order, oriented edge_u -> edge_v, from the ids sources to
+    the ids sinks (sums over them by math.fsum).  tol is check()'s default."""
 
     graph: WeightedGraph
     theta: np.ndarray
-    source_set: frozenset[int]
-    sink_set: frozenset[int]
+    sources: np.ndarray
+    sinks: np.ndarray
     tol: float = 1e-10
 
     def divergence(self) -> np.ndarray:
@@ -391,20 +391,15 @@ class Flow:
         np.add.at(div, g.edge_v, -self.theta)
         return div
 
-    @staticmethod
-    def _total(div: np.ndarray, vertices: frozenset[int]) -> float:
-        # summed in the set's iteration order, one float at a time
-        return sum(div[list(vertices)].tolist())
-
     @property
     def strength(self) -> float:
-        return self._total(self.divergence(), self.source_set)
+        return math.fsum(self.divergence()[self.sources].tolist())
 
     def energy(self) -> float:
         return float(np.sum(self.theta * self.theta / self.graph.edge_c))
 
     def scaled(self, s: float) -> "Flow":
-        return Flow(self.graph, self.theta * s, self.source_set, self.sink_set, self.tol)
+        return Flow(self.graph, self.theta * s, self.sources, self.sinks, self.tol)
 
     def check(self, rel: Optional[float] = None) -> None:
         """Raise ValueError at the lowest-id free vertex with nonzero
@@ -412,39 +407,32 @@ class Flow:
         rel = self.tol if rel is None else rel
         ids = self.graph.ids
         div = self.divergence()
-        s = self._total(div, self.source_set)
+        s = math.fsum(div[self.sources].tolist())
         scale = max(abs(s), float(np.abs(div[ids]).max()), 1e-300)
-        ends = np.fromiter(self.source_set | self.sink_set, dtype=np.int64)
-        free = ids[~np.isin(ids, ends)]
+        free = ids[~np.isin(ids, np.concatenate([self.sources, self.sinks]))]
         bad = free[np.abs(div[free]) > rel * scale]
         if bad.size:
             v = int(bad[0])
             raise ValueError(f"nonzero divergence {div[v]:.3e} at free vertex {v}")
-        if abs(s + self._total(div, self.sink_set)) > rel * scale:
+        if abs(s + math.fsum(div[self.sinks].tolist())) > rel * scale:
             raise ValueError("source and sink strengths do not balance")
 
 
 def gradient_flow(f: HarmonicField) -> Flow:
-    """Current flow c * df of a solved field; sources are the pinned
-    vertices at the minimum value, sinks at the maximum, so the strength
-    is positive and E(flow) = E(f)."""
+    """Current flow c * df of a solved field, with its tol; sources are the
+    pinned vertices at the minimum value, sinks at the maximum, so the
+    strength is positive and E(flow) = E(f)."""
     g = f.graph
     theta = g.edge_c * (f.values[g.edge_v] - f.values[g.edge_u])
     b = f.values[f.boundary]
-    sources = frozenset(f.boundary[b == b.min()].tolist())
-    sinks = frozenset(f.boundary[b == b.max()].tolist())
-    return Flow(g, theta, sources, sinks, f.tol)
+    return Flow(g, theta, f.boundary[b == b.min()], f.boundary[b == b.max()], f.tol)
 
 
-def unit_pins(S, T) -> dict[int, float]:
-    """0.0 at the vertex ids S, then 1.0 at the ids T, in their order;
-    SolverError when the two share an id."""
-    S, T = (np.fromiter(X, dtype=np.int64) for X in (S, T))
-    if np.intersect1d(S, T).size:
-        raise SolverError("the two pinned sets overlap")
-    pinned = dict.fromkeys(S.tolist(), 0.0)
-    pinned.update(dict.fromkeys(T.tolist(), 1.0))
-    return pinned
+def unit_pins(S, T) -> tuple[np.ndarray, np.ndarray]:
+    """The pinned ids, S then T in their order, and their values, 0.0 on S
+    and 1.0 on T."""
+    S, T = (np.asarray(X, dtype=np.int64) for X in (S, T))
+    return np.concatenate([S, T]), np.repeat([0.0, 1.0], [len(S), len(T)])
 
 
 def effective_resistance(g: WeightedGraph, S, T, tol: float = DEFAULT_TOL) -> float:
@@ -455,7 +443,7 @@ def effective_resistance(g: WeightedGraph, S, T, tol: float = DEFAULT_TOL) -> fl
     """
     if not len(S) or not len(T):
         raise SolverError("S and T must be nonempty")
-    return 1.0 / solve_dirichlet(g, unit_pins(S, T), tol).energy
+    return 1.0 / solve_dirichlet(g, *unit_pins(S, T), tol).energy
 
 
 def breadth_first_levels(indptr: np.ndarray, indices: np.ndarray,
@@ -578,19 +566,22 @@ def harmonic_conjugate(m: MarkedRectangleMap, h: HarmonicField) -> tuple[Harmoni
     return conj, max_res
 
 
-def random_walk_oracle(g: WeightedGraph, pinned: Mapping[int, float], v: int,
+def random_walk_oracle(g: WeightedGraph, ids, values, v: int,
                        n_walks: int, seed: int) -> tuple[float, float]:
-    """Monte Carlo estimate of the harmonic value at v: expected pinned
-    value at the first hit of the pinned set, walking with transition
-    probabilities c(x, y) / pi_x.  Deterministic for a fixed seed."""
-    pinned = {int(k): float(val) for k, val in pinned.items()}
-    if int(v) in pinned:
+    """Monte Carlo estimate of the harmonic value at v: expected value at the
+    first hit of the pinned ids, walking with transition probabilities
+    c(x, y) / pi_x.  Deterministic for a fixed seed."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if np.isin(v, ids):
         raise SolverError("probe vertex is pinned")
     if n_walks < 100:
         raise SolverError("need at least 100 walks")
-    ids = g.ids.tolist()
-    start = ids.index(int(v))
-    at = {i: pinned[k] for i, k in enumerate(ids) if k in pinned}
+    if not np.isin(ids, g.ids).all():
+        raise SolverError("a pinned vertex is not in the graph")
+    value = np.zeros(g.n)
+    value[np.searchsorted(g.ids, ids)] = values
+    pinned, value = np.isin(g.ids, ids).tolist(), value.tolist()
+    start = g.ids.tolist().index(int(v))
     indptr, nbr, edge = g.adjacency()
     neigh = np.split(nbr, indptr[1:-1])
     cdf = [np.cumsum(ws) / ws.sum() for ws in np.split(g.edge_c[edge], indptr[1:-1])]
@@ -599,13 +590,13 @@ def random_walk_oracle(g: WeightedGraph, pinned: Mapping[int, float], v: int,
     total = 0
     for k in range(n_walks):
         cur = start
-        while cur not in at:
+        while not pinned[cur]:
             r = rng.random()
             cur = int(neigh[cur][np.searchsorted(cdf[cur], r)])
             total += 1
             if total > MAX_WALK_STEPS:
                 raise SolverError(f"random walk exceeded {MAX_WALK_STEPS} total steps")
-        hits[k] = at[cur]
+        hits[k] = value[cur]
     est = float(hits.mean())
     stderr = float(hits.std(ddof=1) / math.sqrt(n_walks)) if n_walks > 1 else 0.0
     return est, stderr

@@ -72,10 +72,10 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Finite network: vertex ids with positions, edges with conductance,
-    resistance, Euclidean length and (for graphs extracted from a map) the
-    id of the face each edge is the diagonal of.  Every walk over the graph
-    reads the index arrays of adjacency(), built from edge_index."""
+    """Finite network: vertex ids with positions, edges with conductance
+    and Euclidean length.  Edge k of a graph extracted from a map is the
+    diagonal of face k.  Every walk over the graph reads the index arrays
+    of adjacency(), built from edge_index."""
 
     ids: np.ndarray          # (n,) int64, sorted ascending
     positions: np.ndarray    # (n, 2)
@@ -83,7 +83,6 @@ class WeightedGraph:
     edge_v: np.ndarray
     edge_c: np.ndarray       # conductances > 0
     edge_len: np.ndarray
-    edge_face: np.ndarray    # (m,) int64, -1 when not face-derived
 
     def __post_init__(self):
         if np.any(self.edge_c <= 0) or not np.all(np.isfinite(self.edge_c)):
@@ -134,28 +133,37 @@ def component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
             lab = nxt
 
 
+def id_array(a, n: Optional[int], message: str, ndim: int = 1) -> np.ndarray:
+    """The id rule of every id a map or tiling is given: a, as decoded from
+    JSON, as an int64 array of ndim dimensions; MapError(message) unless
+    every entry is an integer within int64 (not a float, string or boolean)
+    and, when n is given, a vertex id in 0..n-1."""
+    a = np.asarray(a)
+    if (a.ndim != ndim or (a.size and a.dtype.kind != "i")
+            or (n is not None and a.size and (a.min() < 0 or a.max() >= n))):
+        raise MapError(message if n is None else f"{message} in 0..{n - 1}")
+    return a.astype(np.int64, copy=False)
+
+
 class OrthodiagonalMap:
     """Embedded quadrangulation with one exterior face.
 
     vertices: (n, 2) float positions, colors: (n,) 0=primal / 1=dual,
     faces: (f, 4) int vertex ids ccw starting primal, boundary: (b,) int64
-    vertex ids tracing the outer face counterclockwise.
+    vertex ids tracing the outer face counterclockwise, both by id_array.
     """
 
-    def __init__(self, positions, colors, faces, boundary, mesh_eps: Optional[float] = None):
+    def __init__(self, positions, colors, faces, boundary):
         self.positions = np.asarray(positions, dtype=float)
         self.colors = np.asarray(colors, dtype=np.int64)
-        faces = np.asarray(faces, dtype=np.int64)
-        if faces.ndim != 2 or faces.shape[1] != 4:
+        n = len(self.positions)
+        faces = id_array(faces, n, "faces must be 4-tuples of vertex ids", ndim=2)
+        if faces.shape[1] != 4:
             raise MapError("faces must be 4-tuples of vertex ids")
         # a face given from a dual vertex starts one step later
         self.faces = np.where((self.colors[faces[:, 0]] == PRIMAL)[:, None],
                               faces, np.roll(faces, -1, axis=1))
-        boundary = np.asarray(boundary)
-        if boundary.ndim != 1 or (boundary.size and boundary.dtype.kind not in "iu"):
-            raise MapError("boundary must be a flat list of vertex ids")
-        self.boundary = boundary.astype(np.int64)
-        self.mesh_eps = float(mesh_eps) if mesh_eps is not None else self._recompute_mesh_eps()
+        self.boundary = id_array(boundary, n, "boundary must be a flat list of vertex ids")
         self._caches: dict = {}
 
     # -- derived quantities ------------------------------------------------
@@ -176,12 +184,12 @@ class OrthodiagonalMap:
             self._caches["sides"] = np.stack([keys >> 32, keys & (2 ** 32 - 1)], axis=1)
         return self._caches["sides"]
 
-    def _recompute_mesh_eps(self) -> float:
-        if self.n_faces == 0:
-            return 0.0
+    @cached_property
+    def mesh_eps(self) -> float:
+        """The longest face side, 0.0 without faces."""
         q = self.positions[self.faces]                     # (f, 4, 2)
         d = q - np.roll(q, -1, axis=1)
-        return float(np.sqrt((d ** 2).sum(-1)).max())
+        return float(np.sqrt((d ** 2).sum(-1)).max(initial=0.0))
 
     def face_centroids(self) -> np.ndarray:
         if "centroids" not in self._caches:
@@ -200,12 +208,6 @@ class OrthodiagonalMap:
 
     # -- weighted graph extraction ------------------------------------------
 
-    def _diagonals(self, which: int) -> tuple[np.ndarray, np.ndarray]:
-        f = self.faces
-        if which == PRIMAL:
-            return f[:, 0], f[:, 2]
-        return f[:, 1], f[:, 3]
-
     def extract(self, which: int) -> WeightedGraph:
         """Primal (which=PRIMAL) or dual (which=DUAL) weighted graph.
 
@@ -215,9 +217,9 @@ class OrthodiagonalMap:
         key = ("graph", which)
         if key in self._caches:
             return self._caches[key]
-        p = self.positions
-        u, v = self._diagonals(which)
-        ou, ov = self._diagonals(1 - which)
+        p, f = self.positions, self.faces
+        # the diagonals of the given color are columns which, which + 2
+        u, v, ou, ov = f[:, which], f[:, which + 2], f[:, 1 - which], f[:, 3 - which]
         own = np.sqrt(((p[u] - p[v]) ** 2).sum(-1))
         other = np.sqrt(((p[ou] - p[ov]) ** 2).sum(-1))
         if np.any(own == 0.0) or np.any(other == 0.0):
@@ -225,8 +227,7 @@ class OrthodiagonalMap:
             raise MapError(f"face {bad} has a zero-length diagonal")
         c = other / own
         ids = np.flatnonzero(self.colors == which)
-        g = WeightedGraph(ids, p[ids], u.astype(np.int64), v.astype(np.int64),
-                          c, own, np.arange(self.n_faces, dtype=np.int64))
+        g = WeightedGraph(ids, p[ids], u.astype(np.int64), v.astype(np.int64), c, own)
         self._caches[key] = g
         return g
 
@@ -329,28 +330,35 @@ def load_rows(path: str, member: str, keys: frozenset, row) -> dict:
 
 
 def load_map(path: str) -> tuple[OrthodiagonalMap, Optional[list[int]]]:
-    """Read a save_map file, its vertex records straight into columns."""
-    ids, xy, primal = [], ([], []), []
+    """Read a save_map file, its vertex records straight into columns.
+    MapError unless they carry each id of 0..n-1 once, colored "primal" or
+    "dual", and faces, boundary and marked hold ids by id_array's rule."""
+    ids, xy, color, code = [], ([], []), [], {"primal": PRIMAL, "dual": DUAL}.get
 
     def row(r):
         ids.append(r["id"])
         xy[0].append(r["x"])
         xy[1].append(r["y"])
-        primal.append(r["color"] == "primal")
+        color.append(code(r["color"], -1))
 
     d = load_rows(path, "vertices", frozenset(("id", "x", "y", "color")), row)
-    ids = np.array(ids, dtype=np.int64)
-    pos = np.zeros((len(ids), 2))
+    n = len(ids)
+    ids = id_array(ids, n, "vertex record ids must be integers")
+    # a repeated id leaves another one's color at -1
+    colors = np.full(n, -1)
+    colors[ids] = color
+    if np.any(colors < 0):
+        raise MapError(f'vertex records must carry each id of 0..{n - 1} once '
+                       'and color "primal" or "dual"')
+    pos = np.zeros((n, 2))
     pos[ids] = np.array(xy, dtype=float).swapaxes(0, 1)   # converted as (x, y) pairs are
     if not np.all(np.isfinite(pos)):
         raise MapError("vertex coordinates must be finite numbers")
-    col = np.zeros(len(ids), dtype=np.int64)
-    col[ids] = np.where(primal, PRIMAL, DUAL)
-    # free the value lists, and the face lists once converted, before the
-    # map's (f, 4, 2) temporaries
-    del xy, primal
-    m = OrthodiagonalMap(pos, col, d.pop("faces"), d["boundary"])
-    marked = [int(x) for x in d["marked"]] if "marked" in d and d["marked"] else None
+    # free the value lists before the face lists are converted
+    del xy, color
+    m = OrthodiagonalMap(pos, colors, d.pop("faces"), d["boundary"])
+    marked = (id_array(d["marked"], n, "marked must be a flat list of vertex ids").tolist()
+              if "marked" in d and d["marked"] else None)
     return m, marked
 
 
@@ -420,8 +428,8 @@ def first_per_point(n: int, pi: np.ndarray, values: np.ndarray, fill) -> np.ndar
 class FaceLocator:
     """Uniform-hash point location over the faces of a map.
 
-    Every face is hashed to the grid cells its bounding box meets; the
-    cells are stored as sorted keys with their face ids in ascending order.
+    Every face is hashed to the grid cells its padded bounding box (below)
+    meets, stored as sorted cell keys with face ids in ascending order.
     containing(pts) is the batched kernel: all (point, face) pairs where
     the closed face contains the point within tol = 1e-12 max(1, mesh_eps),
     ordered by point and then face id.  locate(p) returns the lowest such
@@ -429,9 +437,11 @@ class FaceLocator:
 
     Every face is tested by geom's polygon rule: it contains a point within
     tol of one of its sides, or inside it by crossing-number parity.  Every
-    such point lies within tol of the face's bounding box, so only the
-    hashed pairs whose point lies in the face's box padded by 2 tol (tol
-    spared for rounding) are tested.
+    such point lies within tol of the face's bounding box, so each face is
+    hashed by its box padded by 2 tol (tol spared for rounding), cells of
+    side max(2 mesh_eps, 1e-12) counted from the lowest padded corner, and
+    only pairs whose point lies in the box are tested.  Cell indices are
+    monotone in the coordinate, so a point in a box lies in a cell it met.
     """
 
     def __init__(self, m: OrthodiagonalMap):
@@ -440,28 +450,27 @@ class FaceLocator:
         self.cell = max(m.mesh_eps * 2.0, 1e-12)
         self.tol = 1e-12 * max(1.0, m.mesh_eps)
         qlo, qhi = (f(f(q[:, 0], q[:, 1]), f(q[:, 2], q[:, 3])) for f in (np.minimum, np.maximum))
-        lo = np.floor(qlo / self.cell).astype(np.int64)
-        hi = np.floor(qhi / self.cell).astype(np.int64)
-        self.origin = lo.min(axis=0)
-        self.shape = hi.max(axis=0) - self.origin + 1
-        # one (cell, face) entry per cell of each face's bounding box
+        self.box_lo, self.box_hi = qlo - 2 * self.tol, qhi + 2 * self.tol
+        self.origin = self.box_lo.min(axis=0)
+        lo = np.floor((self.box_lo - self.origin) / self.cell).astype(np.int64)
+        hi = np.floor((self.box_hi - self.origin) / self.cell).astype(np.int64)
+        self.shape = hi.max(axis=0) + 1
+        # one (cell, face) entry per cell of each face's padded box
         ny = hi[:, 1] - lo[:, 1] + 1
         count = (hi[:, 0] - lo[:, 0] + 1) * ny
         face = np.repeat(np.arange(m.n_faces, dtype=np.int64), count)
         k = np.arange(len(face)) - np.repeat(np.cumsum(count) - count, count)
-        g = lo[face] - self.origin
-        key = (g[:, 0] + k // ny[face]) * self.shape[1] + g[:, 1] + k % ny[face]
+        key = (lo[face, 0] + k // ny[face]) * self.shape[1] + lo[face, 1] + k % ny[face]
         order = np.lexsort((face, key))
         self.cell_keys, start = np.unique(key[order], return_index=True)
         self.cell_start = np.append(start, len(key))
         self.cell_faces = face[order]
-        self.box_lo, self.box_hi = qlo - 2 * self.tol, qhi + 2 * self.tol
 
     def _candidates(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(point index, face id) pairs for the faces hashed to each
         point's cell whose widened box holds the point, ordered by point
         and then face id."""
-        g = np.floor(pts / self.cell) - self.origin
+        g = np.floor((pts - self.origin) / self.cell)
         ok = np.all((g >= 0) & (g < self.shape), axis=1)
         key = np.where(ok, g[:, 0] * self.shape[1] + g[:, 1], -1).astype(np.int64)
         slot = np.minimum(np.searchsorted(self.cell_keys, key), len(self.cell_keys) - 1)
@@ -526,9 +535,9 @@ def validate(m: OrthodiagonalMap) -> ValidationReport:
     """Check every structural invariant; returns a report, never raises.
 
     Reported violations: color alternation, diagonal orthogonality,
-    face orientation, Euler characteristic / boundary simplicity,
-    boundary-cycle consistency and the stored mesh_eps.  Non-convex faces
-    are recorded separately (they are legal) because the area identity
+    face orientation, Euler characteristic / boundary simplicity and
+    boundary-cycle consistency.  Non-convex faces are recorded separately
+    (they are legal) because the area identity
     Area = |e_primal||e_dual| / 2 only holds when the diagonals cross.
     """
     rep = ValidationReport()
@@ -577,11 +586,6 @@ def validate(m: OrthodiagonalMap) -> ValidationReport:
         ring = m.boundary_polyline()
         if geom.signed_area(ring[:-1]) <= 0:
             rep.add("boundary-orientation", (), 0.0, "boundary cycle is not counterclockwise")
-
-    recomputed = m._recompute_mesh_eps()
-    if abs(recomputed - m.mesh_eps) > 1e-12 * max(1.0, recomputed):
-        rep.add("mesh-eps", (), abs(recomputed - m.mesh_eps),
-                f"stored mesh_eps {m.mesh_eps} != recomputed {recomputed}")
     return rep
 
 

@@ -20,8 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import harmonic
-from .odmap import (FaceLocator, MarkedRectangleMap, barycentric, first_per_point, json_floats,
-                    load_rows, write_json_rows)
+from .odmap import (FaceLocator, MarkedRectangleMap, barycentric, first_per_point, id_array,
+                    json_floats, load_rows, write_json_rows)
 
 DEGENERATE_TOL = 1e-9      # sides up to this (widths: times max(L, 1)) are degenerate
 VERIFY_TOL = 1e-9          # verify_tiling's slack, times max(L, 1), unless a caller passes one
@@ -98,7 +98,8 @@ def save_tiling(path: str, t: Tiling) -> None:
 
 def load_tiling(path: str) -> Tiling:
     """Read a save_tiling file, its tile records straight into columns;
-    degenerate uses the size rule only."""
+    degenerate uses the size rule only.  Tile faces and edge ids follow the
+    id rule (odmap.id_array)."""
     face, eu, ev, rect = [], [], [], array.array("d")
 
     def row(r):
@@ -112,8 +113,9 @@ def load_tiling(path: str) -> Tiling:
 
     d = load_rows(path, "tiles", frozenset(("face", "edge", "x0", "x1", "y0", "y1")), row)
     L = float(d["L"])
-    face = np.array(face, dtype=np.int64)
-    edge = np.stack([np.array(c, dtype=np.int64) for c in (eu, ev)], axis=1).reshape(-1, 2)
+    face = id_array(face, None, "tile faces must be integers")
+    edge = np.stack([id_array(c, None, "tile edges must be integer pairs") for c in (eu, ev)],
+                    axis=1).reshape(-1, 2)
     rect = np.frombuffer(rect).reshape(-1, 4)
     x0, x1, y0, y1 = rect.T
     deg = (x1 - x0 <= DEGENERATE_TOL * max(L, 1.0)) | (y1 - y0 <= DEGENERATE_TOL)
@@ -131,7 +133,7 @@ def build_tiling(m: MarkedRectangleMap, tol: float = harmonic.DEFAULT_TOL
     in all accounting.
     """
     gp = m.map.extract_primal()
-    h01 = harmonic.solve_dirichlet(gp, harmonic.unit_pins(m.arc_ab, m.arc_cd), tol)
+    h01 = harmonic.solve_dirichlet(gp, *harmonic.unit_pins(m.arc_ab, m.arc_cd), tol)
     L = 1.0 / h01.energy
     # L * 0.0 and L * 1.0 are the pinned values 0 and L exactly
     h = harmonic.HarmonicField(gp, L * h01.values, h01.boundary, h01.tol * max(L, 1.0),

@@ -27,7 +27,7 @@ def graph_from_edges(positions, edges):
     ec = np.array([e[2] for e in edges], dtype=float)
     el = np.array([np.hypot(positions[int(u)][0] - positions[int(v)][0],
                             positions[int(u)][1] - positions[int(v)][1]) for u, v in zip(eu, ev)])
-    return odmap.WeightedGraph(ids, pos, eu, ev, ec, el, np.full(len(eu), -1, dtype=np.int64))
+    return odmap.WeightedGraph(ids, pos, eu, ev, ec, el)
 
 
 def grid_graph(a, b, c=1.0):
@@ -279,18 +279,21 @@ def oracle_quad_is_convex(q) -> bool:
 
 
 class OracleLocator:
-    """Dict-of-lists spatial hash with per-point, per-face containment."""
+    """Dict-of-lists spatial hash with per-point, per-face containment:
+    each face is hashed by its bounding box padded by 2 tol, cells counted
+    from the lowest padded corner."""
 
     def __init__(self, m):
-        import math
-        self.math = math
         self.m = m
         q = m.positions[m.faces]
         self.cell = max(m.mesh_eps * 2.0, 1e-12)
         self.tol = 1e-12 * max(1.0, m.mesh_eps)
         buckets = {}
-        lo = np.floor(q.min(axis=1) / self.cell).astype(int)
-        hi = np.floor(q.max(axis=1) / self.cell).astype(int)
+        box_lo, box_hi = q.min(axis=1) - 2 * self.tol, q.max(axis=1) + 2 * self.tol
+        origin = box_lo.min(axis=0)
+        lo = np.floor((box_lo - origin) / self.cell).astype(int)
+        hi = np.floor((box_hi - origin) / self.cell).astype(int)
+        self.origin = origin.tolist()
         for fi in range(m.n_faces):
             for gx in range(lo[fi, 0], hi[fi, 0] + 1):
                 for gy in range(lo[fi, 1], hi[fi, 1] + 1):
@@ -301,8 +304,8 @@ class OracleLocator:
         return _oracle_simple_polygon_contains(self.m.positions[self.m.faces[fi]], p, self.tol)
 
     def bucket(self, p):
-        gx = int(self.math.floor(p[0] / self.cell))
-        gy = int(self.math.floor(p[1] / self.cell))
+        gx = math.floor((float(p[0]) - self.origin[0]) / self.cell)
+        gy = math.floor((float(p[1]) - self.origin[1]) / self.cell)
         return sorted(self.buckets.get((gx, gy), []))
 
     def locate(self, p):
@@ -407,14 +410,15 @@ def oracle_flow_check(flow, rel=1e-10):
         arr[idx[int(u)]] += th
         arr[idx[int(v)]] -= th
     div = {int(v): float(arr[i]) for i, v in enumerate(g.ids)}
-    s = sum(div[v] for v in flow.source_set)
+    sources, sinks = flow.sources.tolist(), flow.sinks.tolist()
+    s = math.fsum(div[v] for v in sources)
     scale = max(abs(s), max(abs(d) for d in div.values()), 1e-300)
     for v in sorted(div):
-        if v in flow.source_set or v in flow.sink_set:
+        if v in sources or v in sinks:
             continue
         if abs(div[v]) > rel * scale:
             return s, f"nonzero divergence {div[v]:.3e} at free vertex {v}"
-    if abs(s + sum(div[v] for v in flow.sink_set)) > rel * scale:
+    if abs(s + math.fsum(div[v] for v in sinks)) > rel * scale:
         return s, "source and sink strengths do not balance"
     return s, None
 
@@ -731,10 +735,6 @@ def oracle_validate(m):
         ring = m.boundary_polyline()
         if geom.signed_area(ring[:-1]) <= 0:
             rep.add("boundary-orientation", (), 0.0, "boundary cycle is not counterclockwise")
-    recomputed = m._recompute_mesh_eps()
-    if abs(recomputed - m.mesh_eps) > 1e-12 * max(1.0, recomputed):
-        rep.add("mesh-eps", (), abs(recomputed - m.mesh_eps),
-                f"stored mesh_eps {m.mesh_eps} != recomputed {recomputed}")
     return rep
 
 

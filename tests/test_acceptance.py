@@ -95,9 +95,7 @@ def test_criterion_03_conjugacy(big):
         conj, max_res = harmonic.harmonic_conjugate(mm, h)
         worst_cycle = max(worst_cycle, max_res / max(h.gap(), 1.0))
         gd = mm.map.extract_dual()
-        pinned = {int(v): 0.0 for v in mm.arc_bc}
-        pinned.update({int(v): 1.0 for v in mm.arc_da})
-        hd = harmonic.solve_dirichlet(gd, pinned, tol=1e-12)
+        hd = harmonic.solve_dirichlet(gd, *harmonic.unit_pins(mm.arc_bc, mm.arc_da), tol=1e-12)
         diffs = np.array([ht.values[int(v)] - hd.values[int(v)] for v in gd.ids])
         dev = float(np.abs(diffs - diffs.mean()).max())
         worst_const = max(worst_const, dev)
@@ -268,10 +266,9 @@ def test_criterion_12_oracle_cross_checks(specs):
             g = mm.map.extract(0 if which == "primal" else 1)
             if g.n > 500:
                 continue
-            pinned = {int(v): 0.0 for v in S}
-            pinned.update({int(v): 1.0 for v in T})
-            hc = harmonic.solve_dirichlet(g, pinned, tol=1e-12)
-            hd = harmonic.solve_dirichlet_dense(g, pinned)
+            pinned = harmonic.unit_pins(S, T)
+            hc = harmonic.solve_dirichlet(g, *pinned, tol=1e-12)
+            hd = harmonic.solve_dirichlet_dense(g, *pinned)
             dev = max(abs(hc.values[k] - hd.values[k]) for k in g.ids)
             worst = max(worst, dev)
     assert worst <= 1e-8
@@ -279,14 +276,13 @@ def test_criterion_12_oracle_cross_checks(specs):
     # random-walk oracle at five probes
     mm, _ = gridgen.grid_approximation(specs["rectangle"], 0.25)
     gp = mm.map.extract_primal()
-    pinned = {int(v): 0.0 for v in mm.arc_ab}
-    pinned.update({int(v): 1.0 for v in mm.arc_cd})
-    h = harmonic.solve_dirichlet(gp, pinned, tol=1e-12)
-    free = [int(v) for v in gp.ids if int(v) not in pinned]
+    pinned = harmonic.unit_pins(mm.arc_ab, mm.arc_cd)
+    h = harmonic.solve_dirichlet(gp, *pinned, tol=1e-12)
+    free = gp.ids[~np.isin(gp.ids, pinned[0])].tolist()
     probes = free[:: max(1, len(free) // 5)][:5]
     worst_z = 0.0
     for i, v in enumerate(probes):
-        est, se = harmonic.random_walk_oracle(gp, pinned, v, 10_000, seed=100 + i)
+        est, se = harmonic.random_walk_oracle(gp, *pinned, v, 10_000, seed=100 + i)
         z = abs(est - h.values[v]) / max(se, 1e-12)
         worst_z = max(worst_z, z)
         assert z <= 3.0, f"probe {v}: z = {z:.2f}"

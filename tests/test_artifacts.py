@@ -84,5 +84,5 @@ def test_tiling_float_spellings(out_dir, L, rect, big_edge):
 def test_map_float_spellings(out_dir, xy, marked):
     # the star map's topology with arbitrary coordinates
     s = star_map().map
-    m = odmap.OrthodiagonalMap(np.array(xy), s.colors, s.faces, s.boundary, mesh_eps=1.0)
+    m = odmap.OrthodiagonalMap(np.array(xy), s.colors, s.faces, s.boundary)
     assert _map_bytes(out_dir, m, marked) == oracle_map_bytes(m, marked)

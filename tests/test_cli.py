@@ -278,6 +278,22 @@ def test_tile_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert written[0] == written[1]
 
 
+def test_chain_never_reads_mesh_eps(tmp_path, monkeypatch):
+    # generate, tile, verify and duality read no mesh_eps, so no command of
+    # the chain pays for its (f, 4, 2) side lengths
+    def unread(m):
+        raise AssertionError("mesh_eps was read")
+
+    monkeypatch.setattr(odmap.OrthodiagonalMap, "mesh_eps", property(unread))
+    dom = tmp_path / "L.json"
+    dom.write_text(json.dumps({"polygon": L_POLY, "marked": L_MARKS}))
+    mp, tp, sp = (str(tmp_path / n) for n in ("map.json", "t.json", "t.svg"))
+    for argv in (["generate", "--domain", str(dom), "--mesh", "0.125", "--out", mp],
+                 ["tile", "--map", mp, "--out", tp, "--svg", sp],
+                 ["verify", "--tiling", tp], ["duality", "--map", mp]):
+        assert cli.main(argv) == 0, argv[0]
+
+
 def test_help_available():
     for cmd in ("generate", "tile", "verify", "duality", "converge"):
         r = run_cli(cmd, "--help")

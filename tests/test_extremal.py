@@ -18,7 +18,7 @@ def test_single_edge_network():
 def test_extremal_length_star_and_strip():
     res = extremal.extremal_length(star_map(), "primal", tol=1e-12)
     assert abs(res.lam - 1.0) < 1e-12
-    assert abs(res.lam - 1.0 / res.energy) < 1e-12
+    assert abs(res.lam - 1.0 / res.witness_field.energy) < 1e-12
     res = extremal.extremal_length(strip_map(), "primal", tol=1e-12)
     assert abs(res.lam - 3.0) < 1e-10
 
@@ -64,9 +64,7 @@ def test_a_bad_start_does_not_decide_the_dual_answer(l_map64):
 def test_rectangle_el_against_dense_oracle(rect_spec):
     mm, _ = gridgen.grid_approximation(rect_spec, 1 / 4)
     gp = mm.map.extract_primal()
-    pinned = {int(v): 0.0 for v in mm.arc_ab}
-    pinned.update({int(v): 1.0 for v in mm.arc_cd})
-    hd = harmonic.solve_dirichlet_dense(gp, pinned)
+    hd = harmonic.solve_dirichlet_dense(gp, *harmonic.unit_pins(mm.arc_ab, mm.arc_cd))
     res = extremal.extremal_length(mm, "primal", tol=1e-12)
     assert abs(res.lam - 1.0 / hd.energy) < 1e-9
 

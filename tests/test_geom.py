@@ -464,6 +464,16 @@ def ring_cases(draw):
     return ring, np.stack([x.ravel(), y.ravel()], axis=1)
 
 
+def test_ray_parity_quotient_may_overflow():
+    # the crossing x is formed for every edge, also for the first edge of
+    # this triangle, which does not straddle y = 0.5: 0.5 / 5e-324
+    # overflows there, which decides nothing and raises no RuntimeWarning
+    a = np.array([[0.0, 0.0], [1.0, 5e-324], [0.0, 1.0]])
+    b = np.roll(a, -1, axis=0)
+    assert geom.ray_parity(np.array([[0.25, 0.5], [0.75, 0.5]])[:, None], a, b).tolist() \
+        == [True, False]
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=ring_cases(), block_pairs=st.sampled_from([1, 5, 1 << 16]))
 def test_points_in_ring_matches_unfiltered_parity(case, block_pairs):

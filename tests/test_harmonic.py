@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -17,19 +18,19 @@ def path3(c1=1.0, c2=1.0):
 
 
 def test_symmetric_path_midpoint():
-    h = harmonic.solve_dirichlet(path3(), {0: 0.0, 2: 1.0})
+    h = harmonic.solve_dirichlet(path3(), [0, 2], [0.0, 1.0])
     assert abs(h.values[1] - 0.5) < 1e-12
 
 
 def test_weighted_path_balance():
     # 1 (0 - m) + 2 (1 - m) = 0  =>  m = 2/3
-    h = harmonic.solve_dirichlet(path3(1.0, 2.0), {0: 0.0, 2: 1.0})
+    h = harmonic.solve_dirichlet(path3(1.0, 2.0), [0, 2], [0.0, 1.0])
     assert abs(h.values[1] - 2.0 / 3.0) < 1e-12
 
 
 def test_constant_pinning():
     g = grid_graph(3, 3)
-    h = harmonic.solve_dirichlet(g, {0: 7.0, 8: 7.0})
+    h = harmonic.solve_dirichlet(g, [0, 8], [7.0, 7.0])
     assert all(abs(v - 7.0) < 1e-12 for v in h.values[g.ids])
     assert h.energy < 1e-20
     f = harmonic.gradient_flow(h)
@@ -39,7 +40,7 @@ def test_constant_pinning():
 
 def test_maximum_principle_and_residual_fields():
     g = grid_graph(5, 5)
-    h = harmonic.solve_dirichlet(g, {0: 0.0, 24: 1.0})
+    h = harmonic.solve_dirichlet(g, [0, 24], [0.0, 1.0])
     vals = h.values[g.ids]
     assert vals.min() >= -1e-10 and vals.max() <= 1 + 1e-10
     assert h.residual <= h.tol
@@ -58,9 +59,7 @@ def test_grid_resistance_linear_ansatz_and_dense_oracle():
         T = [(a - 1) * b + j for j in range(b)]
         r = harmonic.effective_resistance(g, S, T, tol=1e-12)
         assert abs(r - (a - 1) / b) < 1e-10
-        pinned = {s: 0.0 for s in S}
-        pinned.update({t: 1.0 for t in T})
-        hd = harmonic.solve_dirichlet_dense(g, pinned)
+        hd = harmonic.solve_dirichlet_dense(g, *harmonic.unit_pins(S, T))
         assert abs(1.0 / hd.energy - r) < 1e-10
 
 
@@ -75,9 +74,9 @@ def test_cg_matches_dense_oracle_everywhere():
                  for u, v in zip(g.edge_u, g.edge_v)]
         g = graph_from_edges(pos, edges)
         n = g.n
-        pinned = {0: float(rng.uniform(-1, 1)), n - 1: float(rng.uniform(-1, 1))}
-        hc = harmonic.solve_dirichlet(g, pinned, tol=1e-12)
-        hd = harmonic.solve_dirichlet_dense(g, pinned)
+        pinned = [0, n - 1], [float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))]
+        hc = harmonic.solve_dirichlet(g, *pinned, tol=1e-12)
+        hd = harmonic.solve_dirichlet_dense(g, *pinned)
         diff = max(abs(hc.values[k] - hd.values[k]) for k in g.ids)
         assert diff < 1e-8
 
@@ -85,14 +84,23 @@ def test_cg_matches_dense_oracle_everywhere():
 def test_solver_errors():
     g = grid_graph(3, 3)
     with pytest.raises(harmonic.SolverError):
-        harmonic.solve_dirichlet(g, {})
+        harmonic.solve_dirichlet(g, [], [])
     disconnected = graph_from_edges(
         {0: (0, 0), 1: (1, 0), 2: (5, 0), 3: (6, 0)},
         [(0, 1, 1.0), (2, 3, 1.0)])
     with pytest.raises(harmonic.SolverError, match=r"^2 free vertices unreachable .*first: 2\)"):
-        harmonic.solve_dirichlet(disconnected, {0: 0.0, 1: 1.0})
+        harmonic.solve_dirichlet(disconnected, [0, 1], [0.0, 1.0])
     with pytest.raises(harmonic.SolverError):
         harmonic.effective_resistance(g, [0, 1], [1, 2])  # overlap
+
+
+def test_repeated_pin_id_is_an_error():
+    # each vertex is pinned at most once, whether or not its values agree
+    g = grid_graph(3, 3)
+    for ids, values in (([0, 8, 0], [0.0, 1.0, 0.0]), ([0, 8, 8], [0.0, 1.0, 0.5])):
+        for solve in (harmonic.solve_dirichlet, harmonic.solve_dirichlet_dense):
+            with pytest.raises(harmonic.SolverError, match="^a vertex is pinned twice$"):
+                solve(g, ids, values)
 
 
 def _bits(a):
@@ -113,7 +121,7 @@ def _jacobi_solve(g, pinned, tol=harmonic.DEFAULT_TOL):
     that solve_dirichlet ran before, from the mean pinned value with its
     step cap: scipy's (oracle_cg) and the package's old loop
     (oracle_jacobi_cg), which must agree bit for bit."""
-    keys, values, free_ids, entries, b, diag = harmonic._reduced_system(g, pinned)
+    keys, values, free_ids, entries, b, diag = harmonic._reduced_system(g, *pinned)
     A = harmonic.SlotMatrix(len(free_ids), *entries)
     maxiter = max(int(20 * math.isqrt(len(free_ids)) + 1), 10_000)
     x0 = np.full(len(free_ids), float(np.mean(values[keys])))
@@ -127,7 +135,7 @@ def _jacobi_solve(g, pinned, tol=harmonic.DEFAULT_TOL):
 def _system(g, pinned):
     """solve_dirichlet's reduced system: the matrix, rhs, free ids, the
     mean-pinned start, and the preconditioner set-up that _pcg takes."""
-    keys, values, free_ids, entries, b, diag = harmonic._reduced_system(g, pinned)
+    keys, values, free_ids, entries, b, diag = harmonic._reduced_system(g, *pinned)
     A = harmonic.SlotMatrix(len(free_ids), *entries)
     x0 = np.full(len(free_ids), float(np.mean(values[keys])))
     return A, b, free_ids, x0, lambda: harmonic._multigrid(g, free_ids, A, entries, diag)
@@ -183,12 +191,12 @@ def test_pcg_agrees_with_dense_and_jacobi_oracles(topology_maps, l_map64):
     assert set(np.unique(stretched.map.extract_primal().edge_c)) == {0.5, 2.0}
     maps = {**topology_maps, "stretched": stretched, "L64": l_map64}
     for name, g, pinned in _cg_systems(maps):
-        h = harmonic.solve_dirichlet(g, pinned)
+        h = harmonic.solve_dirichlet(g, *pinned)
         A, b, free_ids, _, _ = _system(g, pinned)
         x = h.values[free_ids]
         oracles = [_jacobi_solve(g, pinned)]
         if A.n < 2000:
-            oracles.append(harmonic.solve_dirichlet_dense(g, pinned).values[free_ids])
+            oracles.append(harmonic.solve_dirichlet_dense(g, *pinned).values[free_ids])
         inv = _inverse_norm_bound(A)
         for y in oracles:
             bound = inv * (_residual_bound(A, b, x) + _residual_bound(A, b, y))
@@ -200,8 +208,8 @@ def test_pcg_zero_rhs_returns_zeros_after_no_steps(topology_maps):
     # all pins 0: b == 0, and the loop returns zeros from any start without
     # stepping or building the preconditioner
     for name, g, pinned in _cg_systems(topology_maps):
-        zero = dict.fromkeys(pinned, 0.0)
-        h = harmonic.solve_dirichlet(g, zero)
+        zero = pinned[0], np.zeros(len(pinned[0]))
+        h = harmonic.solve_dirichlet(g, *zero)
         assert h.iterations == 0 and not h.values[g.ids].any(), name
         A, b, _, x0, _ = _system(g, zero)
         x, steps = harmonic._pcg(A, b, x0 + 3.0, harmonic.DEFAULT_TOL, _no_setup)
@@ -239,7 +247,7 @@ def test_pcg_steps_stop_doubling_as_eps_halves(l_spec):
     for k in range(3, 8):
         mm = gridgen.grid_approximation(l_spec, 2.0 ** -k)[0]
         g = mm.map.extract_primal()
-        steps.append(harmonic.solve_dirichlet(g, harmonic.unit_pins(mm.arc_ab, mm.arc_cd))
+        steps.append(harmonic.solve_dirichlet(g, *harmonic.unit_pins(mm.arc_ab, mm.arc_cd))
                      .iterations)
     assert max(steps) <= 80, steps
 
@@ -249,7 +257,7 @@ def _slot_systems(maps):
     and for the fan pinned at two rim vertices, its hub row 69 entries
     wide."""
     yield from _cg_systems(maps)
-    yield "fan", fan_graph(), {1: 0.0, 36: 1.0}
+    yield "fan", fan_graph(), ([1, 36], [0.0, 1.0])
 
 
 def _dense_reduced(g, pinned):
@@ -261,7 +269,7 @@ def _dense_reduced(g, pinned):
     np.add.at(diag, iu, g.edge_c)
     np.add.at(diag, iv, g.edge_c)
     lap[np.arange(g.n), np.arange(g.n)] = diag
-    free = ~np.isin(g.ids, list(pinned))
+    free = ~np.isin(g.ids, pinned[0])
     return lap[free][:, free]
 
 
@@ -276,7 +284,7 @@ def slot_systems(topology_maps):
     systems = []
     for name, g, pinned in _slot_systems(topology_maps):
         dense = _dense_reduced(g, pinned)
-        A = harmonic.SlotMatrix(len(dense), *harmonic._reduced_system(g, pinned)[3])
+        A = harmonic.SlotMatrix(len(dense), *harmonic._reduced_system(g, *pinned)[3])
         systems.append((name, A, dense))
     return systems
 
@@ -385,7 +393,7 @@ def test_conjugate_of_disconnected_dual_graph_is_an_error():
     m2 = odmap.OrthodiagonalMap(np.vstack([m.positions, [[2.0, 2.0]]]),
                                 np.append(m.colors, odmap.DUAL), m.faces, m.boundary)
     mm2 = odmap.MarkedRectangleMap(m2, mm.marked)
-    h = harmonic.solve_dirichlet(m2.extract_primal(), harmonic.unit_pins(mm2.arc_ab, mm2.arc_cd))
+    h = harmonic.solve_dirichlet(m2.extract_primal(), *harmonic.unit_pins(mm2.arc_ab, mm2.arc_cd))
     with pytest.raises(harmonic.ConjugacyError, match="^dual graph is not connected$"):
         harmonic.harmonic_conjugate(mm2, h)
 
@@ -399,10 +407,10 @@ def test_conjugate_start_never_raises(rect_map16):
     m2 = odmap.OrthodiagonalMap(np.vstack([m.positions, [[2.0, 2.0]]]),
                                 np.append(m.colors, odmap.DUAL), m.faces, m.boundary)
     mm2 = odmap.MarkedRectangleMap(m2, mm.marked)
-    h2 = harmonic.solve_dirichlet(m2.extract_primal(), harmonic.unit_pins(mm2.arc_ab, mm2.arc_cd))
+    h2 = harmonic.solve_dirichlet(m2.extract_primal(), *harmonic.unit_pins(mm2.arc_ab, mm2.arc_cd))
     mm16 = rect_map16[0]
     gp = mm16.map.extract_primal()
-    rough = harmonic.solve_dirichlet(gp, harmonic.unit_pins(mm16.arc_ab, mm16.arc_cd))
+    rough = harmonic.solve_dirichlet(gp, *harmonic.unit_pins(mm16.arc_ab, mm16.arc_cd))
     rough.values[gp.ids] += np.random.default_rng(0).normal(0.0, 1e-3, gp.n)
     for mk, h in ((mm2, h2), (mm16, rough)):
         with pytest.raises(harmonic.ConjugacyError):
@@ -417,29 +425,28 @@ def test_iterations_count_cg_steps(rect_map16, monkeypatch):
     mm = rect_map16[0]
     g = mm.map.extract_primal()
     pinned = harmonic.unit_pins(mm.arc_ab, mm.arc_cd)
-    h = harmonic.solve_dirichlet(g, pinned)
+    h = harmonic.solve_dirichlet(g, *pinned)
     # the residual is checked after each step, so a cap of that many steps
     # gives the same field, and one fewer step falls short
     monkeypatch.setattr(harmonic, "MAX_STEPS", h.iterations)
     assert h.iterations > 0
-    assert np.array_equal(_bits(harmonic.solve_dirichlet(g, pinned).values[g.ids]),
+    assert np.array_equal(_bits(harmonic.solve_dirichlet(g, *pinned).values[g.ids]),
                           _bits(h.values[g.ids]))
     monkeypatch.setattr(harmonic, "MAX_STEPS", h.iterations - 1)
     with pytest.raises(harmonic.SolverError):
-        harmonic.solve_dirichlet(g, pinned)
+        harmonic.solve_dirichlet(g, *pinned)
     # a start that meets tol takes no step and builds no preconditioner
     A, b, free_ids, _, _ = _system(g, pinned)
     assert harmonic._pcg(A, b, h.values[free_ids].copy(), harmonic.DEFAULT_TOL,
                          _no_setup)[1] == 0
-    assert harmonic.solve_dirichlet(g, pinned, start=h.values).iterations == 0
-    assert harmonic.solve_dirichlet_dense(g, pinned).iterations == 0
-    every = dict.fromkeys(g.ids.tolist(), 0.0)
-    assert harmonic.solve_dirichlet(g, every).iterations == 0
-    assert harmonic.solve_dirichlet(g, dict.fromkeys(pinned, 0.0)).iterations == 0
+    assert harmonic.solve_dirichlet(g, *pinned, start=h.values).iterations == 0
+    assert harmonic.solve_dirichlet_dense(g, *pinned).iterations == 0
+    assert harmonic.solve_dirichlet(g, g.ids, np.zeros(g.n)).iterations == 0
+    assert harmonic.solve_dirichlet(g, pinned[0], np.zeros(len(pinned[0]))).iterations == 0
 
 
 def test_gradient_flow_path():
-    h = harmonic.solve_dirichlet(path3(), {0: 0.0, 2: 1.0})
+    h = harmonic.solve_dirichlet(path3(), [0, 2], [0.0, 1.0])
     f = harmonic.gradient_flow(h)
     f.check()
     assert abs(f.strength - 0.5) < 1e-12
@@ -449,7 +456,7 @@ def test_gradient_flow_path():
 
 def test_flow_divergence_on_solved_grid():
     g = grid_graph(5, 4)
-    h = harmonic.solve_dirichlet(g, {0: 0.0, 19: 1.0}, tol=1e-12)
+    h = harmonic.solve_dirichlet(g, [0, 19], [0.0, 1.0], tol=1e-12)
     f = harmonic.gradient_flow(h)
     f.check(rel=1e-8)
     assert abs(f.energy() - h.energy) < 1e-12 * max(1.0, h.energy)
@@ -460,11 +467,11 @@ def test_flow_check_matches_dict_oracle(topology_maps):
     for mm in topology_maps.values():
         for pair in ("primal", "dual"):
             f = extremal.extremal_length(mm, pair).witness_flow
-            flows = [f, harmonic.Flow(f.graph, f.theta, f.source_set, frozenset())]
+            flows = [f, harmonic.Flow(f.graph, f.theta, f.sources, np.zeros(0, dtype=np.int64))]
             for k in rng.integers(0, f.graph.m, 3):
                 theta = f.theta.copy()
                 theta[k] += 1e-4
-                flows.append(harmonic.Flow(f.graph, theta, f.source_set, f.sink_set))
+                flows.append(harmonic.Flow(f.graph, theta, f.sources, f.sinks))
             for g in flows:
                 for rel in (1e-10, 1e-8):
                     s, want = oracle_flow_check(g, rel)
@@ -478,13 +485,14 @@ def test_flow_check_matches_dict_oracle(topology_maps):
     # the oracle scans free vertices by ascending id, so equal messages name
     # the lowest-id offender; the last corrupted flow must have reached it
     assert str(exc.value).startswith("nonzero divergence")
-    # the strength's bits follow the source set's iteration order (8, 1, 2),
-    # not the id order (1, 2, 8)
+    # the strength is summed exactly: sources carrying 1e16, -1e16 and 1.0
+    # give 1.0 in every order, where a float sum over 8, 1, 2 gives 0.0
     g = graph_from_edges({0: (0.0, 0.0), 1: (1.0, 0.0), 2: (0.0, 1.0), 8: (1.0, 1.0)},
                                [(1, 0, 1.0), (2, 0, 1.0), (8, 0, 1.0)])
-    f = harmonic.Flow(g, np.array([1e16, -1e16, 1.0]), frozenset([1, 2, 8]), frozenset([0]))
-    assert list(f.source_set) == [8, 1, 2]
-    assert f.strength == oracle_flow_check(f)[0] == 0.0
+    for sources in itertools.permutations([1, 2, 8]):
+        f = harmonic.Flow(g, np.array([1e16, -1e16, 1.0]), np.array(sources), np.array([0]))
+        assert f.strength == oracle_flow_check(f)[0] == 1.0
+        f.check()
 
 
 @pytest.mark.parametrize("eps", [1 / 8, 1 / 16, 1 / 32])
@@ -504,9 +512,7 @@ def test_dirichlet_thomson_gap_inequalities():
     g = grid_graph(4, 4)
     S, T = [0, 1], [14, 15]
     r_eff = harmonic.effective_resistance(g, S, T, tol=1e-12)
-    pinned = {s: 0.0 for s in S}
-    pinned.update({t: 1.0 for t in T})
-    h = harmonic.solve_dirichlet(g, pinned, tol=1e-12)
+    h = harmonic.solve_dirichlet(g, *harmonic.unit_pins(S, T), tol=1e-12)
 
     # Dirichlet: any admissible comparison function gives a lower bound
     for _ in range(25):
@@ -531,7 +537,7 @@ def test_dirichlet_thomson_gap_inequalities():
             continue
         scale = float(rng.uniform(0.1, 3.0))
         theta = base.theta * scale
-        flow = harmonic.Flow(g, theta, base.source_set, base.sink_set)
+        flow = harmonic.Flow(g, theta, base.sources, base.sinks)
         e_f = harmonic.dirichlet_energy(g, vals)
         lhs = flow.strength * gap
         rhs = math.sqrt(flow.energy()) * math.sqrt(e_f)
@@ -547,18 +553,17 @@ def test_thomson_on_explicit_flows():
     assert abs(r_eff - 1.0) < 1e-10
     for split in (0.0, 0.25, 0.5, 0.8, 1.0):
         theta = np.array([split, split, 1 - split, 1 - split])
-        f = harmonic.Flow(g, theta, frozenset([0]), frozenset([3]))
+        f = harmonic.Flow(g, theta, np.array([0]), np.array([3]))
         f.check(rel=1e-9)
         assert f.energy() >= r_eff - 1e-8
     # equality at the balanced split
-    f = harmonic.Flow(g, np.array([0.5, 0.5, 0.5, 0.5]), frozenset([0]), frozenset([3]))
+    f = harmonic.Flow(g, np.array([0.5, 0.5, 0.5, 0.5]), np.array([0]), np.array([3]))
     assert abs(f.energy() - r_eff) < 1e-8
 
 
 def test_energy_conservation_strength_times_gap():
     g = grid_graph(5, 3)
-    pinned = {0: 0.0, 1: 0.0, 12: 2.0, 13: 2.0}
-    h = harmonic.solve_dirichlet(g, pinned, tol=1e-12)
+    h = harmonic.solve_dirichlet(g, [0, 1, 12, 13], [0.0, 0.0, 2.0, 2.0], tol=1e-12)
     f = harmonic.gradient_flow(h)
     assert abs(h.energy - f.strength * h.gap()) < 1e-10 * max(1.0, h.energy)
 
@@ -579,8 +584,7 @@ def test_scale_covariance():
 def test_harmonic_conjugate_star_exact():
     mm = star_map()
     gp = mm.map.extract_primal()
-    pinned = {0: 0.0, 3: 0.0, 8: 1.0, 5: 1.0}
-    h = harmonic.solve_dirichlet(gp, pinned, tol=1e-12)
+    h = harmonic.solve_dirichlet(gp, [0, 3, 8, 5], [0.0, 0.0, 1.0, 1.0], tol=1e-12)
     conj, max_res = harmonic.harmonic_conjugate(mm, h)
     assert max_res <= 1e-10
     # normalized: min over [D, A] dual arc is 0
@@ -603,17 +607,14 @@ def test_conjugate_constant_field():
 def test_conjugate_matches_direct_dual_solve(rect_map16):
     mm, _ = rect_map16
     gp = mm.map.extract_primal()
-    pinned = {int(v): 0.0 for v in mm.arc_ab}
-    pinned.update({int(v): 1.0 for v in mm.arc_cd})
-    h = harmonic.solve_dirichlet(gp, pinned, tol=1e-12)
+    h = harmonic.solve_dirichlet(gp, *harmonic.unit_pins(mm.arc_ab, mm.arc_cd), tol=1e-12)
     conj, max_res = harmonic.harmonic_conjugate(mm, h)
     assert max_res <= 1e-8 * max(h.gap(), 1.0)
     gd = mm.map.extract_dual()
     # h has unit gap, so its conjugate's boundary gap equals the current
     # strength, which is E(h); pin the direct dual solve accordingly
-    dual_pin = {int(v): 0.0 for v in mm.arc_bc}
-    dual_pin.update({int(v): h.energy for v in mm.arc_da})
-    hd = harmonic.solve_dirichlet(gd, dual_pin, tol=1e-12)
+    dual_ids, unit = harmonic.unit_pins(mm.arc_bc, mm.arc_da)
+    hd = harmonic.solve_dirichlet(gd, dual_ids, unit * h.energy, tol=1e-12)
     # compare up to an additive constant
     diffs = [conj.values[int(v)] - hd.values[int(v)] for v in gd.ids]
     shift = float(np.mean(diffs))
@@ -649,41 +650,40 @@ def test_conjugacy_error_on_nonharmonic_field():
 
 
 def test_random_walk_oracle_gambler():
-    est, se = harmonic.random_walk_oracle(path3(), {0: 0.0, 2: 1.0}, 1,
+    est, se = harmonic.random_walk_oracle(path3(), [0, 2], [0.0, 1.0], 1,
                                           10_000, seed=1)
     assert abs(est - 0.5) <= 3 * se
 
 
 def test_random_walk_oracle_constant():
     g = grid_graph(3, 3)
-    pinned = {int(v): 7.0 for v in g.ids if int(v) != 4}
-    est, se = harmonic.random_walk_oracle(g, pinned, 4, 200, seed=2)
+    rim = g.ids[g.ids != 4]
+    est, se = harmonic.random_walk_oracle(g, rim, np.full(len(rim), 7.0), 4, 200, seed=2)
     assert est == 7.0 and se == 0.0
 
 
 def test_random_walk_matches_solver_5x5():
     g = grid_graph(5, 5)
-    pinned = {j: 0.0 for j in range(5)}
-    pinned.update({20 + j: 1.0 for j in range(5)})
-    h = harmonic.solve_dirichlet(g, pinned, tol=1e-12)
-    est, se = harmonic.random_walk_oracle(g, pinned, 12, 10_000, seed=42)
+    pinned = harmonic.unit_pins(range(5), range(20, 25))
+    h = harmonic.solve_dirichlet(g, *pinned, tol=1e-12)
+    est, se = harmonic.random_walk_oracle(g, *pinned, 12, 10_000, seed=42)
     assert abs(est - h.values[12]) <= 3 * se
 
 
 def test_random_walk_oracle_pinned_bits():
     # one estimate on a graph without parallel edges, whose hub row is wider
     # than eight, equal to the walk over sorted per-vertex adjacency lists
-    est, se = harmonic.random_walk_oracle(fan_graph(12), {3: 0.0, 9: 1.0}, 6, 500, seed=9)
+    est, se = harmonic.random_walk_oracle(fan_graph(12), [3, 9], [0.0, 1.0], 6, 500, seed=9)
     assert (est.hex(), se.hex()) == ("0x1.1374bc6a7ef9ep-1", "0x1.6da9e514dbc68p-6")
 
 
 def test_random_walk_determinism_and_preconditions():
     g = grid_graph(4, 4)
-    pinned = {0: 0.0, 15: 1.0}
-    a = harmonic.random_walk_oracle(g, pinned, 5, 500, seed=9)
-    b = harmonic.random_walk_oracle(g, pinned, 5, 500, seed=9)
+    pinned = [0, 15], [0.0, 1.0]
+    a = harmonic.random_walk_oracle(g, *pinned, 5, 500, seed=9)
+    b = harmonic.random_walk_oracle(g, *pinned, 5, 500, seed=9)
     assert a == b
     with pytest.raises(harmonic.SolverError):
-        harmonic.random_walk_oracle(g, pinned, 5, 50, seed=9)
+        harmonic.random_walk_oracle(g, *pinned, 5, 50, seed=9)
     with pytest.raises(harmonic.SolverError):
-        harmonic.random_walk_oracle(g, pinned, 0, 500, seed=9)
+        harmonic.random_walk_oracle(g, *pinned, 0, 500, seed=9)

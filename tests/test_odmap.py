@@ -64,7 +64,9 @@ def test_extract_pairing_on_star():
     gp = mm.map.extract_primal()
     gd = mm.map.extract_dual()
     assert gp.m == gd.m == mm.map.n_faces
-    assert np.all(gp.edge_face == gd.edge_face)
+    # edge k of either graph is a diagonal of face k
+    assert np.array_equal(np.stack([gp.edge_u, gd.edge_u, gp.edge_v, gd.edge_v], axis=1),
+                          mm.map.faces)
     assert np.allclose(gp.edge_c * gd.edge_c, 1.0, rtol=1e-15)
 
 
@@ -118,15 +120,6 @@ def test_json_roundtrip_bit_identical(tmp_path):
     assert np.array_equal(m3.colors, mm.map.colors)
     assert np.array_equal(m2.positions, mm.map.positions)
     assert np.array_equal(m2.faces, mm.map.faces)
-
-
-def test_stored_mesh_eps_checked():
-    pos = [(0, 0), (1, 0), (1, 1), (0, 1)]
-    col = [0, 1, 0, 1]
-    m = odmap.OrthodiagonalMap(pos, col, [[0, 1, 2, 3]], [0, 1, 2, 3],
-                               mesh_eps=0.5)
-    kinds = {v.kind for v in odmap.validate(m).violations}
-    assert "mesh-eps" in kinds
 
 
 def test_face_normalization_starts_primal():
@@ -465,3 +458,51 @@ def test_locate_and_containment_agree_past_the_bounding_box():
     assert oracle.locate(near) == loc.locate(near) == 0
     assert oracle.locate(far) is loc.locate(far) is None
     assert loc.locate_many(np.array([near, far])).tolist() == [0, -1]
+
+
+def _lowest_containing(m, pts):
+    """Per point, the lowest id of a face that contains it within the
+    locator's tol, by the scalar rule over every face, or -1."""
+    oracle = OracleLocator(m)
+    return [min((f for f in range(m.n_faces) if oracle.face_contains(f, p)), default=-1)
+            for p in pts]
+
+
+def _one_face(q):
+    return odmap.OrthodiagonalMap(q, [0, 1, 0, 1], [[0, 1, 2, 3]], [0, 1, 2, 3])
+
+
+def test_locate_across_a_cell_boundary():
+    # the diamond shifted right until its right corner sits 0.3 tol below
+    # x = 2 mesh_eps, a multiple of the cell side: a point 0.9 tol past the
+    # corner is within tol of the face but beyond that x
+    diamond = np.array([(1.0, 0.0), (2.0, 1.0), (1.0, 2.0), (0.0, 1.0)])
+    m0 = _one_face(diamond)
+    tol = odmap.FaceLocator(m0).tol
+    m = _one_face(diamond + [2.0 * m0.mesh_eps - 0.3 * tol - 2.0, 0.0])
+    corner = m.positions[1]
+    pts = corner + np.array([[0.0, 0.0], [0.3 * tol, 0.0], [0.9 * tol, 0.0], [1.1 * tol, 0.0]])
+    assert pts[2, 0] > 2.0 * m.mesh_eps > pts[0, 0]
+    want = _lowest_containing(m, pts)
+    assert want == [0, 0, 0, -1]
+    loc = odmap.FaceLocator(m)
+    assert loc.locate_many(pts).tolist() == want
+    assert loc.locate(pts[2]) == 0
+
+
+def test_locate_a_face_collapsed_far_from_the_origin():
+    # a located_quads draw (turns 0-3 of 2^-20, aspect 1e-12, scale 1e-3,
+    # offset 3e7) whose corners round to one point: mesh_eps is 0, so the
+    # cell is 1e-12 and the point's cell index counted from 0 would be 3e19,
+    # beyond int64
+    angles = np.arange(4) * (2 * math.pi / 2 ** 20)
+    m = _one_face(np.stack([np.cos(angles), 1e-12 * np.sin(angles)], axis=1) * 1e-3 + 3e7)
+    assert m.mesh_eps == 0.0 and len(np.unique(m.positions, axis=0)) == 1
+    loc = odmap.FaceLocator(m)
+    pts = m.positions[0] + np.array([[0.0, 0.0], [0.5 * loc.tol, 0.0], [0.0, -0.9 * loc.tol],
+                                     [1e-6, 0.0], [0.0, 1e-6]])
+    want = _lowest_containing(m, pts)
+    assert want[0] == 0
+    assert loc.locate_many(pts).tolist() == want
+    assert loc.locate(pts[0]) == 0
+

@@ -115,9 +115,64 @@ def _member_not_a_list(d, kind):
     return d
 
 
-@pytest.mark.parametrize("damage", [_row_outside, _row_in_a_row, _null_entry, _list_entry,
-                                    _missing_key, _null_and_row_outside, _member_not_a_list])
-@pytest.mark.parametrize("kind", ["map", "tiling"])
+# ids and colors outside the id rule, each of which the readers once took
+# for another value: a repeated vertex id left a vertex at (0, 0), an
+# unknown color read as dual, and floats and strings were cast to integers
+
+
+def _repeated_vertex_id(d, kind):
+    d["vertices"][7]["id"] = d["vertices"][6]["id"]
+    return d
+
+
+def _capitalised_color(d, kind):
+    v = next(r for r in d["vertices"] if r["color"] == "primal" and r["id"] not in d["boundary"])
+    v["color"] = "Primal"
+    return d
+
+
+def _float_face_id(d, kind):
+    d["faces"][0][0] += 0.4
+    return d
+
+
+def _string_face_id(d, kind):
+    d["faces"][0][0] = str(d["faces"][0][0])
+    return d
+
+
+def _float_mark(d, kind):
+    d["marked"][0] += 0.4
+    return d
+
+
+def _string_mark(d, kind):
+    d["marked"][0] = str(d["marked"][0])
+    return d
+
+
+def _float_tile_face(d, kind):
+    d["tiles"][0]["face"] += 0.7
+    return d
+
+
+def _string_and_float_edge(d, kind):
+    e = d["tiles"][0]["edge"]
+    d["tiles"][0]["edge"] = [str(e[0]), e[1] + 0.9]
+    return d
+
+
+DAMAGE = ([(kind, damage) for damage in (_row_outside, _row_in_a_row, _null_entry, _list_entry,
+                                        _missing_key, _null_and_row_outside, _member_not_a_list)
+           for kind in ("map", "tiling")]
+          + [("map", damage) for damage in (_repeated_vertex_id, _capitalised_color,
+                                            _float_face_id, _string_face_id, _float_mark,
+                                            _string_mark)]
+          + [("tiling", _float_tile_face), ("tiling", _string_and_float_edge)])
+
+
+@pytest.mark.parametrize("kind,damage", DAMAGE,
+                         ids=[f"{kind}-{damage.__name__}" for kind, damage in DAMAGE])
 def test_rows_not_exactly_the_member_exit_1(capsys, tmp_path, artifact_files, kind, damage):
     mp, tp = artifact_files["strip"]
     path = tmp_path / "damaged.json"
