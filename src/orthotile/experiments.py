@@ -18,7 +18,7 @@ import numpy as np
 from . import geom, gridgen, harmonic, holo, tiling
 from .extremal import extremal_length
 from .gridgen import DomainSpec, GenerationError
-from .odmap import MarkedRectangleMap, save_json, save_map
+from .odmap import MarkedRectangleMap, first_per_point, save_json, save_map
 
 SCHEMA = "orthotile.convergence@1"
 PROBE_PITCH = 1 / 64       # probe lattice pitch, relative to the domain diameter
@@ -177,30 +177,17 @@ def modulus_pointwise_check(m: MarkedRectangleMap, h: harmonic.HarmonicField,
 
 def _nearest_vertex(pos: np.ndarray, pts: np.ndarray, tol: float) -> np.ndarray:
     """Index of the nearest row of pos within tol of each point (ties to the
-    lowest index), else -1.  Exact: pos is hashed into sorted cells of side
-    2 tol, so every row within tol lies in the point's 3 x 3 cells."""
-    h = 2.0 * tol
-    lo = pos.min(axis=0)
-    cell = np.floor((pos - lo) / h).astype(np.int64)
-    stride = int(cell[:, 1].max()) + 5
-    key = (cell[:, 0] + 2) * stride + cell[:, 1] + 2
-    order = np.argsort(key)
-    skey = key[order]
-    pc = np.clip(np.floor((pts - lo) / h), -1, cell.max(axis=0) + 1).astype(np.int64)
-    best = np.full(len(pts), -1, dtype=np.int64)
-    best_d = np.full(len(pts), np.inf)
-    for k in ((pc[:, 0] + dx + 2) * stride + pc[:, 1] + dy + 2
-              for dx in (-1, 0, 1) for dy in (-1, 0, 1)):
-        start = np.searchsorted(skey, k)
-        count = np.searchsorted(skey, k, side="right") - start
-        for j in range(int(count.max(initial=0))):
-            q = np.flatnonzero(count > j)
-            v = order[start[q] + j]
-            d = np.sqrt((pts[q, 0] - pos[v, 0]) ** 2 + (pts[q, 1] - pos[v, 1]) ** 2)
-            win = (d <= tol) & ((d < best_d[q]) | ((d == best_d[q]) & (v < best[q])))
-            best[q[win]] = v[win]
-            best_d[q[win]] = d[win]
-    return best
+    lowest index), else -1.  Exact: each point's box padded by 2 tol meets
+    every row within tol in a geom.BoxIndex of the rows as points, whose
+    cells of side 16 tol are wide enough that most such boxes meet one."""
+
+    def dist(q, v):
+        return np.sqrt((pts[q, 0] - pos[v, 0]) ** 2 + (pts[q, 1] - pos[v, 1]) ** 2)
+
+    qi, vi = geom.BoxIndex(pos, pos, 16.0 * tol).pairs(pts - 2.0 * tol, pts + 2.0 * tol,
+                                                       lambda q, v: dist(q, v) <= tol)
+    order = np.lexsort((vi, dist(qi, vi), qi))
+    return first_per_point(len(pts), qi[order], vi[order], -1)
 
 
 def rotation_color_swap_symmetric(m: MarkedRectangleMap) -> bool:
@@ -258,7 +245,7 @@ class LevelRecord:
     cr_residual: float = math.nan
     phi_gap_bound: float = math.nan
     area_defect: float = math.nan
-    overlap_count: int = 0
+    overlap_count: int = 0            # every overlapping pair of live tiles
     containment_count: int = 0
     symmetric_square: bool = False
     runtime_s: float = math.nan

@@ -245,12 +245,15 @@ def polyline_min_distance(a, b) -> float:
 def ray_parity(p, a, b) -> np.ndarray:
     """Crossing-number parity: whether the ray from p towards +x crosses an
     odd number of the edges [a, b] under the half-open rule.  p, a and b
-    broadcast; the edges run along the second-to-last axis."""
+    broadcast; the edges run along the second-to-last axis.  Each crossing's
+    x is clamped to its edge's x-range, which rounding, and underflow of
+    (y - y1) * (x2 - x1), could otherwise leave."""
     x, y = p[..., 0], p[..., 1]
     x1, y1, x2, y2 = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
     cond = (y1 > y) != (y2 > y)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        xint = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+        xint = np.clip(x1 + (y - y1) * (x2 - x1) / (y2 - y1),
+                       np.minimum(x1, x2), np.maximum(x1, x2))
     return (np.sum(cond & (x < xint), axis=-1) % 2) == 1
 
 
@@ -259,18 +262,15 @@ def points_in_ring(pts: np.ndarray, ring: np.ndarray) -> np.ndarray:
     through the vertices ring (m, 2), by ray_parity.  Blocked over the
     points, so temporaries stay bounded for any n and m.
 
-    Only points in the ring's box, widened in x by a rounding margin, are
-    tested; the others have even parity exactly: outside the y-range a
-    point's ray meets no edge, past x_max it crosses none (a crossing's x
-    rounds less than the margin past the ring), and before x_min it
-    crosses every edge that straddles its y, of which a closed ring has an
-    even number."""
+    Only points in the ring's box are tested; the others have even parity
+    exactly: outside the y-range a point's ray meets no edge, past x_max it
+    crosses none (each crossing's x lies in its edge's x-range), and before
+    x_min it crosses every edge that straddles its y, of which a closed ring
+    has an even number."""
     nxt = np.roll(ring, -1, axis=0)
     lo, hi = ring.min(axis=0), ring.max(axis=0)
-    margin = 16 * 2.0 ** -52 * (float(np.abs(ring).max()) + float((hi - lo).max()))
     x, y = pts[:, 0], pts[:, 1]
-    cand = np.flatnonzero((y >= lo[1]) & (y <= hi[1])
-                          & (x >= lo[0] - margin) & (x <= hi[0] + margin))
+    cand = np.flatnonzero((x >= lo[0]) & (x <= hi[0]) & (y >= lo[1]) & (y <= hi[1]))
     sub = pts[cand]
     out = np.zeros(len(pts), dtype=bool)
     for blk in _row_blocks(len(sub), len(ring)):
@@ -378,3 +378,77 @@ def hausdorff_distance(a, b) -> float:
     d = max(_directed_hausdorff(pa, pb, DEFAULT_REL_TOL * s)[1],
             _directed_hausdorff(pb, pa, DEFAULT_REL_TOL * s)[1]) + HAUSDORFF_MARGIN * s
     return math.ldexp(d, e)
+
+
+def _spans(count: np.ndarray):
+    """The ranges 0 .. count[i] - 1 of the rows i, concatenated, in slices
+    of _BLOCK_PAIRS // 8 entries (each holds about eight words of BoxIndex
+    temporaries): (row, offset) arrays per slice."""
+    end = np.cumsum(count)
+    total, block = (int(end[-1]) if len(end) else 0), max(1, _BLOCK_PAIRS // 8)
+    for s in range(0, total, block):
+        e = min(s + block, total)
+        r = np.arange(np.searchsorted(end, s, "right"), np.searchsorted(end, e - 1, "right") + 1)
+        begin = end[r] - count[r]
+        n = np.minimum(end[r], e) - np.maximum(begin, s)
+        yield np.repeat(r, n), np.arange(s, e) - np.repeat(begin, n)
+
+
+class BoxIndex:
+    """Uniform-grid index of n >= 1 finite closed boxes lo <= x <= hi, (n, 2)
+    each: a box is listed in every cell of side `cell` that it meets, cells
+    counted from the lowest box corner.  Cell indices are monotone in the
+    coordinate, so boxes that meet share the cell of the lower corner of
+    their intersection, and pairs() reports each meeting pair there only,
+    once.  It walks (query, cell) rows and (query, box) candidates in
+    _spans batches: its temporaries stay bounded, only the answer grows."""
+
+    def __init__(self, lo: np.ndarray, hi: np.ndarray, cell: float):
+        self.lo, self.hi, self.cell = lo, hi, cell
+        self.origin = lo.min(axis=0)
+        glo, ghi = (np.floor((b - self.origin) / cell).astype(np.int64) for b in (lo, hi))
+        self.top = ghi.max(axis=0)
+        ny = ghi[:, 1] - glo[:, 1] + 1
+        count = (ghi[:, 0] - glo[:, 0] + 1) * ny
+        # entry e lists box[e] in its k-th cell, row-major
+        box = np.repeat(np.arange(len(lo)), count)
+        key = np.concatenate([(k // ny[b] + glo[b, 0]) * (self.top[1] + 1) + k % ny[b] + glo[b, 1]
+                              for b, k in _spans(count)])
+        # a stable sort keeps each cell's boxes ascending
+        order = np.argsort(key, kind="stable")
+        key, box = key[order], box[order]
+        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        self.keys, self.start, self.box = key[first], np.append(first, len(key)), box
+
+    def pairs(self, qlo, qhi, keep=None) -> tuple[np.ndarray, np.ndarray]:
+        """(query, box) index pairs of every query box [qlo, qhi] and indexed
+        box that meet, once each, by query (ascending), then cell, then box.
+        keep(qi, bi), if given, filters each batch.  Query cells are clipped
+        to the grid in floats before the cast: far queries cannot overflow."""
+        glo, ghi = ((q - self.origin) / self.cell for q in (qlo, qhi))
+        on = (ghi >= 0) & (glo < self.top + 1)
+        q = np.flatnonzero(on[:, 0] & on[:, 1])
+        glo, ghi = (np.clip(np.floor(g[q]), 0, self.top).astype(np.int64) for g in (glo, ghi))
+        ny = ghi[:, 1] - glo[:, 1] + 1
+        out_q, out_b = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        for row, off in _spans((ghi[:, 0] - glo[:, 0] + 1) * ny):
+            cx, cy = off // ny[row] + glo[row, 0], off % ny[row] + glo[row, 1]
+            key = cx * (self.top[1] + 1) + cy
+            slot = np.minimum(np.searchsorted(self.keys, key), len(self.keys) - 1)
+            start = self.start[slot]
+            count = np.where(self.keys[slot] == key, self.start[slot + 1] - start, 0)
+            for r, k in _spans(count):
+                qi, bi = q[row[r]], self.box[start[r] + k]
+                hit = np.ones(len(r), dtype=bool)
+                for ax, c in enumerate((cx, cy)):
+                    a, b = qlo[qi, ax], self.lo[bi, ax]
+                    # they meet, and the lower corner of the meet is in this cell
+                    hit &= ((a <= self.hi[bi, ax]) & (b <= qhi[qi, ax])
+                            & (np.floor((np.maximum(a, b) - self.origin[ax]) / self.cell) == c[r]))
+                qi, bi = qi[hit], bi[hit]
+                if keep is not None:
+                    ok = keep(qi, bi)
+                    qi, bi = qi[ok], bi[ok]
+                out_q.append(qi)
+                out_b.append(bi)
+        return np.concatenate(out_q), np.concatenate(out_b)

@@ -412,10 +412,6 @@ def barycentric(a, b, c, p) -> tuple[np.ndarray, ...]:
         return det, l1, l2, 1.0 - l1 - l2
 
 
-#: points per batch in FaceLocator.containing, bounding its pair temporaries
-_BATCH_POINTS = 8192
-
-
 def first_per_point(n: int, pi: np.ndarray, values: np.ndarray, fill) -> np.ndarray:
     """out[i] = values at the first pair of point i (pairs sorted by point),
     fill for points without a pair."""
@@ -426,62 +422,24 @@ def first_per_point(n: int, pi: np.ndarray, values: np.ndarray, fill) -> np.ndar
 
 
 class FaceLocator:
-    """Uniform-hash point location over the faces of a map.
+    """Point location over the faces of a map.
 
-    Every face is hashed to the grid cells its padded bounding box (below)
-    meets, stored as sorted cell keys with face ids in ascending order.
     containing(pts) is the batched kernel: all (point, face) pairs where
     the closed face contains the point within tol = 1e-12 max(1, mesh_eps),
-    ordered by point and then face id.  locate(p) returns the lowest such
-    face id or None.
-
-    Every face is tested by geom's polygon rule: it contains a point within
-    tol of one of its sides, or inside it by crossing-number parity.  Every
-    such point lies within tol of the face's bounding box, so each face is
-    hashed by its box padded by 2 tol (tol spared for rounding), cells of
-    side max(2 mesh_eps, 1e-12) counted from the lowest padded corner, and
-    only pairs whose point lies in the box are tested.  Cell indices are
-    monotone in the coordinate, so a point in a box lies in a cell it met.
-    """
+    ordered by point and then face id; locate(p) returns the lowest such
+    face id or None.  A face contains a point within tol of one of its
+    sides, or inside it by crossing-number parity (geom's polygon rule), so
+    only faces whose box padded by 2 tol (tol spared for rounding) holds the
+    point are tested: a geom.BoxIndex of those boxes, in cells of side
+    max(2 mesh_eps, 1e-12), finds them."""
 
     def __init__(self, m: OrthodiagonalMap):
         self.m = m
         q = m.positions[m.faces]
-        self.cell = max(m.mesh_eps * 2.0, 1e-12)
         self.tol = 1e-12 * max(1.0, m.mesh_eps)
         qlo, qhi = (f(f(q[:, 0], q[:, 1]), f(q[:, 2], q[:, 3])) for f in (np.minimum, np.maximum))
-        self.box_lo, self.box_hi = qlo - 2 * self.tol, qhi + 2 * self.tol
-        self.origin = self.box_lo.min(axis=0)
-        lo = np.floor((self.box_lo - self.origin) / self.cell).astype(np.int64)
-        hi = np.floor((self.box_hi - self.origin) / self.cell).astype(np.int64)
-        self.shape = hi.max(axis=0) + 1
-        # one (cell, face) entry per cell of each face's padded box
-        ny = hi[:, 1] - lo[:, 1] + 1
-        count = (hi[:, 0] - lo[:, 0] + 1) * ny
-        face = np.repeat(np.arange(m.n_faces, dtype=np.int64), count)
-        k = np.arange(len(face)) - np.repeat(np.cumsum(count) - count, count)
-        key = (lo[face, 0] + k // ny[face]) * self.shape[1] + lo[face, 1] + k % ny[face]
-        order = np.lexsort((face, key))
-        self.cell_keys, start = np.unique(key[order], return_index=True)
-        self.cell_start = np.append(start, len(key))
-        self.cell_faces = face[order]
-
-    def _candidates(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(point index, face id) pairs for the faces hashed to each
-        point's cell whose widened box holds the point, ordered by point
-        and then face id."""
-        g = np.floor((pts - self.origin) / self.cell)
-        ok = np.all((g >= 0) & (g < self.shape), axis=1)
-        key = np.where(ok, g[:, 0] * self.shape[1] + g[:, 1], -1).astype(np.int64)
-        slot = np.minimum(np.searchsorted(self.cell_keys, key), len(self.cell_keys) - 1)
-        hit = np.flatnonzero(ok & (self.cell_keys[slot] == key))
-        start = self.cell_start[slot[hit]]
-        count = self.cell_start[slot[hit] + 1] - start
-        first = np.repeat(start - (np.cumsum(count) - count), count)
-        pi, fi = np.repeat(hit, count), self.cell_faces[first + np.arange(len(first))]
-        p = pts[pi]
-        inbox = np.all((p >= self.box_lo[fi]) & (p <= self.box_hi[fi]), axis=1)
-        return pi[inbox], fi[inbox]
+        self.index = geom.BoxIndex(qlo - 2 * self.tol, qhi + 2 * self.tol,
+                                   max(m.mesh_eps * 2.0, 1e-12))
 
     def _contains(self, pts: np.ndarray, pi: np.ndarray, fi: np.ndarray) -> np.ndarray:
         """Whether face fi[k] contains point pts[pi[k]]: within tol of a
@@ -495,15 +453,7 @@ class FaceLocator:
         """All (point index, face id) pairs where the closed face contains
         the point within tol, ordered by point and then face id."""
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-        out_p, out_f = [], []
-        for s in range(0, len(pts), _BATCH_POINTS):
-            pi, fi = self._candidates(pts[s:s + _BATCH_POINTS])
-            keep = self._contains(pts[s:s + _BATCH_POINTS], pi, fi)
-            out_p.append(pi[keep] + s)
-            out_f.append(fi[keep])
-        if not out_p:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        return np.concatenate(out_p), np.concatenate(out_f)
+        return self.index.pairs(pts, pts, lambda pi, fi: self._contains(pts, pi, fi))
 
     def locate_many(self, pts) -> np.ndarray:
         """Per point, the lowest id of a face that contains it (as in

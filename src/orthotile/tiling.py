@@ -7,19 +7,20 @@ the conjugate dual field, normalizes it to [0, 1] boundary values, and
 assigns each interior face the axis-aligned rectangle
 [h(v1), h(v2)] x [htilde(w1), htilde(w2)].  Tile coordinates reuse the
 solved vertex values bitwise, so abutting tiles share exact floats and
-overlap detection needs no slack of its own.
+overlap detection needs no slack of its own.  verify_tiling reports every
+overlapping pair of live tiles, found with a geom.BoxIndex.
 """
 
 from __future__ import annotations
 
 import array
-import bisect
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from . import harmonic
+from . import geom, harmonic
 from .odmap import (FaceLocator, MarkedRectangleMap, barycentric, first_per_point, id_array,
                     json_floats, load_rows, write_json_rows)
 
@@ -157,6 +158,7 @@ def build_tiling(m: MarkedRectangleMap, tol: float = harmonic.DEFAULT_TOL
 
 @dataclass
 class TilingReport:
+    """verify_tiling's findings; overlaps holds every overlapping live pair."""
     containment: list[tuple[int, float]] = field(default_factory=list)
     overlaps: list[tuple[int, int, float]] = field(default_factory=list)
     area_defect: float = 0.0
@@ -170,9 +172,12 @@ class TilingReport:
 def verify_tiling(t: Tiling, tol: float = VERIFY_TOL) -> TilingReport:
     """Check the three BSST facts: tiles inside [0, L] x [0, 1], pairwise
     interior overlap area zero, areas summing to L (all within tol scaled
-    by max(L, 1)).  A tile with a NaN bound fails containment.  Overlap
-    detection is an x-sweep over y-intervals; the report names violating
-    tile pairs."""
+    by max(L, 1)).  A tile with a NaN bound fails containment.  Every pair
+    of live tiles (nondegenerate, positive width and height) overlapping by
+    more than the slack is reported once, as (face a, face b, area), a <= b,
+    sorted.  A geom.BoxIndex of the live tiles clamped to the target (a
+    monotone clamp keeps every meeting pair), in cells of side sqrt(L / live
+    tiles), finds them; L is taken as 1 where not positive and finite."""
     rep = TilingReport()
     slack = tol * max(t.L, 1.0)
     x0, x1, y0, y1 = t.rect.T
@@ -181,39 +186,22 @@ def verify_tiling(t: Tiling, tol: float = VERIFY_TOL) -> TilingReport:
     rep.containment = list(zip(t.face[out].tolist(), excess[out].tolist()))
 
     live = ~t.degenerate & (x1 - x0 > 0.0) & (y1 - y0 > 0.0)
-    face = t.face[live].tolist()
-    r = t.rect[live]
-    lx0, lx1, ly0, ly1 = (c.tolist() for c in r.T)
-    # event 2k starts live tile k at x0, 2k + 1 ends it at x1; ends sort
-    # before starts at equal x, and the stable sort keeps ties in event order
-    xs = r[:, :2].ravel()
-    order = np.lexsort((np.arange(len(xs)) % 2 == 0, xs))
-    active_y0: list[float] = []
-    active_k: list[int] = []
-    seen_pairs = set()
-    for e in order.tolist():
-        k, end = divmod(e, 2)
-        i = bisect.bisect_left(active_y0, ly0[k])
-        if end:
-            while i < len(active_k) and active_k[i] != k:
-                i += 1
-            if i < len(active_k):
-                del active_y0[i]
-                del active_k[i]
-            continue
-        for j in (i - 1, i):
-            if 0 <= j < len(active_k):
-                o = active_k[j]
-                w = min(lx1[k], lx1[o]) - max(lx0[k], lx0[o])
-                hgt = min(ly1[k], ly1[o]) - max(ly0[k], ly0[o])
-                area = max(w, 0.0) * max(hgt, 0.0)
-                if area > slack:
-                    key = tuple(sorted((face[k], face[o])))
-                    if key not in seen_pairs:
-                        seen_pairs.add(key)
-                        rep.overlaps.append((key[0], key[1], area))
-        active_y0.insert(i, ly0[k])
-        active_k.insert(i, k)
+    if live.any():
+        face, (lx0, lx1, ly0, ly1) = t.face[live], t.rect[live].T
+
+        def area(i, j):
+            return (np.maximum(np.minimum(lx1[i], lx1[j]) - np.maximum(lx0[i], lx0[j]), 0.0)
+                    * np.maximum(np.minimum(ly1[i], ly1[j]) - np.maximum(ly0[i], ly0[j]), 0.0))
+
+        width = t.L if 0.0 < t.L < math.inf else 1.0
+        box = np.clip(np.stack([lx0, ly0, lx1, ly1], axis=1), 0.0, [width, 1.0, width, 1.0])
+        lo, hi = box[:, :2], box[:, 2:]
+        index = geom.BoxIndex(lo, hi, math.sqrt(width / len(face)))
+        i, j = index.pairs(lo, hi, lambda i, j: (i < j) & (area(i, j) > slack))
+        a, b = np.minimum(face[i], face[j]), np.maximum(face[i], face[j])
+        order = np.lexsort((b, a))
+        rep.overlaps = list(zip(a[order].tolist(), b[order].tolist(),
+                                area(i, j)[order].tolist()))
 
     rep.area_defect = float(abs(t.total_area() - t.L))
     rep.area_ok = rep.area_defect <= slack

@@ -608,9 +608,9 @@ def oracle_tiles_from_json_dict(d, degenerate_tol=1e-9):
 
 
 def oracle_verify_tiling(L, tiles, tol=1e-9):
-    """(containment, overlaps, area_defect, area_ok) as the per-tile sweep
-    reports them."""
-    import bisect
+    """(containment, overlaps, area_defect, area_ok) by a tile-at-a-time
+    containment check and an all-pairs overlap check over the live tiles,
+    overlaps sorted by face pair."""
     s = max(L, 1.0)
     slack = tol * s
     containment, overlaps = [], []
@@ -619,37 +619,17 @@ def oracle_verify_tiling(L, tiles, tol=1e-9):
         if excess > slack:
             containment.append((face, float(excess)))
     live = [tl for tl in tiles if not tl[6] and tl[3] - tl[2] > 0.0 and tl[5] - tl[4] > 0.0]
-    events = []
-    for k, tl in enumerate(live):
-        events.append((tl[2], 1, k))
-        events.append((tl[3], 0, k))
-    events.sort(key=lambda e: (e[0], e[1]))
-    active_y0, active_k = [], []
-    seen_pairs = set()
-    for _, typ, k in events:
-        tl = live[k]
-        if typ == 0:
-            i = bisect.bisect_left(active_y0, tl[4])
-            while i < len(active_k) and active_k[i] != k:
-                i += 1
-            if i < len(active_k):
-                del active_y0[i]
-                del active_k[i]
-            continue
-        i = bisect.bisect_left(active_y0, tl[4])
-        for j in (i - 1, i):
-            if 0 <= j < len(active_k):
-                other = live[active_k[j]]
-                w = min(tl[3], other[3]) - max(tl[2], other[2])
-                hgt = min(tl[5], other[5]) - max(tl[4], other[4])
-                area = max(w, 0.0) * max(hgt, 0.0)
-                if area > slack:
-                    key = tuple(sorted((tl[0], other[0])))
-                    if key not in seen_pairs:
-                        seen_pairs.add(key)
-                        overlaps.append((key[0], key[1], float(area)))
-        active_y0.insert(i, tl[4])
-        active_k.insert(i, k)
+    face = np.array([tl[0] for tl in live], dtype=np.int64)
+    x0, x1, y0, y1 = np.array([tl[2:6] for tl in live], dtype=float).reshape(-1, 4).T
+    for k in range(len(live)):
+        # tile k against every later live tile, as numpy rows
+        w = np.minimum(x1[k], x1[k + 1:]) - np.maximum(x0[k], x0[k + 1:])
+        hgt = np.minimum(y1[k], y1[k + 1:]) - np.maximum(y0[k], y0[k + 1:])
+        area = np.maximum(w, 0.0) * np.maximum(hgt, 0.0)
+        for o in np.flatnonzero(area > slack).tolist():
+            a, b = sorted((int(face[k]), int(face[k + 1 + o])))
+            overlaps.append((a, b, float(area[o])))
+    overlaps.sort(key=lambda o: o[:2])
     area_defect = float(abs(float(sum((x1 - x0) * (y1 - y0) for _, _, x0, x1, y0, y1, _ in tiles))
                             - L))
     return containment, overlaps, area_defect, area_defect <= slack

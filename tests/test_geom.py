@@ -486,6 +486,73 @@ def test_points_in_ring_matches_unfiltered_parity(case, block_pairs):
     assert np.array_equal(got, want)
 
 
+def test_points_in_ring_matches_parity_under_underflow():
+    # (y - y1) * (x2 - x1) underflows to a subnormal with few bits, which
+    # put the crossing of the edge to (5e-4, 2.2e-316) past its x-range;
+    # clamped to the edge, the points 64 ulps past the ring have even parity
+    ring = np.array([[0.0, 0.0], [0.0, 0.0], [5e-4, 2.22507384e-316]])
+    x = 5e-4
+    for _ in range(64):
+        x = np.nextafter(x, np.inf)
+    pts = np.stack([np.full(200, x), ring[2, 1] - np.arange(1, 201) * 5e-324], axis=1)
+    want = geom.ray_parity(pts[:, None, :], ring[None], np.roll(ring, -1, axis=0)[None])
+    assert not want.any()
+    assert np.array_equal(geom.points_in_ring(pts, ring), want)
+
+
+#: offsets in cells: on the half-cell lattice (sides on cell boundaries) or free
+HALF_CELLS = st.one_of(st.integers(-4, 12).map(lambda j: j / 2), st.floats(-4.0, 12.0))
+
+
+def _box_side(draw, shifts, cell):
+    """An interval [lo, hi] with ends at s + cell * u, s one of shifts and
+    u from HALF_CELLS; of zero length at times."""
+    ends = [shifts[draw(st.integers(0, 4)) % len(shifts)] + cell * draw(HALF_CELLS)
+            for _ in range(2)]
+    if draw(st.booleans()):
+        ends[1] = ends[0]
+    return min(ends), max(ends)
+
+
+@st.composite
+def box_index_cases(draw):
+    """Boxes and query boxes for geom.BoxIndex: cells of 1 or 1e-12, boxes
+    near the origin or 1e7 and more away (where a 1e-12 cell collapses
+    them to points), and queries whose x-ends may lie far off the grid, on
+    either side or both."""
+    cell = draw(st.sampled_from([1.0, 0.5, 1e-12]))
+    shift = draw(st.sampled_from([0.0, -3.0, 1e7, 3e7]))
+    far = [shift, shift - 1e7, shift + 3e7, -1e19, 1e19]
+
+    def boxes(n, xshifts):
+        b = np.array([[_box_side(draw, xshifts, cell), _box_side(draw, [shift], cell)]
+                      for _ in range(n)]).reshape(n, 2, 2)     # (n, axis, lo/hi)
+        return b[:, :, 0].copy(), b[:, :, 1].copy()
+
+    lo, hi = boxes(draw(st.integers(1, 10)), [shift])
+    qlo, qhi = boxes(draw(st.integers(0, 10)), draw(st.sampled_from([[shift], far])))
+    return lo, hi, cell, qlo, qhi
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=box_index_cases(), block_pairs=st.sampled_from([24, 64]))
+def test_box_index_reports_every_meeting_pair_once(case, block_pairs):
+    lo, hi, cell, qlo, qhi = case
+    meets = [(q, b) for q in range(len(qlo)) for b in range(len(lo))
+             if np.all(qlo[q] <= hi[b]) and np.all(lo[b] <= qhi[q])]
+    index = geom.BoxIndex(lo, hi, cell)
+    qi, bi = index.pairs(qlo, qhi)
+    assert sorted(zip(qi.tolist(), bi.tolist())) == meets
+    assert np.all(np.diff(qi) >= 0)
+    odd = index.pairs(qlo, qhi, lambda q, b: (q + b) % 2 == 1)
+    assert sorted(zip(*(v.tolist() for v in odd))) == [m for m in meets if sum(m) % 2]
+    # batches of _BLOCK_PAIRS // 8 = 3 or 8 rows and candidates
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geom, "_BLOCK_PAIRS", block_pairs)
+        batched = geom.BoxIndex(lo, hi, cell).pairs(qlo, qhi)
+    assert all(np.array_equal(a, b) for a, b in zip(batched, (qi, bi)))
+
+
 @pytest.mark.parametrize("domain,eps", [("rect", 1 / 4), ("rect", 1 / 8), ("rect", 1 / 16),
                                         ("rect", 1 / 32), ("L", 2.0 ** -6)])
 def test_certificate_bits_match_oracle_kernels(rect_spec, l_spec, domain, eps):

@@ -439,7 +439,7 @@ def test_locate_batches_agree(rect_map16, monkeypatch):
     m = rect_map16[0].map
     pts = location_probes(m, np.random.default_rng(31), 500)
     want = odmap.FaceLocator(m).locate_many(pts)
-    monkeypatch.setattr(odmap, "_BATCH_POINTS", 7)
+    monkeypatch.setattr(geom, "_BLOCK_PAIRS", 56)
     assert np.array_equal(odmap.FaceLocator(m).locate_many(pts), want)
 
 

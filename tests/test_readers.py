@@ -272,3 +272,20 @@ def test_column_readers_lower_the_read_peak(artifact_files):
             (tiling.load_tiling, oracle_tiling_from_json_dict, tp)):
         ratio = _read_peak(load, path) / _read_peak(lambda p: oracle_load(p, oracle), path)
         assert ratio <= PEAK_RATIO[load.__name__], (load.__name__, ratio)
+
+
+#: tracemalloc peak of verify_tiling on the reloaded L tiling at 2^-6 with
+#: the bisect sweep that found only witness pairs, measured 7.77 MB
+VERIFY_PEAK = 7.8e6
+
+
+def test_verify_peak_stays_within_the_sweep(l_spec, tmp_path):
+    # verify_tiling's box index walks its candidates in bounded batches:
+    # 24,132 live tiles, no overlap
+    tp = tmp_path / "L6.tiling.json"
+    mm = gridgen.grid_approximation(l_spec, 2.0 ** -6)[0]
+    tiling.save_tiling(str(tp), tiling.build_tiling(mm)[0])
+    t = tiling.load_tiling(str(tp))
+    assert len(t) - t.degenerate_count == 24132
+    peak = _read_peak(lambda p: tiling.verify_tiling(t), tp)
+    assert peak <= VERIFY_PEAK, peak

@@ -135,6 +135,34 @@ def test_tiling_columns_match_tile_oracles(tmp_path, topology_maps, l_spec):
         assert variants[-1].tiles and not tiling.verify_tiling(variants[-1]).ok
 
 
+@pytest.fixture(scope="module")
+def l_tiling8(l_spec):
+    return tiling.build_tiling(gridgen.grid_approximation(l_spec, 1 / 8)[0])[0]
+
+
+def test_verify_reports_every_overlap_of_seeded_corruptions(l_tiling8):
+    # 50 tiles widened and one shifted: every overlapping pair, as the
+    # all-pairs oracle sorts them
+    for seed in range(15):
+        v = _corrupted(l_tiling8, np.random.default_rng(seed), 50)
+        want = oracle_verify_tiling(v.L, v.tiles)[1]
+        assert len(want) > 50
+        assert repr(tiling.verify_tiling(v).overlaps) == repr(want), seed
+
+
+def test_verify_reports_every_overlap_of_a_tile_over_the_target(l_spec):
+    # one live tile of the L at 1/32 widened to [0, L] x [0, 1] overlaps
+    # nearly every other live tile
+    t = tiling.build_tiling(gridgen.grid_approximation(l_spec, 1 / 32)[0])[0]
+    k = np.flatnonzero(~t.degenerate)[len(t) // 3]
+    rect = t.rect.copy()
+    rect[k] = [0.0, t.L, 0.0, 1.0]
+    v = dataclasses.replace(t, rect=rect)
+    rep = tiling.verify_tiling(v)
+    assert repr(rep.overlaps) == repr(oracle_verify_tiling(v.L, v.tiles)[1])
+    assert len(rep.overlaps) > 0.9 * (len(v) - v.degenerate_count - 1)
+
+
 def test_tiles_view_rows():
     t, _, _ = tiling.build_tiling(strip_map())
     assert len(t.tiles) == len(t) == 10
