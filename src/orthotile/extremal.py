@@ -397,7 +397,7 @@ def find_short_contour(m: OrthodiagonalMap, seg, delta: float, color: str = "pri
     # sample points in (it, isn) order
     p = (a + np.repeat(t, ns + 1)[:, None] * direction
          + np.tile(s, nt + 1)[:, None] * normal)
-    p = p[~(geom.point_segment_distance(p, a, b) > delta)]
+    p = p[~(geom.points_to_segments_distance(p, a[None], b[None]) > delta)]
     missing = np.flatnonzero(locator.locate_many(p) < 0)
     if len(missing):
         raise ContourError(

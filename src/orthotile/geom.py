@@ -144,24 +144,6 @@ class Polygon:
         return Point2(cx, cy)
 
 
-def point_segment_distance(p, a, b):
-    """Exact distance from point p to segment [a, b].  p may also be an
-    (n, 2) array of points, giving an (n,) array of distances."""
-    p = np.asarray(p, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        d = p - a
-    else:
-        # per point the same dot product as (p - a) @ ab
-        t = ((p - a)[..., None, :] @ ab[:, None])[..., 0, 0] / denom
-        d = p - (a + np.minimum(1.0, np.maximum(0.0, t))[..., None] * ab)
-    out = np.hypot(d[..., 0], d[..., 1])
-    return float(out) if out.ndim == 0 else out
-
-
 def _segment_planes(a, b):
     """x and y planes of a and of b - a, and |b - a|^2 with 0 replaced by 1."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -218,6 +200,34 @@ def points_to_segments_distance(pts: np.ndarray, seg_a: np.ndarray, seg_b: np.nd
     for blk, sq in _squared_blocks(pts, seg_a, seg_b):
         out[blk] = sq.min(axis=1)
     return np.sqrt(out)
+
+
+def points_to_segments_l1(pts: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray) -> np.ndarray:
+    """L1 distances from each point to the nearest of the given segments.
+
+    pts: (n, 2); seg_a, seg_b: (m, 2).  Returns (n,).  With u, v = p - a
+    and dx, dy = b - a, f(t) = |t dx - u| + |t dy - v| is convex and
+    piecewise linear with kinks at t = u / dx and v / dy, one of which
+    minimises it on the line; so its minimum on [0, 1] is at one of them
+    clipped to [0, 1].  A zero dx or dy is divided as 1, and the clipped t
+    still names a point of the segment.  Blocked over the points, in place
+    in five (rows, m) buffers."""
+    px, py = pts[:, 0, None], pts[:, 1, None]
+    ax, ay, dx, dy, _ = _segment_planes(seg_a, seg_b)
+    out = np.empty(len(pts))
+    for blk in _row_blocks(len(pts), len(ax)):
+        u, v = px[blk] - ax, py[blk] - ay
+        w, best = np.empty_like(u), None
+        for q, d in ((u, dx), (v, dy)):
+            # a quotient that overflows clips to the end it points past
+            with np.errstate(over="ignore"):
+                t = np.clip(np.divide(q, np.where(d == 0.0, 1.0, d), out=w), 0.0, 1.0)
+            np.abs(np.subtract(np.multiply(t, dx, out=w), u, out=w), out=w)
+            np.abs(np.subtract(np.multiply(t, dy, out=t), v, out=t), out=t)
+            t += w
+            best = t if best is None else np.minimum(best, t, out=best)
+        out[blk] = best.min(axis=1)
+    return out
 
 
 def _nearest_segments(pts: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray):

@@ -6,9 +6,10 @@ The generator emits the 45-degree-rotated square quadrangulation: vertices
 live on the half-step lattice anchored at the bounding-box corner, faces
 are axis-aligned diamonds of diagonal eps (side eps / sqrt(2)), and all
 conductances are exactly 1.  A face is kept when its closure lies inside
-the polygon; the kept set is restricted to the connected component nearest
-the domain centroid, and the result must be simply connected or generation
-fails with instructions to refine eps.
+the polygon (its center inside by crossing parity, at L1 distance at least
+eps / 2 - tol from every edge); the kept set is restricted to the connected
+component nearest the domain centroid, and the result must be simply
+connected or generation fails with instructions to refine eps.
 """
 
 from __future__ import annotations
@@ -141,10 +142,17 @@ def _boundary_arc(poly: Polygon, s0: float, s1: float) -> np.ndarray:
 
 
 def _kept_faces(poly: Polygon, eps: float, tol: float):
-    """Lattice setup and the boolean keep-mask over candidate face centers.
+    """Lattice setup and the kept face centers.
 
-    Returns (h, origin, centers_ij) where centers_ij is an (f, 2) integer
-    array of kept face centers in half-step lattice coordinates.
+    The closed diamond {p : |p - c|_1 <= h} lies in the closed polygon
+    exactly when c does and every edge is at L1 distance at least h from
+    c.  So a center is kept when it is inside by crossing parity and its
+    L1 clearance is at least h - tol; that exceeds tol, so no kept center
+    lies on the boundary, where parity could go either way.
+
+    Returns (h, origin, centers_ij): the kept centers (i, j), i + j odd,
+    i in 0..nx, j in 0..ny, in half-step lattice coordinates and
+    lexicographic order, as an (f, 2) integer array.
     """
     h = eps / 2.0
     v = poly.vertices
@@ -153,61 +161,11 @@ def _kept_faces(poly: Polygon, eps: float, tol: float):
     nx = int(math.floor((x1 - x0) / h + 0.5)) + 1
     ny = int(math.floor((y1 - y0) / h + 0.5)) + 1
 
-    # lattice (i, j) for i in -1..nx + 1, j in -1..ny + 1 sits at [i + 1, j + 1]
-    ii, jj = np.meshgrid(np.arange(-1, nx + 2), np.arange(-1, ny + 2), indexing="ij")
-    odd = ((ii + jj) % 2) == 1
-    inner = (ii >= 0) & (ii <= nx) & (jj >= 0) & (jj <= ny)
-    ci, cj = ii[odd & inner], jj[odd & inner]
-    cx = x0 + ci * h
-    cy = y0 + cj * h
-
-    # centers strictly inside
-    on_boundary, inside = geom.polygon_masks(poly, np.stack([cx, cy], 1), tol)
-    keep = inside & ~on_boundary
-
-    # all four corners inside or on the boundary: each even lattice vertex
-    # is tested once, at the position the map stores for it
-    corner_ok = np.zeros(ii.shape, dtype=bool)
-    on_boundary, inside = geom.polygon_masks(
-        poly, np.stack([x0 + ii[~odd] * h, y0 + jj[~odd] * h], 1), tol)
-    corner_ok[~odd] = on_boundary | inside
-    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        keep &= corner_ok[ci + 1 + di, cj + 1 + dj]
-
-    # no polygon edge may penetrate the open diamond: clip each edge to the
-    # diamond (a square in the rotated frame u = dx + dy, v = dx - dy with
-    # |u|, |v| <= h) and inspect the clip midpoint's slack
-    edges = poly.edges()
-    idx = np.flatnonzero(keep)
-    if idx.size:
-        ccx, ccy = cx[idx], cy[idx]
-        pen = np.zeros(idx.size, dtype=bool)
-        for (p, q) in edges:
-            pu = (p[0] - ccx) + (p[1] - ccy)
-            pv = (p[0] - ccx) - (p[1] - ccy)
-            du = (q[0] - p[0]) + (q[1] - p[1])
-            dv = (q[0] - p[0]) - (q[1] - p[1])
-            t0 = np.zeros_like(ccx)
-            t1 = np.ones_like(ccx)
-            for u0, dd in ((pu, du), (pv, dv)):
-                if dd == 0.0:
-                    outside = np.abs(u0) >= h
-                    t0 = np.where(outside, 1.0, t0)
-                    t1 = np.where(outside, 0.0, t1)
-                else:
-                    ta = (-h - u0) / dd
-                    tb = (h - u0) / dd
-                    lo_, hi_ = np.minimum(ta, tb), np.maximum(ta, tb)
-                    t0 = np.maximum(t0, lo_)
-                    t1 = np.minimum(t1, hi_)
-            tm = (t0 + t1) / 2.0
-            um = pu + tm * du
-            vm = pv + tm * dv
-            slack = h - np.maximum(np.abs(um), np.abs(vm))
-            pen |= (t1 > t0) & (slack > tol)
-        keep[idx[pen]] = False
-
-    return h, (x0, y0), np.stack([ci[keep], cj[keep]], 1)
+    ci, cj = np.nonzero(np.add.outer(np.arange(nx + 1), np.arange(ny + 1)) % 2 == 1)
+    pts = np.stack([x0 + ci * h, y0 + cj * h], 1)
+    idx = np.flatnonzero(geom.points_in_ring(pts, v))
+    idx = idx[geom.points_to_segments_l1(pts[idx], v, np.roll(v, -1, axis=0)) >= h - tol]
+    return h, (x0, y0), np.stack([ci[idx], cj[idx]], 1)
 
 
 def _largest_component_near(centers_ij: np.ndarray, centers_xy: np.ndarray,

@@ -100,7 +100,7 @@ def save_tiling(path: str, t: Tiling) -> None:
 def load_tiling(path: str) -> Tiling:
     """Read a save_tiling file, its tile records straight into columns;
     degenerate uses the size rule only.  Tile faces and edge ids follow the
-    id rule (odmap.id_array)."""
+    id rule (odmap.id_array); L must be positive and finite, else ValueError."""
     face, eu, ev, rect = [], [], [], array.array("d")
 
     def row(r):
@@ -114,6 +114,8 @@ def load_tiling(path: str) -> Tiling:
 
     d = load_rows(path, "tiles", frozenset(("face", "edge", "x0", "x1", "y0", "y1")), row)
     L = float(d["L"])
+    if not 0.0 < L < math.inf:
+        raise ValueError(f"L must be positive and finite, not {L}")
     face = id_array(face, None, "tile faces must be integers")
     edge = np.stack([id_array(c, None, "tile edges must be integer pairs") for c in (eu, ev)],
                     axis=1).reshape(-1, 2)

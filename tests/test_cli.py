@@ -149,6 +149,30 @@ def test_nan_tile_named_in_containment(capsys, strip_files, bound):
     assert f"containment {face} nan" in capsys.readouterr().out.splitlines()
 
 
+@pytest.fixture(scope="module")
+def rect_tiling_text(tmp_path_factory):
+    """The rectangle's tiling file at 2^-5, as text."""
+    d = tmp_path_factory.mktemp("rect5")
+    dom, mp, tp = d / "dom.json", str(d / "map.json"), d / "t.json"
+    dom.write_text(json.dumps({"polygon": RECT_POLY, "marked": RECT_MARKS}))
+    assert cli.main(["generate", "--domain", str(dom), "--mesh", str(2.0 ** -5), "--out", mp]) == 0
+    assert cli.main(["tile", "--map", mp, "--out", str(tp)]) == 0
+    return tp.read_text()
+
+
+@pytest.mark.parametrize("L", [math.inf, math.nan, 0.0, -2.0])
+def test_tiling_with_bad_L_exits_1(capsys, tmp_path, rect_tiling_text, L):
+    # an infinite L once made every slack infinite, so verify passed
+    d = json.loads(rect_tiling_text)
+    d["L"] = L
+    tp = tmp_path / "t.json"
+    tp.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert cli.main(["verify", "--tiling", str(tp)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"cannot read tiling {tp}") and captured.out == ""
+
+
 def test_usage_errors_exit_64():
     r = run_cli("frobnicate")
     assert r.returncode == 64

@@ -274,16 +274,6 @@ def _oracle_polygon_error(pts):
     return None
 
 
-def _oracle_point_segment_distance(p, a, b) -> float:
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return float(np.hypot(*(p - a)))
-    t = float((p - a) @ ab) / denom
-    t = min(1.0, max(0.0, t))
-    return float(np.hypot(*(p - (a + t * ab))))
-
-
 def _random_polyline(rng, n, repeat=False):
     pts = rng.uniform(-1, 1, (n, 2)) * rng.uniform(0.1, 10)
     if repeat and n > 2:
@@ -344,16 +334,6 @@ def test_polygon_validation_matches_scalar_oracle():
             with pytest.raises(geom.GeometryError, match=want):
                 geom.Polygon(pts)
     assert all(kinds.values())
-
-
-def test_point_segment_distance_batched_matches_scalar():
-    rng = np.random.default_rng(24)
-    pts = rng.uniform(-2, 2, (500, 2))
-    for a, b in [(np.array([0.1, 0.2]), np.array([1.3, -0.7])),
-                 (np.array([0.5, 0.5]), np.array([0.5, 0.5]))]:
-        want = np.array([_oracle_point_segment_distance(p, a, b) for p in pts])
-        assert np.array_equal(geom.point_segment_distance(pts, a, b), want)
-        assert geom.point_segment_distance(pts[0], a, b) == want[0]
 
 
 def test_polygon_contains_many_labels():
@@ -433,6 +413,56 @@ def test_points_at_matches_oracle(n, repeat, scale, frac, data):
     t = np.concatenate([np.array(frac) * cum[-1], cum])
     got = geom._points_at(poly, seg, seg_len, cum, t)
     assert got.tobytes() == oracle_points_at(poly, seg, seg_len, cum, t).tobytes()
+
+
+# far coordinates reach 1e6; the others are as in distance_cases
+L1_COORD = st.one_of(COORD, st.floats(-1e6, 1e6))
+L1_SAMPLES = 64
+
+
+@st.composite
+def l1_cases(draw):
+    """(points, segment starts, segment ends, indices of points on a
+    segment): axis-parallel and zero-length segments, points on segments
+    and far points."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 9))
+    xy = lambda k: np.array(draw(st.lists(st.tuples(L1_COORD, L1_COORD), min_size=k, max_size=k)))
+    a, b, pts = xy(m), xy(m), xy(n)
+    for j in range(m):
+        # 0: general, 1: dx = 0, 2: dy = 0, 3: zero length
+        kind = draw(st.integers(0, 3))
+        if kind & 1:
+            b[j, 0] = a[j, 0]
+        if kind & 2:
+            b[j, 1] = a[j, 1]
+    on = []
+    for i in range(draw(st.integers(0, n))):
+        j = draw(st.integers(0, m - 1))
+        frac = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+        pts[i] = a[j] + frac * (b[j] - a[j])
+        on.append(i)
+    return pts, a, b, on
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=l1_cases(), block_pairs=st.sampled_from([1, 3]))
+def test_points_to_segments_l1_brackets_sampled_minimum(case, block_pairs):
+    # f(t) = |x(t) - px| + |y(t) - py| is convex and (|dx| + |dy|)-Lipschitz
+    # in t, so its minimum over [0, 1] lies within (|dx| + |dy|) / 2N below
+    # the least of N + 1 equally spaced samples
+    pts, a, b, on = case
+    got = geom.points_to_segments_l1(pts, a, b)
+    t = np.arange(L1_SAMPLES + 1)[:, None] / L1_SAMPLES
+    at = a[:, None] + t * (b - a)[:, None]                    # (m, N + 1, 2)
+    s = np.abs(at[None] - pts[:, None, None]).sum(-1).min(-1)  # (n, m)
+    lip = np.abs(b - a).sum(-1) / (2 * L1_SAMPLES)
+    rounding = 64 * 2.0 ** -52 * max(np.abs(pts).max(), np.abs(a).max(), np.abs(b).max())
+    assert np.all(got <= s.min(1) + rounding)
+    assert np.all(got >= (s - lip).min(1) - rounding)
+    assert np.all(got[on] <= rounding)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geom, "_BLOCK_PAIRS", block_pairs)     # many row blocks
+        assert geom.points_to_segments_l1(pts, a, b).tobytes() == got.tobytes()
 
 
 def _ulps_around(v, ks=(0, 1, 2, 16, 64)):

@@ -129,8 +129,23 @@ SKEW_QUAD = [[0.1, 0.05], [1.9, 0.2], [1.3, 1.7], [0.2, 1.1]]
 # a rectangle whose origin and sides are not dyadic, so lattice positions
 # x0 + i h and center-plus-h positions round differently
 OFF_RECT = [[-0.37, 0.11], [1.33, 0.11], [1.33, 1.04], [-0.37, 1.04]]
+
+
+def _ngon(n):
+    """Regular n-gon of radius 1 and phase 0.1, marked at every quarter turn:
+    no edge is parallel to a lattice axis or diagonal."""
+    a = 0.1 + 2 * np.pi * np.arange(n) / n
+    v = np.stack([np.cos(a), np.sin(a)], 1)
+    return v.tolist(), v[::n // 4].tolist()
+
+
+# non-convex: five spikes, no edge lattice-aligned
+STAR = [[1.0, 0.0], [0.42, 0.31], [0.35, 0.94], [-0.12, 0.48], [-0.83, 0.61],
+        [-0.47, 0.02], [-0.9, -0.55], [-0.2, -0.41], [0.15, -1.0], [0.5, -0.37]]
 KEPT_DOMAINS = {"L": (L_POLY, L_MARKS), "rect": (RECT_POLY, RECT_MARKS),
-                "skew": (SKEW_QUAD, SKEW_QUAD), "off_rect": (OFF_RECT, OFF_RECT)}
+                "skew": (SKEW_QUAD, SKEW_QUAD), "off_rect": (OFF_RECT, OFF_RECT),
+                "16-gon": _ngon(16), "64-gon": _ngon(64),
+                "star": (STAR, [STAR[0], STAR[4], STAR[6], STAR[8]])}
 
 
 def _generated(spec, eps):

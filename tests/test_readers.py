@@ -12,7 +12,7 @@ import pytest
 
 from conftest import (map_bits, oracle_load, oracle_map_from_json_dict,
                       oracle_tiling_from_json_dict, plus_map, star_map, strip_map, tiling_bits)
-from orthotile import cli, gridgen, odmap, tiling
+from orthotile import cli, geom, gridgen, odmap, tiling
 
 MEMBER = {"map": "vertices", "tiling": "tiles"}
 
@@ -289,3 +289,18 @@ def test_verify_peak_stays_within_the_sweep(l_spec, tmp_path):
     assert len(t) - t.degenerate_count == 24132
     peak = _read_peak(lambda p: tiling.verify_tiling(t), tp)
     assert peak <= VERIFY_PEAK, peak
+
+
+#: tracemalloc peaks of generation on the L at 2^-6 when a diamond was kept
+#: by three tests (a center mask, a corner-lattice mask and a clip of each
+#: polygon edge), measured 13.57 and 6.18 MB
+GENERATION_PEAK = {"grid_approximation": 13.6e6, "_kept_faces": 6.2e6}
+
+
+def test_generation_peak_stays_within_the_three_tests(l_spec):
+    eps = 2.0 ** -6
+    tol = geom.DEFAULT_REL_TOL * l_spec.boundary.diameter()
+    for name, run in (("grid_approximation", lambda _: gridgen.grid_approximation(l_spec, eps)),
+                      ("_kept_faces", lambda _: gridgen._kept_faces(l_spec.boundary, eps, tol))):
+        peak = _read_peak(run, "")
+        assert peak <= GENERATION_PEAK[name], (name, peak)
