@@ -29,6 +29,6 @@ print(f"witness metric lower bound = {lower:.10f}")
 print(f"unit-flow energy upper bound = {upper:.10f}")
 print(f"lambda = {res.lam:.10f} sits between both, tight on each side")
 
-rec = extremal.comparability_check(mm, cert, spec, tol=1e-12)
+rec = extremal.comparability_check(mm, cert, spec)
 print(f"domain bracket [{rec.lower:.4f}, {rec.upper:.4f}] contains lambda: "
       f"{rec.inside} (delta = {rec.delta:.4f})")

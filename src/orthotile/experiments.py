@@ -79,10 +79,10 @@ def probe_points(spec: DomainSpec, margin: Optional[float] = None) -> np.ndarray
     ys = np.arange(y0 + pitch / 2, y1, pitch)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     pts = np.stack([gx.ravel(), gy.ravel()], 1)
-    on_boundary, inside = geom.polygon_masks(spec.boundary, pts, 1e-12 * diam)
-    ring = np.vstack([v, v[:1]])
-    d = geom.points_to_segments_distance(pts, ring[:-1], ring[1:])
-    return pts[inside & ~on_boundary & (d >= margin)]
+    # one distance pass serves the margin and the boundary rule of
+    # geom.polygon_masks: a point within 1e-12 diameter of an edge is on it
+    d = geom.points_to_segments_distance(pts, v, np.roll(v, -1, axis=0))
+    return pts[geom.points_in_ring(pts, v) & (d > 1e-12 * diam) & (d >= margin)]
 
 
 # -- gradient statistics ----------------------------------------------------------
@@ -285,7 +285,6 @@ def save_report(path: str, rep: ConvergenceReport) -> None:
 
 
 def _run_level(spec: DomainSpec, eps: float, probes: np.ndarray,
-               solver_tol: float, verify_tol: float,
                save_dir: Optional[str] = None, level: int = 0):
     rec = LevelRecord(eps=eps)
     t0 = time.perf_counter()
@@ -298,15 +297,15 @@ def _run_level(spec: DomainSpec, eps: float, probes: np.ndarray,
     rec.delta = cert.delta
     rec.face_count = mm.map.n_faces
     rec.mesh_eps = mm.map.mesh_eps
-    t, h, ht = tiling.build_tiling(mm, tol=solver_tol)
+    t, h, ht = tiling.build_tiling(mm)
     rec.L_n = t.L
-    vrep = tiling.verify_tiling(t, tol=verify_tol)
+    vrep = tiling.verify_tiling(t)
     rec.area_defect = vrep.area_defect
     rec.overlap_count = len(vrep.overlaps)
     rec.containment_count = len(vrep.containment)
     # t.L is the primal extremal length, so only the dual system is solved,
     # started from the normalized conjugate
-    rec.duality_defect = abs(t.L * extremal_length(mm, "dual", solver_tol, ht.values).lam - 1.0)
+    rec.duality_defect = abs(t.L * extremal_length(mm, "dual", start=ht.values).lam - 1.0)
     F = holo.assemble(mm, h, ht)
     rec.cr_residual = F.max_cr_residual
     prof = modulus_profile(mm, h, ht)
@@ -334,8 +333,6 @@ def _run_level(spec: DomainSpec, eps: float, probes: np.ndarray,
 
 def convergence_run(spec: DomainSpec, eps0: float, levels: int,
                     probe_margin: Optional[float] = None,
-                    solver_tol: float = harmonic.DEFAULT_TOL,
-                    verify_tol: float = tiling.VERIFY_TOL,
                     save_dir: Optional[str] = None) -> ConvergenceReport:
     """Generate, tile, verify and probe `levels` refinements with
     eps = eps0 / 2^k.  Per-level generation errors are recorded and the
@@ -355,7 +352,7 @@ def convergence_run(spec: DomainSpec, eps0: float, levels: int,
 
     ref = reference_map(spec)
     eps_list = [eps0 * 2.0 ** (-k) for k in range(levels)]
-    results = [_run_level(spec, e, probes, solver_tol, verify_tol, save_dir, k)
+    results = [_run_level(spec, e, probes, save_dir, k)
                for k, e in enumerate(eps_list)]
 
     recs = [r for r, _ in results]

@@ -198,20 +198,20 @@ def min_cut_dual_path(m: MarkedRectangleMap, cut) -> CutPathResult:
     cut_keys, first = np.unique(keys[faces], return_index=True)
     in_cut = np.isin(keys, cut_keys)
     iu, iv = gp.edge_index
-    ab, cd = np.isin(gp.ids, m.arc_ab), np.isin(gp.ids, m.arc_cd)
-
-    def separates(removed: np.ndarray) -> bool:
-        lab = component_labels(gp.n, iu[~removed], iv[~removed])
-        return not np.isin(lab[ab], lab[cd]).any()
-
-    if not separates(in_cut):
+    lab = component_labels(gp.n, iu[~in_cut], iv[~in_cut])
+    ab, cd = (np.isin(lab, lab[np.isin(gp.ids, arc)]) for arc in (m.arc_ab, m.arc_cd))
+    if (ab & cd).any():
         path = _dijkstra(gp, np.where(in_cut, math.inf, 1.0), m.arc_ab, m.arc_cd)[1]
         return CutPathResult("non-separating", witness=path, message="a primal path avoids the cut")
-    for k, f in enumerate(faces[first]):
-        if separates(in_cut & (keys != cut_keys[k])):
-            key = tuple(sorted((int(gp.edge_u[f]), int(gp.edge_v[f]))))
-            return CutPathResult("non-minimal", witness=key,
-                                 message=f"edge {key} is removable")
+    # restoring a cut key's edges merges the components of their two ends,
+    # so the key is removable unless they join an [A..B] component to a
+    # [C..D] one; the first removable key in ascending order is the witness
+    f = faces[first]
+    joins = (ab[iu[f]] & cd[iv[f]]) | (cd[iu[f]] & ab[iv[f]])
+    if not joins.all():
+        f = f[np.argmin(joins)]
+        key = tuple(sorted((int(gp.edge_u[f]), int(gp.edge_v[f]))))
+        return CutPathResult("non-minimal", witness=key, message=f"edge {key} is removable")
 
     # the dual edges of the cut faces must chain into a simple path from
     # [B..C] to [D..A]; a search from its [B..C] end lists it in order
@@ -272,14 +272,13 @@ class BoundRecord:
 
 
 def comparability_check(m: MarkedRectangleMap, cert: ApproximationCertificate,
-                        spec: DomainSpec, tol: float = harmonic.DEFAULT_TOL
-                        ) -> BoundRecord:
+                        spec: DomainSpec) -> BoundRecord:
     """Two-sided enclosure of the primal extremal length from the domain:
     (l - 2 delta)^2 / (2 Area) <= lambda <= 2 Area / (l' - 2 delta)^2,
     where l, l' are replaced by the minimum Euclidean distances between
     the opposite closed continuous arcs (sound: the proxies are lower
     bounds of the crossing lengths).  Inconclusive when delta >= min/2."""
-    lam = extremal_length(m, "primal", tol).lam
+    lam = extremal_length(m, "primal").lam
     ell_hat = geom.polyline_min_distance(spec.arc_polyline(0), spec.arc_polyline(2))
     ell_hat_p = geom.polyline_min_distance(spec.arc_polyline(1), spec.arc_polyline(3))
     area = spec.boundary.area()
@@ -322,7 +321,7 @@ class RateRecord:
 
 
 def el_rate_check(coarse: MarkedRectangleMap, fine: MarkedRectangleMap,
-                  K_hat: float, tol: float = harmonic.DEFAULT_TOL) -> RateRecord:
+                  K_hat: float) -> RateRecord:
     """Bracket the extremal-length change when passing to a sub-map:
     -4K / log(d' / (delta v eps)) <= L_sub - L <= 8 K L^2 / log(d / (delta v eps)).
 
@@ -338,8 +337,8 @@ def el_rate_check(coarse: MarkedRectangleMap, fine: MarkedRectangleMap,
     eps = fine.map.mesh_eps
     d_hat = geom.polyline_min_distance(chains_f[0], chains_f[2])
     d_hat_p = geom.polyline_min_distance(chains_f[1], chains_f[3])
-    L_fine = extremal_length(fine, "primal", tol).lam
-    L_coarse = extremal_length(coarse, "primal", tol).lam
+    L_fine = extremal_length(fine, "primal").lam
+    L_coarse = extremal_length(coarse, "primal").lam
     de = max(delta, eps)
     ok = (de <= d_hat_p * math.exp(-2.0 * K_hat / L_fine)
           and de <= d_hat * math.exp(-8.0 * K_hat * L_fine))

@@ -1,4 +1,4 @@
-"""Planar primitives shared by every module: points, polygons, containment,
+"""Planar primitives shared by every module: polygons, containment,
 point/segment distances and Hausdorff distance between polylines.
 
 All predicates take an explicit tolerance.  Nothing here knows about meshes
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -27,11 +27,6 @@ HAUSDORFF_MARGIN = 16 * 2.0 ** -52
 
 class GeometryError(ValueError):
     """Invalid geometric input (empty polyline, degenerate polygon, ...)."""
-
-
-class Point2(NamedTuple):
-    x: float
-    y: float
 
 
 def _as_points(pts: Iterable) -> np.ndarray:
@@ -92,7 +87,11 @@ def _crossing_rows(ea: np.ndarray, eb: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Polygon:
     """Simple polygon, normalized to counterclockwise orientation on
-    construction.  Clockwise input is reversed rather than rejected."""
+    construction.  Clockwise input is reversed rather than rejected.  A ring
+    with a zero-length edge, two edges that cross, or a vertex on an edge it
+    is not an end of (orientation 0 and inside the edge's closed box) is
+    rejected: that covers repeated vertices, a vertex touching an edge and
+    zero-width slits."""
 
     vertices: np.ndarray
 
@@ -105,35 +104,40 @@ class Polygon:
             raise GeometryError("polygon is degenerate (zero area)")
         if area < 0.0:
             pts = pts[::-1].copy()
-        edges = np.stack([pts, np.roll(pts, -1, axis=0)], axis=1)
-        d = edges[:, 1] - edges[:, 0]
-        zero = np.hypot(d[:, 0], d[:, 1]) == 0.0
-        bad = np.flatnonzero(zero | _crossing_rows(edges, edges))
-        # edge i is checked for zero length before its crossings; proper
-        # crossing is symmetric, so the lowest edge crossing any edge
-        # crosses a later one
-        if len(bad):
-            raise GeometryError("polygon has a zero-length edge" if zero[bad[0]]
-                                else "polygon is self-intersecting")
+        nxt = np.roll(pts, -1, axis=0)
+        if (pts == nxt).all(axis=1).any():
+            raise GeometryError("polygon has a zero-length edge")
+        n = len(pts)
+        lo, hi = np.minimum(pts, nxt), np.maximum(pts, nxt)
+        far = 0.0
+        # one pass over blocks of edges i: crossings, the vertices k on edge
+        # i that are not its ends, and the squared distances from vertex i
+        for blk in _row_blocks(n, n):
+            a, b = pts[blk, None], nxt[blk, None]
+            i, k = np.nonzero(_orient(a, b, pts[None]) == 0.0)
+            i += blk.start
+            on_edge = ((k != i) & (k != (i + 1) % n)
+                       & (pts[k] >= lo[i]).all(axis=1) & (pts[k] <= hi[i]).all(axis=1))
+            if on_edge.any() or _proper_crossing(a, b, pts[None], nxt[None]).any():
+                raise GeometryError("polygon is self-intersecting")
+            dx, dy = (np.subtract.outer(pts[blk, j], pts[:, j]) for j in (0, 1))
+            far = max(far, float((dx * dx + dy * dy).max()))
         object.__setattr__(self, "vertices", pts)
+        object.__setattr__(self, "_diameter", math.sqrt(far))
 
     @property
     def n(self) -> int:
         return self.vertices.shape[0]
 
-    def edges(self) -> np.ndarray:
-        """Array of shape (n, 2, 2): edge i runs vertices[i] -> vertices[i+1]."""
-        return np.stack([self.vertices, np.roll(self.vertices, -1, axis=0)], axis=1)
-
     def diameter(self) -> float:
-        v = self.vertices
-        d = v[:, None, :] - v[None, :, :]
-        return float(np.sqrt((d ** 2).sum(-1)).max())
+        """Largest distance between two vertices (the square root of the
+        largest squared distance: sqrt is correctly rounded and monotone)."""
+        return self._diameter
 
     def area(self) -> float:
         return signed_area(self.vertices)
 
-    def centroid(self) -> Point2:
+    def centroid(self) -> tuple[float, float]:
         v = self.vertices
         x, y = v[:, 0], v[:, 1]
         xr, yr = np.roll(x, -1), np.roll(y, -1)
@@ -141,7 +145,7 @@ class Polygon:
         a = cross.sum() / 2.0
         cx = float(((x + xr) * cross).sum() / (6.0 * a))
         cy = float(((y + yr) * cross).sum() / (6.0 * a))
-        return Point2(cx, cy)
+        return cx, cy
 
 
 def _segment_planes(a, b):
@@ -288,16 +292,6 @@ def points_in_ring(pts: np.ndarray, ring: np.ndarray) -> np.ndarray:
     return out
 
 
-def polygon_contains(poly: Polygon, p, tol: float) -> str:
-    """Classify a point against a polygon: INSIDE, BOUNDARY or OUTSIDE.
-
-    Points within tol of an edge report BOUNDARY; otherwise a crossing-number
-    parity decides.
-    """
-    cls = polygon_contains_many(poly, _as_points([p]), tol)
-    return cls[0]
-
-
 def polygon_masks(poly: Polygon, pts, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Containment of many points as two masks: (on_boundary, inside),
     within tol of an edge and by crossing-number parity.  A point is
@@ -430,11 +424,12 @@ class BoxIndex:
         first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
         self.keys, self.start, self.box = key[first], np.append(first, len(key)), box
 
-    def pairs(self, qlo, qhi, keep=None) -> tuple[np.ndarray, np.ndarray]:
+    def pairs(self, qlo, qhi, keep) -> tuple[np.ndarray, np.ndarray]:
         """(query, box) index pairs of every query box [qlo, qhi] and indexed
-        box that meet, once each, by query (ascending), then cell, then box.
-        keep(qi, bi), if given, filters each batch.  Query cells are clipped
-        to the grid in floats before the cast: far queries cannot overflow."""
+        box that meet and that keep(qi, bi) accepts, once each, by query
+        (ascending), then cell, then box; keep filters each batch.  Query
+        cells are clipped to the grid in floats before the cast: far queries
+        cannot overflow."""
         glo, ghi = ((q - self.origin) / self.cell for q in (qlo, qhi))
         on = (ghi >= 0) & (glo < self.top + 1)
         q = np.flatnonzero(on[:, 0] & on[:, 1])
@@ -456,9 +451,8 @@ class BoxIndex:
                     hit &= ((a <= self.hi[bi, ax]) & (b <= qhi[qi, ax])
                             & (np.floor((np.maximum(a, b) - self.origin[ax]) / self.cell) == c[r]))
                 qi, bi = qi[hit], bi[hit]
-                if keep is not None:
-                    ok = keep(qi, bi)
-                    qi, bi = qi[ok], bi[ok]
+                ok = keep(qi, bi)
+                qi, bi = qi[ok], bi[ok]
                 out_q.append(qi)
                 out_b.append(bi)
         return np.concatenate(out_q), np.concatenate(out_b)

@@ -280,11 +280,3 @@ def _per_arc_hausdorff(spec: DomainSpec, mm: MarkedRectangleMap) -> list[float]:
     arcs = (mm.arc_ab, mm.arc_bc, mm.arc_cd, mm.arc_da)
     return [geom.hausdorff_distance(mm.map.positions[a], spec.arc_polyline(i))
             for i, a in enumerate(arcs)]
-
-
-def refine_sequence(spec: DomainSpec, eps0: float, levels: int
-                    ) -> list[tuple[MarkedRectangleMap, ApproximationCertificate]]:
-    """Level k uses eps = eps0 * 2**-k; generation errors propagate."""
-    if levels < 1:
-        raise GenerationError("levels must be >= 1")
-    return [grid_approximation(spec, eps0 * 2.0 ** (-k)) for k in range(levels)]

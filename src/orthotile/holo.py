@@ -20,8 +20,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import geom, harmonic
-from .odmap import (DUAL, PRIMAL, ContourError, MapError, MarkedRectangleMap,
-                    OrthodiagonalMap, side_keys, trace_boundary)
+from .odmap import (PRIMAL, ContourError, MapError, MarkedRectangleMap, OrthodiagonalMap,
+                    side_keys, trace_boundary)
 
 
 @dataclass
@@ -133,14 +133,6 @@ def face_integral(F: DiscreteHolomorphic, fi: int) -> complex:
     """Single-face contour integral; equals
     (dF_primal)(dz_dual) - (dF_dual)(dz_primal), i.e. the CR defect."""
     return _closed_sum(F, F.m.faces[fi])
-
-
-def sidewalks(m: OrthodiagonalMap, walk: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Split an alternating walk into its primal and dual vertex cycles."""
-    w = _normalize_walk(m, walk)
-    prim = [v for v in w if m.colors[v] == PRIMAL]
-    dual = [v for v in w if m.colors[v] == DUAL]
-    return prim, dual
 
 
 def _paired_sum(F: DiscreteHolomorphic, walk: list[int]) -> complex:

@@ -211,7 +211,7 @@ def oracle_kept_faces(poly, eps, tol):
         on_boundary, inside = geom.polygon_masks(poly, np.stack([cx + di * h, cy + dj * h], 1), tol)
         keep &= on_boundary | inside
 
-    edges = poly.edges()
+    edges = np.stack([v, np.roll(v, -1, axis=0)], axis=1)
     idx = np.flatnonzero(keep)
     if idx.size:
         ccx, ccy = cx[idx], cy[idx]
@@ -501,6 +501,32 @@ def oracle_dijkstra(g, weights, sources, targets, allowed=None):
                 prev[v] = u
                 heapq.heappush(heap, (nd, v))
     return math.inf, []
+
+
+def oracle_cut_minimality(mm, cut):
+    """The separation and minimality checks of extremal.min_cut_dual_path
+    before it labelled G minus the cut once: components relabelled once per
+    cut key, restoring that key's edges.  cut: (u, v) pairs of primal edges.
+    Returns ("non-separating", None), ("non-minimal", the first removable key
+    as a sorted pair, keys ascending) or ("minimal", None)."""
+    gp = mm.map.extract_primal()
+    keys = odmap.side_keys(gp.edge_u, gp.edge_v)
+    u, v = np.array(cut, dtype=np.int64).reshape(-1, 2).T
+    cut_keys = np.unique(odmap.side_keys(u, v))
+    in_cut = np.isin(keys, cut_keys)
+    iu, iv = gp.edge_index
+    ab, cd = np.isin(gp.ids, mm.arc_ab), np.isin(gp.ids, mm.arc_cd)
+
+    def separates(removed):
+        lab = odmap.component_labels(gp.n, iu[~removed], iv[~removed])
+        return not np.isin(lab[ab], lab[cd]).any()
+
+    if not separates(in_cut):
+        return "non-separating", None
+    for k in cut_keys.tolist():
+        if separates(in_cut & (keys != k)):
+            return "non-minimal", (k // 2 ** 32, k % 2 ** 32)
+    return "minimal", None
 
 
 def oracle_csr(A):

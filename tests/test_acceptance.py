@@ -51,13 +51,12 @@ def big(specs):
 
 @pytest.fixture(scope="module")
 def rect_run(specs):
-    return experiments.convergence_run(specs["rectangle"], 0.25, 6,
-                                       solver_tol=1e-12)
+    return experiments.convergence_run(specs["rectangle"], 0.25, 6)
 
 
 @pytest.fixture(scope="module")
 def small_runs(specs):
-    return {name: experiments.convergence_run(spec, 0.25, 5, solver_tol=1e-12)
+    return {name: experiments.convergence_run(spec, 0.25, 5)
             for name, spec in specs.items() if name != "rectangle"}
 
 
@@ -246,7 +245,7 @@ def test_criterion_11_comparability_bracket(specs):
     for name, spec in specs.items():
         for k in range(3, 7):
             mm, cert = gridgen.grid_approximation(spec, 2.0 ** -k)
-            rec = extremal.comparability_check(mm, cert, spec, tol=1e-12)
+            rec = extremal.comparability_check(mm, cert, spec)
             if rec.status != "ok":
                 continue
             assert rec.inside, (f"{name} eps=2^-{k}: lambda {rec.lam} outside "

@@ -50,6 +50,18 @@ def test_exit_codes(tmp_path, domain_file):
                      "--out", mp]) == 1
 
 
+def test_self_touching_domain_exits_1(capsys, tmp_path):
+    # a vertex on an edge pinches the ring into two lobes: the domain is
+    # rejected as input instead of meshed one lobe at a time
+    dom = tmp_path / "dom.json"
+    dom.write_text(json.dumps({"polygon": [[0, 0], [2, 0], [2, 2], [1, 0], [0, 2]],
+                               "marked": [[0, 0], [1, 0], [2, 2], [0, 2]]}))
+    assert cli.main(["generate", "--domain", str(dom), "--mesh", "0.0625",
+                     "--out", str(tmp_path / "map.json")]) == 1
+    assert "polygon is self-intersecting" in capsys.readouterr().err
+    assert not (tmp_path / "map.json").exists()
+
+
 def test_verify_tampered_tiling_exit_4(tmp_path, domain_file):
     mp = str(tmp_path / "map.json")
     tp = tmp_path / "t.json"

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (OracleLocator, graph_from_edges, grid_graph, oracle_adjacency,
-                      oracle_dijkstra, star_map, strip_map)
+                      oracle_cut_minimality, oracle_dijkstra, star_map, strip_map)
 from orthotile import extremal, geom, gridgen, harmonic, odmap
 
 
@@ -220,39 +221,42 @@ def test_min_cut_reports():
     assert steps <= edges and not steps & {(min(u, v), max(u, v)) for u, v in cut[:-1]}
 
 
+def _random_dual_path(mm, rng):
+    """A random simple walk from [B..C] to [D..A] off the other boundary
+    dual vertices, or None when it gets stuck or runs 400 steps."""
+    gd = mm.map.extract_dual()
+    indptr, nbr, _ = gd.adjacency()
+    rows = np.split(gd.ids[nbr], indptr[1:-1])
+    da = set(mm.arc_da)
+    boundary_duals = {v for v in mm.map.boundary if mm.map.colors[v] == odmap.DUAL}
+    cur = int(rng.choice(sorted(mm.arc_bc)))
+    path = [cur]
+    seen = {cur}
+    for _ in range(400):
+        nbrs = [w for w in rows[np.searchsorted(gd.ids, cur)].tolist()
+                if w not in seen and (w not in boundary_duals or w in da)]
+        if not nbrs:
+            return None
+        cur = int(nbrs[rng.integers(len(nbrs))])
+        path.append(cur)
+        seen.add(cur)
+        if cur in da:
+            return path
+    return None
+
+
 def test_randomized_minimal_cuts_bijection(rect_spec, square_spec):
     # random dual paths are exactly the minimal cuts; roundtrip both ways
     rng = np.random.default_rng(31)
     total = 0
     for spec, eps, want in ((rect_spec, 1 / 4, 50), (square_spec, 1 / 8, 50)):
         mm, _ = gridgen.grid_approximation(spec, eps)
-        gd = mm.map.extract_dual()
-        indptr, nbr, _ = gd.adjacency()
-        rows = np.split(gd.ids[nbr], indptr[1:-1])
-        bc, da = set(mm.arc_bc), set(mm.arc_da)
-        boundary_duals = {v for v in mm.map.boundary
-                          if mm.map.colors[v] == odmap.DUAL}
         count = 0
         attempts = 0
         while count < want and attempts < 3000:
             attempts += 1
-            # random simple walk from [B,C] to [D,A] off the other boundary
-            cur = int(rng.choice(sorted(bc)))
-            path = [cur]
-            seen = {cur}
-            ok = False
-            for _ in range(400):
-                nbrs = [w for w in rows[np.searchsorted(gd.ids, cur)].tolist()
-                        if w not in seen and (w not in boundary_duals or w in da)]
-                if not nbrs:
-                    break
-                cur = int(nbrs[rng.integers(len(nbrs))])
-                path.append(cur)
-                seen.add(cur)
-                if cur in da:
-                    ok = True
-                    break
-            if not ok:
+            path = _random_dual_path(mm, rng)
+            if path is None:
                 continue
             count += 1
             cut = extremal.dual_path_to_cut(mm, path)
@@ -261,6 +265,36 @@ def test_randomized_minimal_cuts_bijection(rect_spec, square_spec):
             assert res.dual_path == path or res.dual_path == path[::-1]
         total += count
     assert total >= 100
+
+
+def test_cut_minimality_matches_per_key_oracle(l_spec):
+    # minimal cuts from random dual paths, grown by up to three random
+    # primal edges or cut short by one edge; statuses and removable-edge
+    # witnesses match the loop that relabelled once per cut key
+    mm, _ = gridgen.grid_approximation(l_spec, 1 / 8)
+    gp = mm.map.extract_primal()
+    rng = np.random.default_rng(41)
+    seen = collections.Counter()
+    while sum(seen.values()) < 300:
+        path = _random_dual_path(mm, rng)
+        if path is None:
+            continue
+        cut = extremal.dual_path_to_cut(mm, path)
+        kind = sum(seen.values()) % 3
+        if kind == 1:
+            extra = rng.integers(0, gp.m, int(rng.integers(1, 4)))
+            cut += list(zip(gp.edge_u[extra].tolist(), gp.edge_v[extra].tolist()))
+        elif kind == 2:
+            del cut[int(rng.integers(len(cut)))]
+        status, witness = oracle_cut_minimality(mm, cut)
+        res = extremal.min_cut_dual_path(mm, cut)
+        seen[status] += 1
+        if status == "minimal":
+            assert res.status == "ok"
+        else:
+            assert res.status == status
+            assert status == "non-separating" or res.witness == witness
+    assert min(seen.values()) >= 50
 
 
 def test_rayleigh_monotonicity_random_graphs():
@@ -284,7 +318,7 @@ def test_rayleigh_monotonicity_random_graphs():
 def test_comparability_rectangle_levels(rect_spec):
     for eps in (1 / 8, 1 / 16):
         mm, cert = gridgen.grid_approximation(rect_spec, eps)
-        rec = extremal.comparability_check(mm, cert, rect_spec, tol=1e-12)
+        rec = extremal.comparability_check(mm, cert, rect_spec)
         assert rec.status == "ok"
         assert rec.inside
         assert abs(rec.ell_hat - 2.0) < 1e-12
@@ -297,11 +331,11 @@ def test_comparability_rectangle_levels(rect_spec):
 def test_comparability_delta_zero_limits(rect_spec, square_spec):
     mm, cert = gridgen.grid_approximation(rect_spec, 1 / 16)
     z = gridgen.ApproximationCertificate(cert.eps, 0.0, (0, 0, 0, 0))
-    rec = extremal.comparability_check(mm, z, rect_spec, tol=1e-12)
+    rec = extremal.comparability_check(mm, z, rect_spec)
     assert rec.lower == 1.0 and rec.upper == 4.0 and rec.inside
     mm, cert = gridgen.grid_approximation(square_spec, 1 / 16)
     z = gridgen.ApproximationCertificate(cert.eps, 0.0, (0, 0, 0, 0))
-    rec = extremal.comparability_check(mm, z, square_spec, tol=1e-12)
+    rec = extremal.comparability_check(mm, z, square_spec)
     assert abs(rec.lower - 0.5) < 1e-12 and abs(rec.upper - 2.0) < 1e-12
     assert rec.inside
 
@@ -309,13 +343,13 @@ def test_comparability_delta_zero_limits(rect_spec, square_spec):
 def test_comparability_inconclusive(rect_spec):
     mm, cert = gridgen.grid_approximation(rect_spec, 1 / 16)
     fat = gridgen.ApproximationCertificate(cert.eps, 0.6, (0.3, 0.3, 0.3, 0.3))
-    rec = extremal.comparability_check(mm, fat, rect_spec, tol=1e-12)
+    rec = extremal.comparability_check(mm, fat, rect_spec)
     assert rec.status == "inconclusive"
 
 
 def test_el_rate_identical_maps(rect_spec):
     mm, _ = gridgen.grid_approximation(rect_spec, 1 / 8)
-    rec = extremal.el_rate_check(mm, mm, K_hat=0.5, tol=1e-12)
+    rec = extremal.el_rate_check(mm, mm, K_hat=0.5)
     assert rec.status == "ok"
     assert abs(rec.diff) < 1e-12
     assert rec.inside
@@ -323,11 +357,11 @@ def test_el_rate_identical_maps(rect_spec):
 
 def test_el_rate_k_zero_degenerate(rect_spec):
     mm, _ = gridgen.grid_approximation(rect_spec, 1 / 8)
-    rec = extremal.el_rate_check(mm, mm, K_hat=0.0, tol=1e-12)
+    rec = extremal.el_rate_check(mm, mm, K_hat=0.0)
     assert rec.lower == 0.0 and rec.upper == 0.0
     coarse, _ = gridgen.grid_approximation(rect_spec, 1 / 8)
     fine, _ = gridgen.grid_approximation(rect_spec, 1 / 16)
-    rec = extremal.el_rate_check(coarse, fine, K_hat=0.0, tol=1e-12)
+    rec = extremal.el_rate_check(coarse, fine, K_hat=0.0)
     assert rec.status == "inconclusive"
 
 
@@ -377,7 +411,7 @@ def test_el_rate_boundary_trimmed(rect_spec):
     coarse = _boundary_trimmed(fine)
     # the Prop's thresholds cap the usable K_hat near
     # log(d / (delta v eps)) / (8 L) at desk meshes; 0.05 is inside the cap
-    rec = extremal.el_rate_check(coarse, fine, K_hat=0.05, tol=1e-12)
+    rec = extremal.el_rate_check(coarse, fine, K_hat=0.05)
     assert rec.status == "ok"
     assert rec.inside
     assert abs(rec.diff) <= rec.upper

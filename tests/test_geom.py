@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,9 +35,8 @@ def test_polygon_rejects_bad_input():
 
 def test_polygon_contains_classes():
     sq = geom.Polygon([[0, 0], [1, 0], [1, 1], [0, 1]])
-    assert geom.polygon_contains(sq, (0.5, 0.5), 1e-12) == geom.INSIDE
-    assert geom.polygon_contains(sq, (0.0, 0.5), 1e-12) == geom.BOUNDARY
-    assert geom.polygon_contains(sq, (2.0, 2.0), 1e-12) == geom.OUTSIDE
+    assert geom.polygon_contains_many(sq, [(0.5, 0.5), (0.0, 0.5), (2.0, 2.0)], 1e-12) == \
+        [geom.INSIDE, geom.BOUNDARY, geom.OUTSIDE]
 
 
 def test_polygon_contains_matches_winding_on_random_convex():
@@ -52,7 +53,7 @@ def test_polygon_contains_matches_winding_on_random_convex():
         except geom.GeometryError:
             continue
         probe = rng.uniform(-2, 2, 2)
-        got = geom.polygon_contains(poly, probe, 1e-12)
+        got, = geom.polygon_contains_many(poly, [probe], 1e-12)
         # winding for a convex ccw polygon: all cross products positive
         v = poly.vertices
         cross = [(v[(i + 1) % len(v)][0] - v[i][0]) * (probe[1] - v[i][1])
@@ -210,8 +211,8 @@ def test_polyline_min_distance():
 
 def test_centroid():
     sq = geom.Polygon([[0, 0], [2, 0], [2, 2], [0, 2]])
-    c = sq.centroid()
-    assert abs(c.x - 1) < 1e-12 and abs(c.y - 1) < 1e-12
+    cx, cy = sq.centroid()
+    assert abs(cx - 1) < 1e-12 and abs(cy - 1) < 1e-12
 
 
 # -- scalar reference oracles --------------------------------------------------
@@ -221,14 +222,15 @@ def test_centroid():
 # same order, so their results must be bitwise equal, not merely close.
 
 
-def _oracle_segments_properly_intersect(p1, p2, q1, q2) -> bool:
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+def _oracle_orient(a, b, c):
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
-    d1 = orient(q1, q2, p1)
-    d2 = orient(q1, q2, p2)
-    d3 = orient(p1, p2, q1)
-    d4 = orient(p1, p2, q2)
+
+def _oracle_segments_properly_intersect(p1, p2, q1, q2) -> bool:
+    d1 = _oracle_orient(q1, q2, p1)
+    d2 = _oracle_orient(q1, q2, p2)
+    d3 = _oracle_orient(p1, p2, q1)
+    d4 = _oracle_orient(p1, p2, q2)
     return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0
 
 
@@ -261,15 +263,21 @@ def _oracle_polyline_min_distance(a, b) -> float:
 
 
 def _oracle_polygon_error(pts):
-    """The message Polygon's scalar edge loop raised, or None."""
+    """The message of Polygon's scalar edge loop, or None: a zero-length
+    edge anywhere, else two edges that cross properly or a vertex on an edge
+    it is not an end of (orientation 0, inside the edge's closed box)."""
     n = pts.shape[0]
+    if any(np.hypot(*(pts[(i + 1) % n] - pts[i])) == 0.0 for i in range(n)):
+        return "polygon has a zero-length edge"
     for i in range(n):
         a, b = pts[i], pts[(i + 1) % n]
-        if np.hypot(*(b - a)) == 0.0:
-            return "polygon has a zero-length edge"
-        for j in range(i + 1, n):
+        for j in range(n):
             c, d = pts[j], pts[(j + 1) % n]
-            if _oracle_segments_properly_intersect(a, b, c, d):
+            if j > i and _oracle_segments_properly_intersect(a, b, c, d):
+                return "polygon is self-intersecting"
+            if (j not in (i, (i + 1) % n) and _oracle_orient(a, b, c) == 0
+                    and min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
+                    and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])):
                 return "polygon is self-intersecting"
     return None
 
@@ -334,6 +342,35 @@ def test_polygon_validation_matches_scalar_oracle():
             with pytest.raises(geom.GeometryError, match=want):
                 geom.Polygon(pts)
     assert all(kinds.values())
+
+
+@pytest.mark.parametrize("ring", [
+    [(0, 0), (2, 0), (2, 2), (1, 0), (0, 2)],                    # a vertex on an edge
+    [(0, 0), (2, 0), (1, 1), (2, 2), (0, 2), (1, 1)],            # a repeated vertex
+    [(0, 0), (1, 0), (1, 0.5), (1, 0), (2, 0), (2, 2), (0, 2)],  # a zero-width slit
+])
+def test_polygon_rejects_self_touching_rings(ring):
+    # no two edges cross properly, so only the vertex-on-edge rule sees these
+    assert _oracle_polygon_error(np.array(ring, dtype=float)) == "polygon is self-intersecting"
+    with pytest.raises(geom.GeometryError, match="polygon is self-intersecting"):
+        geom.Polygon(ring)
+
+
+def test_polygon_diameter_is_blocked_and_exact():
+    # the unblocked (n, n, 2) form took 168 MB for a 2,048-gon
+    ang = 2 * np.pi * np.arange(2048) / 2048
+    ring = np.stack([np.cos(ang), np.sin(ang)], 1) * 3.7 + [1.25, -0.5]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        d = geom.Polygon(ring).diameter()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    diff = ring[:, None, :] - ring[None, :, :]
+    assert d == float(np.sqrt((diff ** 2).sum(-1)).max())
 
 
 def test_polygon_contains_many_labels():
@@ -564,6 +601,10 @@ def box_index_cases(draw):
     return lo, hi, cell, qlo, qhi
 
 
+def _every_pair(qi, bi):
+    return np.ones(len(qi), dtype=bool)
+
+
 @settings(max_examples=200, deadline=None)
 @given(case=box_index_cases(), block_pairs=st.sampled_from([24, 64]))
 def test_box_index_reports_every_meeting_pair_once(case, block_pairs):
@@ -571,7 +612,7 @@ def test_box_index_reports_every_meeting_pair_once(case, block_pairs):
     meets = [(q, b) for q in range(len(qlo)) for b in range(len(lo))
              if np.all(qlo[q] <= hi[b]) and np.all(lo[b] <= qhi[q])]
     index = geom.BoxIndex(lo, hi, cell)
-    qi, bi = index.pairs(qlo, qhi)
+    qi, bi = index.pairs(qlo, qhi, _every_pair)
     assert sorted(zip(qi.tolist(), bi.tolist())) == meets
     assert np.all(np.diff(qi) >= 0)
     odd = index.pairs(qlo, qhi, lambda q, b: (q + b) % 2 == 1)
@@ -579,7 +620,7 @@ def test_box_index_reports_every_meeting_pair_once(case, block_pairs):
     # batches of _BLOCK_PAIRS // 8 = 3 or 8 rows and candidates
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geom, "_BLOCK_PAIRS", block_pairs)
-        batched = geom.BoxIndex(lo, hi, cell).pairs(qlo, qhi)
+        batched = geom.BoxIndex(lo, hi, cell).pairs(qlo, qhi, _every_pair)
     assert all(np.array_equal(a, b) for a, b in zip(batched, (qi, bi)))
 
 

@@ -64,8 +64,8 @@ def test_certificate_soundness_axis_aligned(rect_spec, square_spec):
             assert all(d <= 2 * eps for d in cert.per_arc_hausdorff)
 
 
-def test_refine_sequence_scaling(square_spec):
-    seq = gridgen.refine_sequence(square_spec, 0.25, 3)
+def test_refinement_scaling(square_spec):
+    seq = [gridgen.grid_approximation(square_spec, eps) for eps in (0.25, 0.125, 0.0625)]
     eps = [c.eps for _, c in seq]
     assert eps == [0.25, 0.125, 0.0625]
     faces = [m.map.n_faces for m, _ in seq]
@@ -74,8 +74,8 @@ def test_refine_sequence_scaling(square_spec):
     assert 3.2 < faces[2] / faces[1] < 4.8
 
 
-def test_refine_sequence_hausdorff_monotone(l_spec):
-    seq = gridgen.refine_sequence(l_spec, 1 / 8, 4)
+def test_refinement_hausdorff_monotone(l_spec):
+    seq = [gridgen.grid_approximation(l_spec, 2.0 ** -k) for k in range(3, 7)]
     worst = [max(c.per_arc_hausdorff) for _, c in seq]
     assert all(b <= a + 1e-12 for a, b in zip(worst, worst[1:]))
 

@@ -205,15 +205,6 @@ def test_green_nesting_violation(tiled_rect):
         holo.green_residual(F, outer, inner)
 
 
-def test_sidewalks_split(tiled_rect):
-    mm, F = tiled_rect
-    walk, _ = block_walk(mm.map, 0.3, 1.2, 0.2, 0.8)
-    prim, dual = holo.sidewalks(mm.map, walk)
-    assert len(prim) + len(dual) == len(walk)
-    assert all(mm.map.colors[v] == 0 for v in prim)
-    assert all(mm.map.colors[v] == 1 for v in dual)
-
-
 def test_enclosed_faces_blocked_over_faces(rect_map16, monkeypatch):
     # faces x walk exceeds one block, so the centroid test runs in several
     # blocks; the enclosed set is the face set the walk was traced from
