@@ -84,8 +84,9 @@ def extremal_length(m: MarkedRectangleMap, pair: str = "primal",
 def duality_product(m: MarkedRectangleMap, tol: float = harmonic.DEFAULT_TOL
                     ) -> tuple[float, float, float]:
     """(lambda_primal, lambda_dual, product): the primal system solved, then
-    the dual system solved to its own residual, started from the conjugate
-    of the primal field (harmonic.conjugate_start)."""
+    the dual system solved to its own residual, started from the normalized
+    conjugate of the primal field (harmonic.conjugate_start), the one
+    harmonic_conjugate checks and build_tiling tiles with."""
     primal = extremal_length(m, "primal", tol)
     start = harmonic.conjugate_start(m, primal.witness_field)
     lp, ld = primal.lam, extremal_length(m, "dual", tol, start).lam
@@ -264,12 +265,6 @@ class BoundRecord:
         s = 1e-9 * max(1.0, abs(self.lam))
         return self.lower - s <= self.lam <= self.upper + s
 
-    def to_json_dict(self) -> dict:
-        return {"status": self.status, "lambda": self.lam, "lower": self.lower,
-                "upper": self.upper, "ell_hat": self.ell_hat,
-                "ell_hat_prime": self.ell_hat_prime, "delta": self.delta,
-                "area": self.area, "inside": self.inside}
-
 
 def comparability_check(m: MarkedRectangleMap, cert: ApproximationCertificate,
                         spec: DomainSpec) -> BoundRecord:
@@ -311,13 +306,6 @@ class RateRecord:
     def inside(self) -> bool:
         s = 1e-9 * max(1.0, abs(self.L_fine))
         return self.lower - s <= self.diff <= self.upper + s
-
-    def to_json_dict(self) -> dict:
-        return {"status": self.status, "L_coarse": self.L_coarse,
-                "L_fine": self.L_fine, "diff": self.diff, "lower": self.lower,
-                "upper": self.upper, "delta": self.delta, "eps": self.eps,
-                "d_hat": self.d_hat, "d_hat_prime": self.d_hat_prime,
-                "inside": self.inside}
 
 
 def el_rate_check(coarse: MarkedRectangleMap, fine: MarkedRectangleMap,

@@ -125,10 +125,6 @@ class Polygon:
         object.__setattr__(self, "vertices", pts)
         object.__setattr__(self, "_diameter", math.sqrt(far))
 
-    @property
-    def n(self) -> int:
-        return self.vertices.shape[0]
-
     def diameter(self) -> float:
         """Largest distance between two vertices (the square root of the
         largest squared distance: sqrt is correctly rounded and monotone)."""

@@ -484,17 +484,21 @@ def breadth_first_levels(indptr: np.ndarray, indices: np.ndarray,
 
 
 def _integrate_conjugate(m: MarkedRectangleMap, h: HarmonicField):
-    """The conjugate increments of h integrated over a breadth-first
+    """The normalized conjugate of h, integrated over a breadth-first
     spanning tree of the dual graph; never raises.
 
     Across each face (v1, w1, v2, w2) the increment is
     htilde(w2) - htilde(w1) = c(v1, v2) (h(v2) - h(v1)).  The tree is rooted
     at the smallest-id vertex of the arc [D, A], the search visits
     neighbours in ascending index order, and a tree edge crosses the
-    lowest-id face between its two ends.  Returns the values indexed by
-    dual vertex id (0 at the root and wherever the search does not reach,
-    NaN at other ids), whether it reached every vertex, and the largest CR
-    residual on a non-tree face."""
+    lowest-id face between its two ends.  The integral is shifted so the
+    arc [D, A] has minimum 0 (which changes only rounding, and fixes the
+    tile coordinates' bits), then put onto [0, 1]: shifted so the arc
+    [B, C] has minimum 0 and scaled so the arc [D, A] has maximum 1, or left
+    unscaled when that span is not positive; the span is h's current
+    strength up to the accumulated cycle residual.  Returns the values
+    indexed by dual vertex id (NaN at other ids), whether the search reached
+    every vertex, and the largest CR residual on a non-tree face."""
     g_dual = m.map.extract_dual()
     f = m.map.faces
     gp_c = m.map.extract_primal().edge_c
@@ -521,35 +525,28 @@ def _integrate_conjugate(m: MarkedRectangleMap, h: HarmonicField):
     max_res = float(res[~tree_face].max()) if (~tree_face).any() else 0.0
     values = np.full(int(g_dual.ids[-1]) + 1, np.nan)
     values[g_dual.ids] = vals
-    return values, len(child) == n - 1, max_res
-
-
-def normalize_conjugate(m: MarkedRectangleMap, values: np.ndarray) -> np.ndarray:
-    """Conjugate values (indexed by dual vertex id) put onto [0, 1] at the
-    boundary: shifted so the arc [B, C] has minimum 0 and scaled so the arc
-    [D, A] has maximum 1, or left unscaled when that span is not positive.
-    The scale differs from 1 by the accumulated cycle residual."""
+    values -= values[m.arc_da].min()
     shift = float(values[m.arc_bc].min())
     span = float(values[m.arc_da].max()) - shift
-    return (values - shift) / (span if span > 0 else 1.0)
+    return (values - shift) / (span if span > 0 else 1.0), len(child) == n - 1, max_res
 
 
 def conjugate_start(m: MarkedRectangleMap, h: HarmonicField) -> np.ndarray:
     """The normalized conjugate of the primal field h, indexed by dual
     vertex id: on an orthodiagonal map it solves the dual Dirichlet problem
     (0 on [B, C], 1 on [D, A]) up to h's residual, so it starts that solve.
-    It skips harmonic_conjugate's checks and never raises."""
-    return normalize_conjugate(m, _integrate_conjugate(m, h)[0])
+    It is harmonic_conjugate's field without the checks, and never raises."""
+    return _integrate_conjugate(m, h)[0]
 
 
 def harmonic_conjugate(m: MarkedRectangleMap, h: HarmonicField) -> tuple[HarmonicField, float]:
-    """Integrate the conjugate dual field of a primal tiling solution.
+    """The normalized conjugate of a primal tiling solution as a dual field.
 
     The increments are integrated over a breadth-first spanning tree of the
-    dual graph (_integrate_conjugate), and the result is shifted so the
-    minimum over the arc [D, A] is 0.  The maximum leftover CR residual on
-    non-tree dual edges is checked against CYCLE_TOL_REL * max(gap, 1) and
-    returned alongside the field, whose pinned ids are arc_bc then arc_da.
+    dual graph and put onto 0 on [B, C] and 1 on [D, A]
+    (_integrate_conjugate).  The maximum leftover CR residual on non-tree
+    dual edges is checked against CYCLE_TOL_REL * max(gap, 1) and returned
+    alongside the field, whose pinned ids are arc_bc then arc_da.
     """
     values, connected, max_res = _integrate_conjugate(m, h)
     if not connected:
@@ -559,8 +556,6 @@ def harmonic_conjugate(m: MarkedRectangleMap, h: HarmonicField) -> tuple[Harmoni
         raise ConjugacyError(
             f"max non-tree CR residual {max_res:.3e} exceeds {CYCLE_TOL_REL:.1e} * {scale:.3g}; "
             "the primal field is not harmonic enough")
-
-    values -= values[m.arc_da].min()
     conj = HarmonicField(m.map.extract_dual(), values, np.concatenate([m.arc_bc, m.arc_da]),
                          max(CYCLE_TOL_REL * 10.0, 1e-12))
     return conj, max_res

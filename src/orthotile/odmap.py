@@ -184,12 +184,14 @@ class OrthodiagonalMap:
             self._caches["sides"] = np.stack([keys >> 32, keys & (2 ** 32 - 1)], axis=1)
         return self._caches["sides"]
 
-    @cached_property
+    @property
     def mesh_eps(self) -> float:
-        """The longest face side, 0.0 without faces."""
-        q = self.positions[self.faces]                     # (f, 4, 2)
-        d = q - np.roll(q, -1, axis=1)
-        return float(np.sqrt((d ** 2).sum(-1)).max(initial=0.0))
+        """The longest face side, 0.0 without faces, cached on first read."""
+        if "mesh_eps" not in self._caches:
+            q = self.positions[self.faces]                     # (f, 4, 2)
+            d = q - np.roll(q, -1, axis=1)
+            self._caches["mesh_eps"] = float(np.sqrt((d ** 2).sum(-1)).max(initial=0.0))
+        return self._caches["mesh_eps"]
 
     def face_centroids(self) -> np.ndarray:
         if "centroids" not in self._caches:

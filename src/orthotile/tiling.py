@@ -3,11 +3,11 @@ the piecewise-linear interpolated map, and SVG rendering.
 
 build_tiling solves the primal boundary value problem (0 on the arc A..B,
 L on C..D where L is the effective resistance between them), integrates
-the conjugate dual field, normalizes it to [0, 1] boundary values, and
-assigns each interior face the axis-aligned rectangle
-[h(v1), h(v2)] x [htilde(w1), htilde(w2)].  Tile coordinates reuse the
-solved vertex values bitwise, so abutting tiles share exact floats and
-overlap detection needs no slack of its own.  verify_tiling reports every
+the conjugate dual field with [0, 1] boundary values
+(harmonic.harmonic_conjugate), and assigns each interior face the
+axis-aligned rectangle [h(v1), h(v2)] x [htilde(w1), htilde(w2)].  Tile
+coordinates reuse the solved vertex values bitwise, so abutting tiles share
+exact floats and overlap detection needs no slack of its own.  verify_tiling reports every
 overlapping pair of live tiles, found with a geom.BoxIndex.
 """
 
@@ -142,9 +142,7 @@ def build_tiling(m: MarkedRectangleMap, tol: float = harmonic.DEFAULT_TOL
     h = harmonic.HarmonicField(gp, L * h01.values, h01.boundary, h01.tol * max(L, 1.0),
                                h01.iterations)
 
-    conj, max_res = harmonic.harmonic_conjugate(m, h)
-    h_tilde = harmonic.HarmonicField(conj.graph, harmonic.normalize_conjugate(m, conj.values),
-                                     conj.boundary, conj.tol)
+    h_tilde, max_res = harmonic.harmonic_conjugate(m, h)
 
     v1, w1, v2, w2 = m.map.faces.T
     xa, xb = h.values[v1], h.values[v2]

@@ -425,7 +425,7 @@ def oracle_flow_check(flow, rel=1e-10):
 
 def oracle_conjugate_values(mm, h):
     """Dual values integrated along a deque breadth-first tree over sorted
-    adjacency lists, before the shift; and the tree-face mask."""
+    adjacency lists, before normalization; and the tree-face mask."""
     g_dual = mm.map.extract_dual()
     f = mm.map.faces
     inc = mm.map.extract_primal().edge_c * (h.values[f[:, 2]] - h.values[f[:, 0]])

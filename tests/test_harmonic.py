@@ -587,9 +587,10 @@ def test_harmonic_conjugate_star_exact():
     h = harmonic.solve_dirichlet(gp, [0, 3, 8, 5], [0.0, 0.0, 1.0, 1.0], tol=1e-12)
     conj, max_res = harmonic.harmonic_conjugate(mm, h)
     assert max_res <= 1e-10
-    # normalized: min over [D, A] dual arc is 0
-    assert min(conj.values[v] for v in mm.arc_da) == 0.0
-    assert abs(conj.energy - h.energy) < 1e-10
+    # normalized: 0 to 1 from the [B, C] dual arc to [D, A]
+    assert conj.values[mm.arc_bc].min() == 0.0 and conj.values[mm.arc_da].max() == 1.0
+    # h has unit gap, so the conjugate's span is E(h), scaled away
+    assert abs(conj.energy * h.energy - 1.0) < 1e-10
 
 
 def test_conjugate_constant_field():
@@ -611,16 +612,15 @@ def test_conjugate_matches_direct_dual_solve(rect_map16):
     conj, max_res = harmonic.harmonic_conjugate(mm, h)
     assert max_res <= 1e-8 * max(h.gap(), 1.0)
     gd = mm.map.extract_dual()
-    # h has unit gap, so its conjugate's boundary gap equals the current
-    # strength, which is E(h); pin the direct dual solve accordingly
-    dual_ids, unit = harmonic.unit_pins(mm.arc_bc, mm.arc_da)
-    hd = harmonic.solve_dirichlet(gd, dual_ids, unit * h.energy, tol=1e-12)
+    # the normalized conjugate solves the unit dual problem, and h has unit
+    # gap, so the conjugate's span E(h) is scaled away: E(conj) E(h) = 1
+    hd = harmonic.solve_dirichlet(gd, *harmonic.unit_pins(mm.arc_bc, mm.arc_da), tol=1e-12)
     # compare up to an additive constant
     diffs = [conj.values[int(v)] - hd.values[int(v)] for v in gd.ids]
     shift = float(np.mean(diffs))
     dev = max(abs(d - shift) for d in diffs)
     assert dev < 1e-8
-    assert abs(conj.energy - h.energy) < 1e-10 * max(1.0, h.energy)
+    assert abs(conj.energy * h.energy - 1.0) < 1e-10
 
 
 def test_conjugate_matches_bfs_oracle(topology_maps):
@@ -634,8 +634,25 @@ def test_conjugate_matches_bfs_oracle(topology_maps):
                                                 - h.values[mm.map.faces[:, 0]])
         res = np.abs(vals[w2] - vals[w1] - inc)[~tree]
         assert max_res == (float(res.max()) if res.size else 0.0)
-        vals -= vals[np.searchsorted(ids, sorted(mm.arc_da))].min()
+        # normalized as _integrate_conjugate does: [D, A] shifted to minimum
+        # 0, then [B, C] to minimum 0 and [D, A] scaled to maximum 1
+        da, bc = (np.searchsorted(ids, sorted(arc)) for arc in (mm.arc_da, mm.arc_bc))
+        vals -= vals[da].min()
+        shift = float(vals[bc].min())
+        span = float(vals[da].max()) - shift
+        vals = (vals - shift) / (span if span > 0 else 1.0)
         assert np.array_equal(conj.values[ids].view(np.uint64), vals.view(np.uint64))
+
+
+def test_one_normalized_conjugate(topology_maps):
+    # harmonic_conjugate, conjugate_start and build_tiling give the same
+    # bits, NaN at the primal ids included, 0 to 1 from [B, C] to [D, A]
+    for mm in topology_maps.values():
+        _, h, ht = tiling.build_tiling(mm)
+        conj = harmonic.harmonic_conjugate(mm, h)[0].values
+        for other in (harmonic.conjugate_start(mm, h), ht.values):
+            assert np.array_equal(conj.view(np.uint64), other.view(np.uint64))
+        assert conj[mm.arc_bc].min() == 0.0 and conj[mm.arc_da].max() == 1.0
 
 
 def test_conjugacy_error_on_nonharmonic_field():
