@@ -43,24 +43,28 @@ class DomainSpec:
         if marks.shape != (4, 2):
             raise geom.GeometryError("need exactly four marked points")
         tol = 1e-9 * max(poly.diameter(), 1.0)
+        ring = _ring_arclength(poly)
         params = []
         for p in marks:
-            s, d = _boundary_parameter(poly, p)
+            s, d = _boundary_parameter(ring, p)
             if d > tol:
                 raise geom.GeometryError(
                     f"marked point {tuple(p)} is {d:.3e} away from the boundary")
             params.append(s)
-        perimeter = _ring_arclength(poly)[3][-1]
-        rel = [(params[i] - params[0]) % perimeter for i in range(4)]
+        rel = [(params[i] - params[0]) % ring[3][-1] for i in range(4)]
         if not (rel[1] < rel[2] < rel[3]) or min(rel[1:]) <= 0:
             raise geom.GeometryError("marked points are not in counterclockwise order")
+        arcs = tuple(_boundary_arc(ring, params[i], params[(i + 1) % 4]) for i in range(4))
+        for arc in arcs:
+            arc.flags.writeable = False
         object.__setattr__(self, "boundary", poly)
         object.__setattr__(self, "marked_points", marks)
-        object.__setattr__(self, "_params", tuple(params))
+        object.__setattr__(self, "_arcs", arcs)
 
     def arc_polyline(self, i: int) -> np.ndarray:
-        """Continuous boundary arc from marked point i to i+1 (ccw)."""
-        return _boundary_arc(self.boundary, self._params[i], self._params[(i + 1) % 4])
+        """Continuous boundary arc from marked point i to i+1 (ccw), built
+        once per spec and read-only."""
+        return self._arcs[i]
 
     def to_json_dict(self) -> dict:
         return {"polygon": [[float(x), float(y)] for x, y in self.boundary.vertices],
@@ -108,10 +112,10 @@ def _ring_arclength(poly: Polygon):
     return (ring, *geom._arclength(ring))
 
 
-def _boundary_parameter(poly: Polygon, p) -> tuple[float, float]:
+def _boundary_parameter(ring_arclength, p) -> tuple[float, float]:
     """Arclength parameter of the boundary point nearest to p, and the
-    distance to it."""
-    ring, _, seg_len, cum = _ring_arclength(poly)
+    distance to it, on a polygon given by its _ring_arclength."""
+    ring, _, seg_len, cum = ring_arclength
     ax, ay, abx, aby, denom = geom._segment_planes(ring[:-1], ring[1:])
     px, py = (float(c) for c in p)
     d = np.sqrt(geom._squared_distances(px, py, ax, ay, abx, aby, denom))
@@ -120,9 +124,10 @@ def _boundary_parameter(poly: Polygon, p) -> tuple[float, float]:
     return float(cum[k] + t * seg_len[k]), float(d[k])
 
 
-def _boundary_arc(poly: Polygon, s0: float, s1: float) -> np.ndarray:
-    """Boundary sub-polyline from parameter s0 ccw to s1."""
-    ring, seg, seg_len, cum = _ring_arclength(poly)
+def _boundary_arc(ring_arclength, s0: float, s1: float) -> np.ndarray:
+    """Boundary sub-polyline from parameter s0 ccw to s1, on a polygon
+    given by its _ring_arclength."""
+    ring, seg, seg_len, cum = ring_arclength
     total = cum[-1]
     span = (s1 - s0) % total
     if span == 0.0:
@@ -142,7 +147,8 @@ def _boundary_arc(poly: Polygon, s0: float, s1: float) -> np.ndarray:
 
 
 def _kept_faces(poly: Polygon, eps: float, tol: float):
-    """Lattice setup and the kept face centers.
+    """Lattice setup and the kept face centers; GenerationError unless eps
+    and the lattice's extent in steps are finite.
 
     The closed diamond {p : |p - c|_1 <= h} lies in the closed polygon
     exactly when c does and every edge is at L1 distance at least h from
@@ -158,6 +164,8 @@ def _kept_faces(poly: Polygon, eps: float, tol: float):
     v = poly.vertices
     x0, y0 = float(v[:, 0].min()), float(v[:, 1].min())
     x1, y1 = float(v[:, 0].max()), float(v[:, 1].max())
+    if not (math.isfinite(eps) and math.isfinite(max(x1 - x0, y1 - y0) / h)):
+        raise GenerationError(f"eps = {eps!r} gives no finite lattice over the domain")
     nx = int(math.floor((x1 - x0) / h + 0.5)) + 1
     ny = int(math.floor((y1 - y0) / h + 0.5)) + 1
 
@@ -168,40 +176,36 @@ def _kept_faces(poly: Polygon, eps: float, tol: float):
     return h, (x0, y0), np.stack([ci[idx], cj[idx]], 1)
 
 
-def _largest_component_near(centers_ij: np.ndarray, centers_xy: np.ndarray,
-                            target_xy) -> np.ndarray:
-    """Indices of the kept-face component nearest to target_xy; ties broken
-    by smallest face index."""
+def _largest_component_near(centers_ij: np.ndarray, h: float, origin, target_xy) -> np.ndarray:
+    """Indices of the kept-face component nearest to target_xy, its centres
+    at origin + h (i, j); ties broken by smallest face index.  centers_ij is
+    in lexicographic order, so its keys i * 2**32 + j ascend."""
     nfc = len(centers_ij)
     key = centers_ij[:, 0].astype(np.int64) * (2 ** 32) + centers_ij[:, 1]
-    order = np.argsort(key)
-    sorted_key = key[order]
     rows, cols = [], []
-    for di, dj in ((1, 1), (1, -1)):
-        nbr = (centers_ij[:, 0] + di).astype(np.int64) * (2 ** 32) + (centers_ij[:, 1] + dj)
-        pos = np.searchsorted(sorted_key, nbr)
-        pos = np.clip(pos, 0, nfc - 1)
-        hit = sorted_key[pos] == nbr
+    for nbr in (key + (2 ** 32 + 1), key + (2 ** 32 - 1)):    # (i + 1, j + 1), (i + 1, j - 1)
+        pos = np.minimum(np.searchsorted(key, nbr), nfc - 1)
+        hit = key[pos] == nbr
         rows.append(np.flatnonzero(hit))
-        cols.append(order[pos[hit]])
+        cols.append(pos[hit])
     labels = component_labels(nfc, np.concatenate(rows), np.concatenate(cols))
-    # a component is named by its smallest face index
-    roots = np.flatnonzero(labels == np.arange(nfc))
-    d = np.sqrt(((centers_xy - np.asarray(target_xy)) ** 2).sum(-1))
+    # a component is named by its smallest face index, so the first
+    # minimum of its distance breaks ties by that index
+    d = np.sqrt(((np.asarray(origin) + centers_ij * h - np.asarray(target_xy)) ** 2).sum(-1))
     dmin = np.full(nfc, math.inf)
     np.minimum.at(dmin, labels, d)
-    best = roots[np.lexsort((roots, dmin[roots]))[0]]
-    return np.flatnonzero(labels == best)
+    return np.flatnonzero(labels == np.argmin(dmin))
 
 
 def grid_approximation(spec: DomainSpec, eps: float) -> tuple[MarkedRectangleMap,
                                                               ApproximationCertificate]:
     """Build the interior diamond-grid approximation at mesh eps.
 
-    Raises GenerationError when the kept cell set is empty, not simply
-    connected, has fewer than four distinct primal boundary vertices, or
-    the marked points collapse onto fewer than four discrete vertices;
-    in each case the fix is a smaller eps.
+    Raises GenerationError when eps is not positive or gives no finite
+    lattice, and when the kept cell set is empty, not simply connected,
+    has fewer than four distinct primal boundary vertices, or the marked
+    points collapse onto fewer than four discrete vertices; in those four
+    cases the fix is a smaller eps.
     """
     poly = spec.boundary
     diam = poly.diameter()
@@ -213,9 +217,7 @@ def grid_approximation(spec: DomainSpec, eps: float) -> tuple[MarkedRectangleMap
     if len(centers) == 0:
         raise GenerationError("no grid cell lies inside the domain: refine eps")
 
-    centers_xy = np.stack([x0 + centers[:, 0] * h, y0 + centers[:, 1] * h], 1)
-    comp = _largest_component_near(centers, centers_xy, poly.centroid())
-    centers = centers[comp]
+    centers = centers[_largest_component_near(centers, h, (x0, y0), poly.centroid())]
 
     # vertices: the four corners of each kept diamond, deduplicated and
     # id-ordered by (i, j)
@@ -224,31 +226,25 @@ def grid_approximation(spec: DomainSpec, eps: float) -> tuple[MarkedRectangleMap
     corner_j = np.concatenate([cj, cj + 1, cj, cj - 1])
     vkey = corner_i.astype(np.int64) * (2 ** 32) + corner_j
     uniq, inverse = np.unique(vkey, return_inverse=True)
-    vi = (uniq // (2 ** 32)).astype(np.int64)
-    vj = (uniq - vi * (2 ** 32)).astype(np.int64)
+    vi, vj = uniq >> 32, uniq & (2 ** 32 - 1)
     positions = np.stack([x0 + vi * h, y0 + vj * h], 1)
     colors = np.where(vi % 2 == 0, PRIMAL, DUAL)
 
     nfc = len(centers)
-    east = inverse[0 * nfc:1 * nfc]
-    north = inverse[1 * nfc:2 * nfc]
-    west = inverse[2 * nfc:3 * nfc]
-    south = inverse[3 * nfc:4 * nfc]
-    # ccw starting at a primal corner: east corner has i odd when the
-    # center column is even, so the two face classes start differently
-    faces = np.where((ci % 2 == 1)[:, None],
-                     np.stack([east, north, west, south], 1),
-                     np.stack([north, west, south, east], 1))
+    # each diamond ccw from its east corner, which is dual when the centre
+    # column is even: OrthodiagonalMap starts those faces one step later
+    faces = inverse.reshape(4, nfc).T
 
     try:
         boundary = trace_boundary(faces)
     except MapError as exc:
         raise GenerationError(f"{exc}: refine eps") from exc
-    m = OrthodiagonalMap(positions, colors, faces, boundary)
-
-    n_e = len(m.side_edges())
-    if m.n_vertices - n_e + (m.n_faces + 1) != 2:
+    # V - E + F = 2 with F = f + 1, and E = (4f + b) / 2 because a lattice
+    # side bounds at most two kept diamonds: the b boundary sides one, the
+    # rest two
+    if 2 * len(positions) - 2 * nfc - len(boundary) != 2:
         raise GenerationError("kept cells are not simply connected: refine eps")
+    m = OrthodiagonalMap(positions, colors, faces, boundary)
 
     pb = np.unique(m.boundary[colors[m.boundary] == PRIMAL])
     if len(pb) < 4:
@@ -257,9 +253,7 @@ def grid_approximation(spec: DomainSpec, eps: float) -> tuple[MarkedRectangleMap
     marked = []
     for p in spec.marked_points:
         d = np.sqrt(((positions[pb] - p) ** 2).sum(-1))
-        best = d.min()
-        cand = pb[d <= best + 1e-12 * max(diam, 1.0)]
-        marked.append(int(cand.min()))
+        marked.append(int(pb[d <= d.min() + 1e-12 * max(diam, 1.0)].min()))
     if len(set(marked)) != 4:
         raise GenerationError("marked points collapse onto fewer than 4 vertices: refine eps")
 
@@ -268,15 +262,8 @@ def grid_approximation(spec: DomainSpec, eps: float) -> tuple[MarkedRectangleMap
     except MapError as exc:
         raise GenerationError(f"marked vertices unusable at this eps: {exc}") from exc
 
-    per_arc = _per_arc_hausdorff(spec, mm)
+    per_arc = [geom.hausdorff_distance(positions[a], spec.arc_polyline(i))
+               for i, a in enumerate((mm.arc_ab, mm.arc_bc, mm.arc_cd, mm.arc_da))]
     cert = ApproximationCertificate(eps=float(eps), delta=2.0 * max(per_arc),
                                     per_arc_hausdorff=tuple(per_arc))
     return mm, cert
-
-
-def _per_arc_hausdorff(spec: DomainSpec, mm: MarkedRectangleMap) -> list[float]:
-    """Hausdorff distance of each discrete arc polyline to its continuous
-    counterpart, in arc order AB, BC, CD, DA (primal, dual, primal, dual)."""
-    arcs = (mm.arc_ab, mm.arc_bc, mm.arc_cd, mm.arc_da)
-    return [geom.hausdorff_distance(mm.map.positions[a], spec.arc_polyline(i))
-            for i, a in enumerate(arcs)]

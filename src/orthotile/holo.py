@@ -80,10 +80,7 @@ def _normalize_walk(m: OrthodiagonalMap, walk: Sequence[int]) -> list[int]:
     if len(np.unique(a)) != len(a):
         raise ContourError("walk is not simple")
     b = np.roll(a, -1)
-    sides = m.side_edges()
-    known = side_keys(sides[:, 0], sides[:, 1])
-    step = side_keys(a, b)
-    is_side = known[np.minimum(np.searchsorted(known, step), len(known) - 1)] == step
+    is_side = np.isin(side_keys(a, b), m.sorted_side_keys())
     bad = ~is_side | (m.colors[a] == m.colors[b])
     if bad.any():
         i = int(np.argmax(bad))

@@ -32,11 +32,18 @@ def side_keys(a, b) -> np.ndarray:
     return np.minimum(a, b) * (2 ** 32) + np.maximum(a, b)
 
 
-def _side_key_counts(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The side keys of (f, 4) faces, ascending, and the number of faces
-    using each side."""
-    return np.unique(side_keys(faces.T.ravel(), np.roll(faces, -1, axis=1).T.ravel()),
-                     return_counts=True)
+def _face_sides(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One sort of the 4f side keys of (f, 4) faces: the distinct keys, ascending,
+    and the sides used once (key unlike both sorted neighbours) as oriented id
+    arrays (a, b) in face-side order: side 0 of every face, then side 1, ..."""
+    a, b = faces.T.ravel(), np.roll(faces, -1, axis=1).T.ravel()
+    keys = side_keys(a, b)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.ones(len(keys) + 1, dtype=bool)      # keys[k] starts a run; the end closes the last
+    first[1:-1] = keys[1:] != keys[:-1]
+    once = np.sort(order[first[:-1] & first[1:]])
+    return keys[first[:-1]], a[once], b[once]
 
 
 class MapError(ValueError):
@@ -176,11 +183,18 @@ class OrthodiagonalMap:
     def n_faces(self) -> int:
         return self.faces.shape[0]
 
+    def sorted_side_keys(self) -> np.ndarray:
+        """The side_keys of the quadrilateral sides, each once, ascending; cached."""
+        if "side_keys" not in self._caches:
+            self._caches["side_keys"] = _face_sides(self.faces)[0]
+        return self._caches["side_keys"]
+
     def side_edges(self) -> np.ndarray:
         """Quadrilateral sides as a cached (e, 2) int64 array of unique
-        vertex-id pairs, smaller id first, rows in ascending (a, b) order."""
+        vertex-id pairs, smaller id first, rows in the order of their
+        sorted_side_keys()."""
         if "sides" not in self._caches:
-            keys = _side_key_counts(self.faces)[0]
+            keys = self.sorted_side_keys()
             self._caches["sides"] = np.stack([keys >> 32, keys & (2 ** 32 - 1)], axis=1)
         return self._caches["sides"]
 
@@ -369,19 +383,14 @@ def trace_boundary(faces) -> list[int]:
     (f, 4): the sides used by exactly one face, walked head to tail from
     the smallest vertex id.  MapError when that boundary is empty, pinched
     or more than one cycle."""
-    faces = np.asarray(faces, dtype=np.int64).reshape(-1, 4)
-    a = faces.T.ravel()
-    b = np.roll(faces, -1, axis=1).T.ravel()
-    _, inverse, counts = np.unique(side_keys(a, b), return_inverse=True, return_counts=True)
-    once = counts[inverse] == 1
-    succ = dict(zip(a[once].tolist(), b[once].tolist()))
-    if len(succ) != int(once.sum()):
+    a, b = _face_sides(np.asarray(faces, dtype=np.int64).reshape(-1, 4))[1:]
+    succ = dict(zip(a.tolist(), b.tolist()))
+    if len(succ) != len(a):
         raise MapError("boundary has a pinch point")
     if not succ:
         raise MapError("boundary is empty")
     start = min(succ)
-    cyc = [start]
-    cur = succ[start]
+    cyc, cur = [start], succ[start]
     while cur != start:
         if cur not in succ or len(cyc) == len(succ):
             raise MapError("boundary walk did not close")
@@ -475,12 +484,16 @@ class FaceLocator:
 BOUNDARY_MISMATCH = "stored boundary cycle does not match the once-used face sides"
 
 
+def _cycle_mismatch(cycle: np.ndarray, a: np.ndarray, b: np.ndarray) -> int:
+    """Number of sides in one but not both of the closed cycle and the sides (a, b)."""
+    return len(np.setxor1d(side_keys(cycle, np.roll(cycle, -1)), side_keys(a, b)))
+
+
 def boundary_mismatch(m: OrthodiagonalMap) -> int:
     """Number of sides in one but not both of the stored boundary cycle and
     the faces' once-used sides; 0 when the two side sets agree.  Nothing is
     cached on m, so a solve that checks its input holds no side table."""
-    keys, counts = _side_key_counts(m.faces)
-    return len(np.setxor1d(side_keys(m.boundary, np.roll(m.boundary, -1)), keys[counts == 1]))
+    return _cycle_mismatch(m.boundary, *_face_sides(m.faces)[1:])
 
 
 def validate(m: OrthodiagonalMap) -> ValidationReport:
@@ -524,20 +537,19 @@ def validate(m: OrthodiagonalMap) -> ValidationReport:
         rep.add("unused-vertices", tuple(set(range(m.n_vertices)) - set(used.tolist())), 0.0,
                 "vertices not incident to any face")
 
-    euler = m.n_vertices - len(m.side_edges()) + (m.n_faces + 1)
+    keys, once_a, once_b = _face_sides(m.faces)
+    euler = m.n_vertices - len(keys) + (m.n_faces + 1)
     if euler != 2:
         rep.add("euler", (), float(euler),
                 f"V - E + F = {euler} != 2; map is not simply connected")
 
     if len(np.unique(m.boundary)) != len(m.boundary):
         rep.add("boundary-not-simple", (), 0.0, "boundary cycle repeats a vertex")
-    mismatch = boundary_mismatch(m)
+    mismatch = _cycle_mismatch(m.boundary, once_a, once_b)
     if mismatch:
         rep.add("boundary-mismatch", (), float(mismatch), BOUNDARY_MISMATCH)
-    else:
-        ring = m.boundary_polyline()
-        if geom.signed_area(ring[:-1]) <= 0:
-            rep.add("boundary-orientation", (), 0.0, "boundary cycle is not counterclockwise")
+    elif geom.signed_area(m.positions[m.boundary]) <= 0:
+        rep.add("boundary-orientation", (), 0.0, "boundary cycle is not counterclockwise")
     return rep
 
 

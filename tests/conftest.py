@@ -364,6 +364,35 @@ def oracle_boundary_mismatch(m):
     return len(cyc_edges ^ oracle_boundary_edge_set(m))
 
 
+def oracle_trace_boundary(faces):
+    """The boundary cycle by np.unique with an inverse over all 4f side
+    keys and a successor dict: the sides used by exactly one face, walked
+    head to tail from the smallest vertex id, with odmap.trace_boundary's
+    MapError messages."""
+    faces = np.asarray(faces, dtype=np.int64).reshape(-1, 4)
+    a = faces.T.ravel()
+    b = np.roll(faces, -1, axis=1).T.ravel()
+    _, inverse, counts = np.unique(odmap.side_keys(a, b), return_inverse=True,
+                                   return_counts=True)
+    once = counts[inverse] == 1
+    succ = dict(zip(a[once].tolist(), b[once].tolist()))
+    if len(succ) != int(once.sum()):
+        raise odmap.MapError("boundary has a pinch point")
+    if not succ:
+        raise odmap.MapError("boundary is empty")
+    start = min(succ)
+    cyc = [start]
+    cur = succ[start]
+    while cur != start:
+        if cur not in succ or len(cyc) == len(succ):
+            raise odmap.MapError("boundary walk did not close")
+        cyc.append(cur)
+        cur = succ[cur]
+    if len(cyc) != len(succ):
+        raise odmap.MapError("boundary has multiple cycles")
+    return cyc
+
+
 def oracle_marked_arcs(mm):
     """(arc_ab, arc_bc, arc_cd, arc_da, chains) by walking the boundary as
     a list from list.index of each mark: the primal vertices of the walks
@@ -656,8 +685,10 @@ def oracle_verify_tiling(L, tiles, tol=1e-9):
             a, b = sorted((int(face[k]), int(face[k + 1 + o])))
             overlaps.append((a, b, float(area[o])))
     overlaps.sort(key=lambda o: o[:2])
-    area_defect = float(abs(float(sum((x1 - x0) * (y1 - y0) for _, _, x0, x1, y0, y1, _ in tiles))
-                            - L))
+    total = 0.0
+    for _, _, x0, x1, y0, y1, _ in tiles:
+        total += (x1 - x0) * (y1 - y0)
+    area_defect = float(abs(total - L))
     return containment, overlaps, area_defect, area_defect <= slack
 
 

@@ -50,6 +50,16 @@ def test_exit_codes(tmp_path, domain_file):
                      "--out", mp]) == 1
 
 
+def test_mesh_without_a_finite_lattice_exits_2(capsys, tmp_path, domain_file):
+    # 1e-320 is finite and positive, but the domain is not a finite number
+    # of lattice steps across: a generation error, not an OverflowError
+    mp = tmp_path / "map.json"
+    assert cli.main(["generate", "--domain", domain_file, "--mesh", "1e-320",
+                     "--out", str(mp)]) == 2
+    assert "no finite lattice" in capsys.readouterr().err
+    assert not mp.exists()
+
+
 def test_self_touching_domain_exits_1(capsys, tmp_path):
     # a vertex on an edge pinches the ring into two lobes: the domain is
     # rejected as input instead of meshed one lobe at a time

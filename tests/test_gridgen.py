@@ -148,6 +148,44 @@ KEPT_DOMAINS = {"L": (L_POLY, L_MARKS), "rect": (RECT_POLY, RECT_MARKS),
                 "star": (STAR, [STAR[0], STAR[4], STAR[6], STAR[8]])}
 
 
+def _arcs_rebuilt(spec):
+    """Each arc of spec rebuilt by _boundary_arc from its own _ring_arclength."""
+    s = [gridgen._boundary_parameter(gridgen._ring_arclength(spec.boundary), p)[0]
+         for p in spec.marked_points]
+    return [gridgen._boundary_arc(gridgen._ring_arclength(spec.boundary), s[i], s[(i + 1) % 4])
+            for i in range(4)]
+
+
+def test_domain_arcs_are_built_once_and_read_only():
+    rng = np.random.default_rng(29)
+    specs = [gridgen.DomainSpec(*d) for d in KEPT_DOMAINS.values()]
+    specs.append(gridgen.DomainSpec(SQUARE_POLY, SQUARE_MARKS))
+    for n in rng.integers(5, 40, size=20).tolist():
+        # star-shaped random polygons, marked at points inside four edges
+        a = 2 * np.pi * (np.arange(n) + rng.uniform(0.0, 0.8, n)) / n
+        v = np.stack([np.cos(a), np.sin(a)], 1) * rng.uniform(0.3, 1.0, (n, 1))
+        k = np.sort(rng.choice(n, 4, replace=False))
+        specs.append(gridgen.DomainSpec(v, v[k] + rng.uniform(0.1, 0.9, (4, 1))
+                                        * (v[(k + 1) % n] - v[k])))
+    for spec in specs:
+        for i, want in enumerate(_arcs_rebuilt(spec)):
+            arc = spec.arc_polyline(i)
+            assert arc is spec.arc_polyline(i)
+            assert arc.shape == want.shape and arc.tobytes() == want.tobytes()
+            with pytest.raises(ValueError):
+                arc[0, 0] = 0.0
+
+
+def test_generation_and_validate_sort_the_sides_once(l_spec, monkeypatch):
+    calls = []
+    kernel = odmap._face_sides
+    monkeypatch.setattr(odmap, "_face_sides", lambda faces: calls.append(len(faces)) or kernel(faces))
+    mm = gridgen.grid_approximation(l_spec, 1 / 8)[0]
+    assert calls == [mm.map.n_faces]
+    assert odmap.validate(mm.map).ok
+    assert calls == [mm.map.n_faces] * 2
+
+
 def _generated(spec, eps):
     try:
         mm, cert = gridgen.grid_approximation(spec, eps)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import (OracleLocator, location_probes, oracle_boundary_edge_set,
                       oracle_boundary_mismatch, oracle_map_bytes, oracle_marked_arcs,
-                      oracle_quad_is_convex, oracle_side_set, oracle_validate, star_map,
-                      strip_map)
+                      oracle_quad_is_convex, oracle_side_set, oracle_trace_boundary,
+                      oracle_validate, star_map, strip_map)
 from orthotile import geom, gridgen, odmap
 
 
@@ -158,6 +158,47 @@ def test_trace_boundary(rect_map16, l_spec):
     with pytest.raises(odmap.MapError, match="empty"):
         odmap.trace_boundary(np.zeros((0, 4), dtype=np.int64))
     assert odmap.trace_boundary(sq) == [0, 1, 2, 3]
+
+
+#: the diamond centres (i, j), i + j odd, of a 7 x 7 half-step lattice
+LATTICE_CENTRES = [(i, j) for i in range(1, 8) for j in range(1, 8) if (i + j) % 2]
+
+
+def _traced(trace, faces):
+    """trace(faces), or the message of the MapError it raises."""
+    try:
+        return trace(faces)
+    except odmap.MapError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_trace_boundary_matches_oracle_on_lattice_subsets(data):
+    # any subset of lattice diamonds: pinches, holes and several components
+    # included, vertex ids permuted, face rows shuffled and rolled
+    keep = data.draw(st.lists(st.booleans(), min_size=len(LATTICE_CENTRES),
+                              max_size=len(LATTICE_CENTRES)))
+    centres = [c for c, k in zip(LATTICE_CENTRES, keep) if k]
+    corners = [[(i + 1, j), (i, j + 1), (i - 1, j), (i, j - 1)] for i, j in centres]
+    verts = sorted({v for quad in corners for v in quad})
+    ids = data.draw(st.permutations(range(len(verts))))
+    vid = {v: ids[k] for k, v in enumerate(verts)}
+    rolls = data.draw(st.lists(st.integers(0, 3), min_size=len(corners), max_size=len(corners)))
+    rows = [[vid[v] for v in quad[r:] + quad[:r]] for quad, r in zip(corners, rolls)]
+    faces = np.array(data.draw(st.permutations(rows)), dtype=np.int64).reshape(-1, 4)
+    want = _traced(oracle_trace_boundary, faces)
+    assert _traced(odmap.trace_boundary, faces) == want
+    if not len(faces):
+        return
+    pos = np.zeros((len(verts), 2))
+    col = np.zeros(len(verts), dtype=np.int64)
+    for (i, j), k in vid.items():
+        pos[k], col[k] = (i, j), i % 2
+    drawn = data.draw(st.lists(st.integers(0, len(verts) - 1), min_size=1, max_size=12))
+    for cycle in ([want] if isinstance(want, list) else []) + [drawn]:
+        m = odmap.OrthodiagonalMap(pos, col, faces, cycle)
+        assert odmap.boundary_mismatch(m) == oracle_boundary_mismatch(m)
 
 
 def test_side_array_matches_set_oracle(topology_maps):

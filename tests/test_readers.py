@@ -291,6 +291,18 @@ def test_verify_peak_stays_within_the_sweep(l_spec, tmp_path):
     assert peak <= VERIFY_PEAK, peak
 
 
+#: tracemalloc peak of trace_boundary on the L at 2^-6 from one sort of the
+#: side keys: measured 3.89 MB, against 7.51 MB with np.unique's inverse
+#: over all 4f sides
+TRACE_PEAK = 4.2e6
+
+
+def test_trace_boundary_peak_stays_within_one_sort(l_spec):
+    faces = gridgen.grid_approximation(l_spec, 2.0 ** -6)[0].map.faces
+    peak = _read_peak(lambda _: odmap.trace_boundary(faces), "")
+    assert peak <= TRACE_PEAK, peak
+
+
 #: tracemalloc peaks of generation on the L at 2^-6 when a diamond was kept
 #: by three tests (a center mask, a corner-lattice mask and a clip of each
 #: polygon edge), measured 13.57 and 6.18 MB

@@ -99,6 +99,15 @@ def test_verify_empty_tiling_vacuous():
     assert rep.ok and rep.area_defect == 0.0
 
 
+def test_total_area_sums_left_to_right_from_zero():
+    # areas 1, 1e16, -1e16: the plain running sum drops the 1, while the
+    # builtin sum keeps it from Python 3.12 on
+    rect = np.array([[0.0, 1.0, 0.0, 1.0], [0.0, 1e16, 0.0, 1.0], [1e16, 0.0, 0.0, 1.0]])
+    t = tiling.Tiling(1.0, np.arange(3), np.zeros((3, 2), np.int64), rect, np.zeros(3, bool))
+    assert t.total_area() == 0.0
+    assert tiling.verify_tiling(t).area_defect == 1.0
+
+
 def _corrupted(t, rng, n_widened):
     """t with n_widened random tiles widened and one tile shifted left."""
     rect = t.rect.copy()
